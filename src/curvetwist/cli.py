@@ -128,10 +128,13 @@ def load_workspace(path):
 
     system = doc.get("system")
     if system is not None:
-        if (not isinstance(system, dict) or "components" not in system
-                or "map" not in system):
+        if (not isinstance(system, dict)
+                or not isinstance(system.get("components"), list)
+                or not all(isinstance(n, str) for n in system["components"])
+                or not isinstance(system.get("map"), str)):
             raise WorkspaceError(
-                'system needs "components" (names) and "map" (name)')
+                'system needs "components" (a list of curve names) and '
+                '"map" (a map name)')
         for n in system["components"]:
             if n not in curves:
                 raise WorkspaceError("system component %r is not a curve"
@@ -156,15 +159,33 @@ def _setting(args, ws, key, default):
     return ws.params.get(key.replace("_", "-"), ws.params.get(key, default))
 
 
+def _int_setting(args, ws, key, least):
+    """An integer setting no smaller than `least`, or None when unset."""
+    val = _setting(args, ws, key, None)
+    if val is None:
+        return None
+    try:
+        n = int(val)
+        ok = not isinstance(val, bool) and (isinstance(val, str) or n == val)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise WorkspaceError("%s must be an integer, not %r" % (key, val))
+    if n < least:
+        raise WorkspaceError("%s must be at least %d, not %d"
+                             % (key, least, n))
+    return n
+
+
 def classify_params(args, ws):
     tol = _setting(args, ws, "tolerance", None)
     kw = {}
-    order_bound = _setting(args, ws, "order_bound", None)
+    order_bound = _int_setting(args, ws, "order_bound", 0)
     if order_bound is not None:
-        kw["order_bound"] = int(order_bound)
-    weight_cap = _setting(args, ws, "weight_cap", None)
+        kw["order_bound"] = order_bound
+    weight_cap = _int_setting(args, ws, "weight_cap", 0)
     if weight_cap is not None:
-        kw["weight_cap"] = int(weight_cap)
+        kw["weight_cap"] = weight_cap
     if tol is not None:
         try:
             kw["residual_tol"] = Fraction(str(tol))
@@ -175,12 +196,12 @@ def classify_params(args, ws):
 
 def search_schedule(args, ws):
     kw = {"classify_params": classify_params(args, ws)}
-    k_max = _setting(args, ws, "k_max", None)
+    k_max = _int_setting(args, ws, "k_max", 1)
     if k_max is not None:
-        kw["k_max"] = int(k_max)
-    weight_cap = _setting(args, ws, "weight_cap", None)
+        kw["k_max"] = k_max
+    weight_cap = _int_setting(args, ws, "weight_cap", 0)
     if weight_cap is not None:
-        kw["weight_cap"] = int(weight_cap)
+        kw["weight_cap"] = weight_cap
     independent = _setting(args, ws, "independent", None)
     if independent:
         kw["independent"] = True
@@ -339,8 +360,8 @@ def cmd_gamma_chains(args, ws):
 
 def cmd_construct_maximalize(args, ws):
     sys_, f = ws.curve_system()
-    weight_cap = _setting(args, ws, "weight_cap", None)
-    kw = {} if weight_cap is None else {"weight_cap": int(weight_cap)}
+    weight_cap = _int_setting(args, ws, "weight_cap", 0)
+    kw = {} if weight_cap is None else {"weight_cap": weight_cap}
     orbit = find_orbit(build_gamma(sys_.with_images(f)))
     if orbit is not None:
         return {

@@ -3,10 +3,17 @@ Mapping classes as exact flip sequences.
 
 A mapping class is stored as a closed loop in the flip graph: a list of moves
 (edge flips and relabelings) that starts and ends at the same labeled
-triangulation.  Acting on a multicurve transports its normal coordinates
-through each move; every step is integer-exact, so group operations
-(composition, inversion, powers) and equality tests on curves never
-accumulate error.
+triangulation.  Next to its move list an `Encoding` holds the loop compiled
+into a flip program on weight lists: one index quintuple per flip, with the
+relabelings folded into the indices of later flips and into a single final
+gather.  The program is compiled once, when a move list from outside is
+replayed and checked.  Composition, powers, inverses and twists join
+compiled programs and never replay a move; an inverse reads the flips
+backwards, because each flip w_e <- max(w_a + w_c, w_b + w_d) - w_e undoes
+itself.  The move list of a joined encoding is built on first use and is
+the one the moves define: len(e.inverse()) still counts the flip-square
+relabeling that undoes each flip of e.  Every step is integer-exact, so
+group operations and equality tests on curves never accumulate error.
 
 Dehn twists are built by shortening the curve (greedy weight-decreasing
 flips, preferring the heaviest edge, with breadth-first search across weight
@@ -39,15 +46,16 @@ about the original curve; every step stays integer-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import json
 
-from .surface import (Triangulation, Relabeling, flip,
-                      flip_square_relabeling, triangulation_to_json,
-                      triangulation_from_json)
-from .curves import (MulticurveCoords, InvalidCurveError, validate,
-                     is_essential, transform_under_flip, apply_relabeling,
-                     disjoint_union_matches, enumerate_single_curves)
+from .surface import (Relabeling, flip, flip_square_relabeling,
+                      triangulation_to_json, triangulation_from_json)
+from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
+                     transform_under_flip, disjoint_union_matches,
+                     enumerate_single_curves)
 
 
 class EncodingError(ValueError):
@@ -71,15 +79,20 @@ class Relabel:
 def replay(source, moves):
     """Apply moves starting at source; returns the list of triangulations
     visited (length len(moves) + 1).  Raises EncodingError on an illegal
-    move."""
+    move.  Each distinct (triangulation, label) flip is built once."""
     path = [source]
     cur = source
+    flipped = {}
     for k, mv in enumerate(moves):
         if isinstance(mv, Flip):
             if not cur.is_flippable(mv.label):
                 raise EncodingError("move %d flips unflippable edge %r"
                                     % (k, mv.label))
-            cur = flip(cur, mv.label)
+            key = (cur, mv.label)
+            nxt = flipped.get(key)
+            if nxt is None:
+                nxt = flipped[key] = flip(cur, mv.label)
+            cur = nxt
         elif isinstance(mv, Relabel):
             if mv.relabeling.source != cur:
                 raise EncodingError("move %d relabels the wrong triangulation"
@@ -96,74 +109,153 @@ def invert_moves(source, moves):
 
     A flip is undone by flipping the same edge again and then applying the
     relabeling that matches the double flip back to the pre-flip
-    triangulation; a relabeling is undone by its inverse.
+    triangulation; a relabeling is undone by its inverse.  Each distinct
+    (triangulation, label) pair and relabeling is inverted once per call.
     """
     path = replay(source, moves)
+    undo = {}
     out = []
     for k in range(len(moves) - 1, -1, -1):
         mv = moves[k]
-        before = path[k]
         if isinstance(mv, Flip):
-            out.append(Flip(mv.label))
-            out.append(Relabel(flip_square_relabeling(before, mv.label)))
+            key = (path[k], mv.label)
+            if key not in undo:
+                undo[key] = Relabel(flip_square_relabeling(path[k], mv.label))
+            out.append(mv)
+            out.append(undo[key])
         else:
-            out.append(Relabel(mv.relabeling.inverse()))
+            key = id(mv.relabeling)
+            if key not in undo:
+                undo[key] = Relabel(mv.relabeling.inverse())
+            out.append(undo[key])
     return out
 
 
-class Encoding:
-    """A mapping class: a validated closed move loop with fast exact action.
+# -- compiled flip programs ---------------------------------------------------
+#
+# A program acts on a weight list w indexed like source.edge_labels.  It is a
+# pair (flips, gather): each flip (e, a, b, c, d) sets
+# w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e], and the result is
+# [w[i] for i in gather].  Relabelings never move weights while the program
+# runs; they are folded into the indices of later flips and into the final
+# gather.  Each flip is an involution on w, so a program is inverted
+# by reading its flips backwards through the inverse of its gather.
 
-    The loop is compiled at construction into index-level operations on
-    weight tuples, so act() costs one integer formula per move.
+def _compile(path, moves):
+    """The program of `moves`, given the triangulations `path` it visits
+    (as returned by replay).  Each distinct flip is looked up once."""
+    idx = path[0].edge_index
+    pos = list(range(len(idx)))     # label index -> position in w holding it
+    flips = []
+    quads = {}
+    for k, mv in enumerate(moves):
+        cur = path[k]
+        if isinstance(mv, Flip):
+            key = (cur, mv.label)
+            if key not in quads:
+                (t1, i1), (t2, i2) = sorted(cur.slots_of_edge(mv.label))
+                quads[key] = [idx[lab] for lab in (
+                    mv.label, cur.edge_at((t1, (i1 + 1) % 3)),
+                    cur.edge_at((t1, (i1 + 2) % 3)),
+                    cur.edge_at((t2, (i2 + 1) % 3)),
+                    cur.edge_at((t2, (i2 + 2) % 3)))]
+            flips.append(tuple([pos[i] for i in quads[key]]))
+        else:
+            new = pos[:]
+            for lab, img in mv.relabeling.edge_map.items():
+                new[idx[img]] = pos[idx[lab]]
+            pos = new
+    return tuple(flips), tuple(pos)
+
+
+def _chain(programs):
+    """The program running the (one or more) `programs` in turn."""
+    (flips, pos), *rest = programs
+    flips = list(flips)
+    for more, gather in rest:
+        flips.extend([(pos[e], pos[a], pos[b], pos[c], pos[d])
+                      for e, a, b, c, d in more])
+        pos = tuple([pos[i] for i in gather])
+    return tuple(flips), pos
+
+
+def _invert(program):
+    flips, gather = program
+    inv = [0] * len(gather)
+    for i, x in enumerate(gather):
+        inv[x] = i
+    return (tuple([(inv[e], inv[a], inv[b], inv[c], inv[d])
+                   for e, a, b, c, d in reversed(flips)]),
+            tuple(inv))
+
+
+# The move list of an encoding built from others is a tuple or, until it is
+# first asked for, a flat list of parts: tuples of moves and zero-argument
+# functions returning one.
+
+def _materialize(moves):
+    if isinstance(moves, tuple):
+        return moves
+    return tuple(chain.from_iterable(
+        part if isinstance(part, tuple) else part() for part in moves))
+
+
+def _concat(first, then):
+    if isinstance(first, tuple) and isinstance(then, tuple):
+        return first + then
+    return ([first] if isinstance(first, tuple) else first) \
+        + ([then] if isinstance(then, tuple) else then)
+
+
+class Encoding:
+    """A mapping class: a closed move loop with fast exact action.
+
+    act() runs the compiled flip program, one integer formula per flip.
+    Encodings joined from others (compose, power, inverse, twist) build
+    their move list on first use.
     """
 
-    __slots__ = ("source", "moves", "_ops")
+    __slots__ = ("source", "_moves", "_len", "_program", "_pick")
 
     def __init__(self, source, moves):
         moves = tuple(moves)
         path = replay(source, moves)
         if path[-1] != source:
             raise EncodingError("move list does not return to its source")
-        self.source = source
-        self.moves = moves
-        self._ops = self._compile(path)
+        self._set(source, moves, len(moves), _compile(path, moves))
 
-    def _compile(self, path):
-        idx = self.source.edge_index
-        ops = []
-        for k, mv in enumerate(self.moves):
-            cur = path[k]
-            if isinstance(mv, Flip):
-                slots = cur.slots_of_edge(mv.label)
-                (t1, i1), (t2, i2) = sorted(slots)
-                quad = [cur.edge_at((t1, (i1 + 1) % 3)),
-                        cur.edge_at((t1, (i1 + 2) % 3)),
-                        cur.edge_at((t2, (i2 + 1) % 3)),
-                        cur.edge_at((t2, (i2 + 2) % 3))]
-                ops.append(("flip", idx[mv.label],
-                            tuple(idx[lab] for lab in quad)))
-            else:
-                perm = [0] * len(idx)
-                for lab, img in mv.relabeling.edge_map.items():
-                    perm[idx[img]] = idx[lab]
-                ops.append(("perm", tuple(perm)))
-        return tuple(ops)
+    def _set(self, source, moves, length, program):
+        self.source = source
+        self._moves = moves     # a tuple, or a list of parts (see _concat)
+        self._len = length
+        self._program = program
+        self._pick = itemgetter(*program[1])
+
+    @classmethod
+    def _closed(cls, source, moves, length, program):
+        """An encoding whose loop is closed by construction: no replay and
+        no check."""
+        enc = cls.__new__(cls)
+        enc._set(source, moves, length, program)
+        return enc
 
     @classmethod
     def identity(cls, source):
-        return cls(source, ())
+        return cls._closed(source, (), 0,
+                           ((), tuple(range(source.num_edges))))
+
+    @property
+    def moves(self):
+        self._moves = _materialize(self._moves)
+        return self._moves
 
     def act_on_weights(self, weights):
         w = list(weights)
-        for kind, *rest in self._ops:
-            if kind == "flip":
-                e, (a, b, c, d) = rest
-                w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e]
-            else:
-                perm = rest[0]
-                w = [w[perm[i]] for i in range(len(perm))]
-        return tuple(w)
+        for e, a, b, c, d in self._program[0]:
+            x = w[a] + w[c]
+            y = w[b] + w[d]
+            w[e] = (x if x > y else y) - w[e]
+        return self._pick(w)
 
     def act(self, coords):
         if coords.host != self.source:
@@ -174,25 +266,35 @@ class Encoding:
         """self after other (function composition)."""
         if other.source != self.source:
             raise EncodingError("cannot compose encodings on different sources")
-        return Encoding(self.source, other.moves + self.moves)
+        return Encoding._closed(self.source, _concat(other._moves, self._moves),
+                                other._len + self._len,
+                                _chain([other._program, self._program]))
 
     def __mul__(self, other):
         return self.compose(other)
 
     def inverse(self):
-        return Encoding(self.source, invert_moves(self.source, self.moves))
+        """Flips read backwards through the inverse gather; each flip undoes
+        itself on weights."""
+        source, moves = self.source, self._moves
+        return Encoding._closed(
+            source, [lambda: tuple(invert_moves(source, _materialize(moves)))],
+            self._len + len(self._program[0]), _invert(self._program))
 
     def power(self, k):
         k = int(k)
         if k < 0:
             return self.inverse().power(-k)
-        return Encoding(self.source, self.moves * k)
+        if k == 0:
+            return Encoding.identity(self.source)
+        return Encoding._closed(self.source, self._moves * k, self._len * k,
+                                _chain([self._program] * k))
 
     def __len__(self):
-        return len(self.moves)
+        return self._len
 
     def __repr__(self):
-        return "Encoding(%d moves)" % len(self.moves)
+        return "Encoding(%d moves)" % self._len
 
 
 # -- curve-level predicates ------------------------------------------------------
@@ -412,7 +514,7 @@ def _annulus_frame(coords):
 def _twist_block(short_coords):
     """One primitive positive twist along the core of the annulus: flip the
     first crossed edge, then relabel swapping the two crossed edges back to
-    the starting triangulation."""
+    the starting triangulation.  Returned as an encoding on the short host."""
     tri = short_coords.host
     _, _, _, _, p, q = _annulus_frame(short_coords)
     flipped = flip(tri, p)
@@ -422,7 +524,7 @@ def _twist_block(short_coords):
     if not sols:
         raise EncodingError("no closing relabel for the twist block")
     sols.sort(key=lambda rl: sorted(rl.slot_map.items()))
-    return [Flip(p), Relabel(sols[0])]
+    return Encoding(tri, [Flip(p), Relabel(sols[0])])
 
 
 def _shortens_to_annulus(coords, cache={}):
@@ -437,7 +539,7 @@ def _isolating_block(short_coords):
 
     Cut along the curve; the vertex-free piece has genus h and one boundary.
     Search that piece for a chain of 2h non-isolating curves (consecutive
-    pairs braid-related, distant pairs disjoint) and return the moves of
+    pairs braid-related, distant pairs disjoint) and return the encoding of
     (T_{c_1} ... T_{c_2h})^{4h+2}, accepted only if the result fixes the
     curve and fixes exactly the probes disjoint from it.
     """
@@ -522,8 +624,31 @@ def _isolating_block(short_coords):
                 prod = prod * twists[cands[u].weights]
             enc = prod.power(4 * h + 2)
             if battery(enc):
-                return list(enc.moves)
+                return enc
     raise EncodingError("no chain presentation found for the isolating twist")
+
+
+class _TwistParts:
+    """What the twist about one curve is joined from: the shortening path
+    from the curve's host to its short position, the block there (an
+    encoding on the short host), and the compiled path and its reverse."""
+
+    __slots__ = ("host", "path", "block", "path_program", "back_program",
+                 "_back")
+
+    def __init__(self, host, path, block):
+        self.host = host
+        self.path = path
+        self.block = block
+        self.path_program = _compile(replay(host, path), path)
+        self.back_program = _invert(self.path_program)
+        self._back = None
+
+    def back(self):
+        """The moves undoing the path, built on first use."""
+        if self._back is None:
+            self._back = tuple(invert_moves(self.host, self.path))
+        return self._back
 
 
 _twist_cache = {}
@@ -541,15 +666,15 @@ def _twist_parts(coords):
         block = _twist_block(short)
     else:
         block = _isolating_block(short)
-    back = invert_moves(coords.host, path)
-    parts = (tuple(path), short, tuple(block), tuple(back))
+    parts = _TwistParts(coords.host, tuple(path), block)
     _twist_cache[key] = parts
     return parts
 
 
 def twist(coords, k=1):
     """The k-th power of the Dehn twist about an essential single curve,
-    as a closed encoding on the curve's host."""
+    as a closed encoding on the curve's host: the shortening path, |k|
+    copies of the block (or of its inverse), and the path undone."""
     k = int(k)
     host = coords.host
     if k == 0:
@@ -557,13 +682,17 @@ def twist(coords, k=1):
         if not is_essential(coords):
             raise InvalidCurveError("can only twist about an essential curve")
         return Encoding.identity(host)
-    path, short, block, back = _twist_parts(coords)
-    if k > 0:
-        mid = list(block) * k
-    else:
-        inv = invert_moves(short.host, list(block))
-        mid = list(inv) * (-k)
-    return Encoding(host, list(path) + mid + list(back))
+    parts = _twist_parts(coords)
+    block = parts.block if k > 0 else parts.block.inverse()
+    reps = abs(k)
+
+    def moves():
+        return parts.path + block.moves * reps + parts.back()
+
+    return Encoding._closed(
+        host, [moves], 3 * len(parts.path) + reps * len(block),
+        _chain([parts.path_program] + [block._program] * reps
+               + [parts.back_program]))
 
 
 # -- twist words -------------------------------------------------------------------
@@ -616,41 +745,60 @@ def encoding_to_jsonable(enc):
 
     Flips store the edge label; relabelings store the slot bijection and the
     full target complex, which is all the constructor needs to rebuild them
-    along the replayed path.
+    along the replayed path.  Repeats of one relabeling share the
+    serialized data of its first occurrence.
     """
     moves = []
+    seen = {}
     for mv in enc.moves:
         if isinstance(mv, Flip):
             moves.append({"kind": "flip", "label": mv.label})
-        else:
-            rel = mv.relabeling
-            moves.append({
-                "kind": "relabel",
-                "slot_map": sorted([list(a), list(b)]
-                                   for a, b in rel.slot_map.items()),
-                "target": json.loads(triangulation_to_json(rel.target)),
-            })
+            continue
+        rel = mv.relabeling
+        body = seen.get(id(rel))
+        if body is None:
+            body = seen[id(rel)] = (
+                sorted([list(a), list(b)] for a, b in rel.slot_map.items()),
+                json.loads(triangulation_to_json(rel.target)))
+        moves.append({"kind": "relabel", "slot_map": body[0],
+                      "target": body[1]})
     return {"moves": moves}
 
 
 def encoding_from_jsonable(tri, data):
-    """Rebuild an encoding on `tri` from a serialized move list."""
+    """Rebuild an encoding on `tri` from a serialized move list.
+
+    Every move is checked along the replayed path; each distinct flip and
+    each distinct relabeling (with its target complex) is built and fully
+    validated once."""
     cur = tri
     moves = []
+    path = [tri]
+    built = {}
     for k, mv in enumerate(data["moves"]):
         kind = mv.get("kind")
         if kind == "flip":
-            moves.append(Flip(mv["label"]))
-            if not cur.is_flippable(mv["label"]):
+            label = mv["label"]
+            if not cur.is_flippable(label):
                 raise EncodingError("move %d flips unflippable edge %r"
-                                    % (k, mv["label"]))
-            cur = flip(cur, mv["label"])
+                                    % (k, label))
+            key = (cur, label)
+            if key not in built:
+                built[key] = (Flip(label), flip(cur, label))
         elif kind == "relabel":
-            target = triangulation_from_json(json.dumps(mv["target"]))
-            slot_map = {tuple(a): tuple(b) for a, b in mv["slot_map"]}
-            rel = Relabeling(cur, target, slot_map)
-            moves.append(Relabel(rel))
-            cur = target
+            key = (cur, json.dumps([mv["slot_map"], mv["target"]],
+                                   sort_keys=True))
+            if key not in built:
+                target = triangulation_from_json(json.dumps(mv["target"]))
+                slot_map = {tuple(a): tuple(b) for a, b in mv["slot_map"]}
+                built[key] = (Relabel(Relabeling(cur, target, slot_map)),
+                              target)
         else:
             raise EncodingError("unknown serialized move kind %r" % (kind,))
-    return Encoding(tri, moves)
+        move, cur = built[key]
+        moves.append(move)
+        path.append(cur)
+    if cur != tri:
+        raise EncodingError("move list does not return to its source")
+    moves = tuple(moves)
+    return Encoding._closed(tri, moves, len(moves), _compile(path, moves))

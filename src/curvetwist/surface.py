@@ -56,6 +56,19 @@ class Triangulation:
         self._ideal = bool(ideal)
         self._check()
 
+    @classmethod
+    def _unchecked(cls, triangles, gluing, like):
+        """A triangulation the package derived from a valid one (`like`)
+        without changing its edge labels: skips _check and reuses the
+        label tables."""
+        tri = cls.__new__(cls)
+        tri._triangles = triangles
+        tri._gluing = gluing
+        tri._ideal = like._ideal
+        tri.edge_labels = like.edge_labels
+        tri.edge_index = like.edge_index
+        return tri
+
     # -- construction-time validation ------------------------------------
 
     def _check(self):
@@ -257,14 +270,21 @@ class Triangulation:
 
     # -- equality / hashing -------------------------------------------------
 
-    def _key(self):
-        return (self._ideal, self._triangles, tuple(self.gluing_pairs()))
-
     def __eq__(self, other):
-        return isinstance(other, Triangulation) and self._key() == other._key()
+        if self is other:
+            return True
+        return (isinstance(other, Triangulation)
+                and self._ideal == other._ideal
+                and self._triangles == other._triangles
+                and self._gluing == other._gluing)
+
+    @cached_property
+    def _hash(self):
+        return hash((self._ideal, self._triangles,
+                     frozenset(self._gluing.items())))
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         kind = "ideal" if self._ideal else "closed"
@@ -466,7 +486,7 @@ def flip(tri, label):
         +--------c--------+          +--------c--------+
 
     Faces (eps,a,b), (eps,c,d) become (eps,b,c), (eps,d,a).  Returns the new
-    triangulation; the input is unchanged.
+    triangulation, built without re-validation; the input is unchanged.
     """
     slots = tri.slots_of_edge(label)
     if len(slots) != 2:
@@ -485,13 +505,10 @@ def flip(tri, label):
     ea, eb = tri.edge_at(a_s), tri.edge_at(b_s)
     ec, ed = tri.edge_at(c_s), tri.edge_at(d_s)
 
-    new_triangles = [list(t) for t in tri.triangles]
-    new_triangles[t1][i1] = label
-    new_triangles[t1][(i1 + 1) % 3] = eb
-    new_triangles[t1][(i1 + 2) % 3] = ec
-    new_triangles[t2][i2] = label
-    new_triangles[t2][(i2 + 1) % 3] = ed
-    new_triangles[t2][(i2 + 2) % 3] = ea
+    # the two new faces keep the diagonal at sides i1 and i2
+    new_triangles = list(tri.triangles)
+    new_triangles[t1] = tuple((label, eb, ec)[(j - i1) % 3] for j in range(3))
+    new_triangles[t2] = tuple((label, ed, ea)[(j - i2) % 3] for j in range(3))
 
     # where each old quad slot ends up
     move = {a_s: (t2, (i2 + 2) % 3),
@@ -501,7 +518,9 @@ def flip(tri, label):
     new_gluing = {}
     for s, p in tri._gluing.items():
         new_gluing[move.get(s, s)] = move.get(p, p)
-    return Triangulation(new_triangles, new_gluing, tri.ideal)
+    # flipping a flippable edge of a valid triangulation gives a valid one
+    # with the same labels, so the result needs no re-check
+    return Triangulation._unchecked(tuple(new_triangles), new_gluing, tri)
 
 
 def flip_square_relabeling(tri, label):

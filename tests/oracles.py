@@ -107,3 +107,81 @@ def spectral_radius(trace, digits=24):
     scale = 10 ** digits
     root = isqrt((t * t - 4) * scale * scale)
     return Fraction(t * scale + root, 2 * scale)
+
+
+# -- encodings by full replay ----------------------------------------------------
+#
+# The package compiles an encoding once into a flip program and builds
+# compositions, powers and inverses by joining programs.  The references
+# below never touch a program: they replay the move list triangulation by
+# triangulation and transport coordinates through each move.
+
+def reference_encoding(source, moves):
+    """The encoding of `moves` through the public constructor, which
+    replays and checks the whole loop."""
+    from curvetwist import Encoding
+    return Encoding(source, list(moves))
+
+
+def reference_act(source, moves, weights):
+    """Image weights of `moves`, walking the replayed path with one
+    coordinate transport per move."""
+    from curvetwist import (Flip, MulticurveCoords, transform_under_flip,
+                            apply_relabeling)
+    coords = MulticurveCoords(source, weights)
+    for mv in moves:
+        if isinstance(mv, Flip):
+            coords = transform_under_flip(coords, mv.label)
+        else:
+            coords = apply_relabeling(coords, mv.relabeling)
+    if coords.host != source:
+        raise AssertionError("move list does not close up")
+    return coords.weights
+
+
+def reference_inverse_moves(source, moves):
+    """Undo `moves` from the end: a flip by the same flip followed by the
+    slot swap of its two quad triangles back to the pre-flip complex, a
+    relabeling by its inverse.  One step at a time, nothing shared."""
+    from curvetwist import Flip, Relabel, Relabeling, flip
+    path = [source]
+    for mv in moves:
+        path.append(flip(path[-1], mv.label) if isinstance(mv, Flip)
+                    else mv.relabeling.target)
+    out = []
+    for k in range(len(moves) - 1, -1, -1):
+        mv, before = moves[k], path[k]
+        if not isinstance(mv, Flip):
+            out.append(Relabel(mv.relabeling.inverse()))
+            continue
+        (t1, i1), (t2, i2) = sorted(
+            (t, i) for t in range(before.num_triangles) for i in range(3)
+            if before.edge_at((t, i)) == mv.label)
+        slot_map = {(t, i): (t, i) for t in range(before.num_triangles)
+                    for i in range(3)}
+        for j in range(3):
+            slot_map[(t1, (i1 + j) % 3)] = (t2, (i2 + j) % 3)
+            slot_map[(t2, (i2 + j) % 3)] = (t1, (i1 + j) % 3)
+        double = flip(flip(before, mv.label), mv.label)
+        out.append(Flip(mv.label))
+        out.append(Relabel(Relabeling(double, before, slot_map)))
+    return out
+
+
+def reference_to_jsonable(moves):
+    """The serialized move list, one relabeling at a time."""
+    import json
+    from curvetwist import Flip, triangulation_to_json
+    out = []
+    for mv in moves:
+        if isinstance(mv, Flip):
+            out.append({"kind": "flip", "label": mv.label})
+        else:
+            rel = mv.relabeling
+            out.append({
+                "kind": "relabel",
+                "slot_map": sorted([list(a), list(b)]
+                                   for a, b in rel.slot_map.items()),
+                "target": json.loads(triangulation_to_json(rel.target)),
+            })
+    return {"moves": out}

@@ -6,10 +6,13 @@ sweep, 1 input error of any kind, including command-line misuse.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+import curvetwist
 
 
 PUNCTURED_TORUS_WS = {
@@ -44,9 +47,16 @@ def ws_orbit_path(tmp_path_factory):
     return str(path)
 
 
+# the child interpreter imports the same copy of the package as this one
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(curvetwist.__file__)))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "curvetwist", *argv],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
     return proc
 
 
@@ -184,3 +194,58 @@ def test_flag_overrides_workspace_params(tmp_path):
     assert run_cli("construct", "search", str(path)).returncode == 3
     assert run_cli("construct", "search", str(path),
                    "--k-max", "10").returncode == 0
+
+
+def _workspace(tmp_path, **changes):
+    doc = dict(PUNCTURED_TORUS_WS)
+    doc.update(changes)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_one_line_error(proc, field):
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and field in lines[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,params,field", [
+    (("construct", "search"), {"k_max": "abc"}, "k_max"),
+    (("construct", "search"), {"k_max": 2.5}, "k_max"),
+    (("construct", "search"), {"weight_cap": [8]}, "weight_cap"),
+    (("construct", "maximalize"), {"weight_cap": "lots"}, "weight_cap"),
+    (("map", "classify", "g"), {"order_bound": "abc"}, "order_bound"),
+    (("map", "classify", "g"), {"weight_cap": "x"}, "weight_cap"),
+    (("map", "classify", "g"), {"order_bound": -1}, "order_bound"),
+])
+def test_bad_integer_params_exit_one_naming_the_field(tmp_path, command,
+                                                     params, field):
+    path = _workspace(tmp_path, params=params)
+    argv = list(command[:2]) + [path] + list(command[2:])
+    assert_one_line_error(run_cli(*argv), field)
+
+
+def test_integer_params_may_be_decimal_strings(tmp_path):
+    path = _workspace(tmp_path, params={"k_max": "3"})
+    assert run_cli("construct", "search", path).returncode == 3
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_k_max_below_one_is_rejected(ws_path, tmp_path, value):
+    assert_one_line_error(
+        run_cli("construct", "search", ws_path, "--k-max", value), "k_max")
+    path = _workspace(tmp_path, params={"k_max": int(value)})
+    assert_one_line_error(run_cli("construct", "search", path), "k_max")
+
+
+@pytest.mark.parametrize("system", [
+    {"components": "a", "map": "f"},
+    {"components": "ab", "map": "f"},
+    {"components": [["a"]], "map": "f"},
+    {"components": ["a"], "map": ["f"]},
+])
+def test_system_components_must_be_a_list_of_names(tmp_path, system):
+    path = _workspace(tmp_path, system=system)
+    assert_one_line_error(run_cli("construct", "search", path), "system")

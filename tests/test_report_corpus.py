@@ -1,0 +1,159 @@
+"""
+A fixed corpus of command-line reports, pinned by sha256.
+
+Every report below is JSON with sorted keys and decimal-string weights, so
+its bytes are a deterministic function of the workspace and the command.
+The digests pin `map compose` (whose reports embed whole move lists,
+including the flip-square relabelings of negative exponents), `map act`,
+`map classify`, `construct maximalize` and `construct search` on the
+punctured-torus flagship and on a genus-two workspace.  A change to how
+encodings are built or stored must leave all of them unchanged.
+
+    python3 tests/test_report_corpus.py     # print the current digests
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from curvetwist.cli import main
+
+
+TORUS = {
+    "surface": {"genus": 1, "punctures": 1},
+    "curves": {
+        "a": {"weights": ["0", "1", "1"]},
+        "b": {"weights": ["1", "0", "1"]},
+    },
+    "maps": {
+        "f": {"word": "T(b)"},
+        "g": {"word": "T(a) * T(b)^-1"},
+        "h": {"word": "T(a)^-2 * T(b)^3"},
+        "w": {"word": "T(a)^2 T(b)^-3 T(a)^-1 T(b)"},
+        "p": {"word": "T(a)^-2 * T(b)^3 * T(a)^-1 * T(b)^3 * T(a) * T(b)"},
+    },
+    "system": {"components": ["a"], "map": "f"},
+}
+
+GENUS_TWO = {
+    "surface": {"genus": 2, "punctures": 0},
+    "curves": {
+        "c": {"weights": ["0", "0", "1", "0", "0", "0", "0", "1", "0"]},
+        "d": {"weights": ["1", "0", "0", "0", "0", "1", "0", "0", "0"]},
+        "sep": {"weights": ["0", "0", "2", "2", "0", "0", "0", "2", "2"]},
+        "x": {"weights": ["0", "1", "0", "1", "2", "1", "1", "1", "1"]},
+    },
+    "maps": {
+        "f": {"word": "T(x)"},
+        "pen": {"word": "T(c) T(d)^-1 T(x)"},
+        "neg": {"word": "T(sep)^-1 T(x)^-2"},
+        "mt": {"word": "T(c)^2 T(d)^-1 T(sep)"},
+    },
+    "system": {"components": ["c"], "map": "f"},
+}
+
+WORKSPACES = {"torus": TORUS, "genus2": GENUS_TWO}
+
+# (workspace, argv after the workspace path)
+CASES = [
+    ("torus", ["map", "compose", "g"]),
+    ("torus", ["map", "compose", "g", "f"]),
+    ("torus", ["map", "compose", "h", "w"]),
+    ("torus", ["map", "compose", "w", "p"]),
+    ("torus", ["map", "act", "h", "a"]),
+    ("torus", ["map", "act", "p", "b"]),
+    ("torus", ["map", "act", "w", "a"]),
+    ("torus", ["map", "classify", "g"]),
+    ("torus", ["map", "classify", "h"]),
+    ("torus", ["map", "classify", "p"]),
+    ("torus", ["construct", "maximalize"]),
+    ("torus", ["construct", "search"]),
+    ("torus", ["construct", "search", "--k-max", "3"]),
+    ("genus2", ["map", "compose", "pen"]),
+    ("genus2", ["map", "compose", "neg", "f"]),
+    ("genus2", ["map", "act", "neg", "c"]),
+    ("genus2", ["map", "act", "pen", "sep"]),
+    ("genus2", ["map", "classify", "pen"]),
+    ("genus2", ["map", "classify", "mt"]),
+    ("genus2", ["construct", "maximalize"]),
+    ("genus2", ["construct", "search"]),
+]
+
+GOLDEN = {
+    'torus:map compose g': '0:e6bde415ac1bd2736fff9f55604758d244bf07ede94fce08026320d1daab321c',
+    'torus:map compose g f': '0:a964e5815e0beffa8853290c5bc10a92894e92e26c8020d23d6f302861b2b248',
+    'torus:map compose h w': '0:f8fca810bc91d7b422b4c5961ce4c65b9a5ea002ad785ee37c536376989a12d2',
+    'torus:map compose w p': '0:a9c4239ac5184be0527e659446ed33daf2d91c4ae65017028d0726b20e50a759',
+    'torus:map act h a': '0:eabbe7df5c232a1a598725c861df058770b904f23f19f689d9aeec4f9c60594c',
+    'torus:map act p b': '0:0a7ee9bd290f68d285a866ad98984e17221e9e61ec9c07ece1b1ed28fb7af939',
+    'torus:map act w a': '0:ce7a0913457d2bb2057e087e13d453e27fb3f37c247ad2f57fa9bda39c1a8c3a',
+    'torus:map classify g': '0:d1af7df3f2b222c887ccb2a0427fc6ff54c38af6c471d380285e9758897b93ce',
+    'torus:map classify h': '0:f2b5e881881dae52751c5a3c02ab9efddaa17025c74ba7f86307360a03a6f69f',
+    'torus:map classify p': '0:a7ffa545742232e0ce5a28c37004a9c43bfd7d380df5644e994b8c366076ee5d',
+    'torus:construct maximalize': '0:d2483a8f2cc5412667ccdaac2fe334cb31909c6dc1a3896f2aba3e7f47344b90',
+    'torus:construct search': '0:a333e38dd452f68352c8b7a10033b05c6b2939ba9add2e73c226b59ef730f322',
+    'torus:construct search --k-max 3': '3:6cbcfc9b494fba382b19d880230ef8ece63cbd3e8cb97a6265efb50793507e14',
+    'genus2:map compose pen': '0:088f2049922874d80a61dc257adc6df6efb62064bab1818c47758b11e06084a3',
+    'genus2:map compose neg f': '0:be6a2d84e5be084b2049247a9f764b28b21c860ac8780357a65e449d5a0854be',
+    'genus2:map act neg c': '0:21807d089abcab2dfb47640ceef7f28dbd2f9860645ed081cd159ab6e3e3233c',
+    'genus2:map act pen sep': '0:40733ed587534c0c76b3a7205bc38442067130366728ff76297aec06c35336aa',
+    'genus2:map classify pen': '0:21e16e0f2eac4c86a8f7a1d6303cf2abcbabb5a868db769049a6916b88392423',
+    'genus2:map classify mt': '0:63cc826c957105d674cc641e5737ed44cafa6b8fb8bc233708b18a9137e5ca85',
+    'genus2:construct maximalize': '0:c009a4e89f6ddb4cbfabf12f57dd6d1bb4e4ac4fe0c294e82cc8e18f9e32ba63',
+    'genus2:construct search': '0:1e663e9464f1c2ec60a20c6402bfc399189121b116f8e569ba3ef3e9f660d1ba',
+}
+
+
+def _case_id(case):
+    return "%s:%s" % (case[0], " ".join(case[1]))
+
+
+def run_report(path, argv):
+    """(exit code, stdout) of one in-process command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv[:2] + [path] + argv[2:])
+    return code, out.getvalue()
+
+
+def digest(code, text):
+    return "%d:%s" % (code, hashlib.sha256(text.encode()).hexdigest())
+
+
+def write_workspaces(root):
+    paths = {}
+    for name, doc in WORKSPACES.items():
+        paths[name] = os.path.join(str(root), name + ".json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_workspaces(tmp_path_factory.mktemp("corpus"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_report_matches_golden(paths, case):
+    ws, argv = case
+    assert digest(*run_report(paths[ws], argv)) == GOLDEN[_case_id(case)]
+
+
+def test_corpus_has_one_golden_per_case():
+    assert sorted(GOLDEN) == sorted(_case_id(c) for c in CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        found = write_workspaces(tmp)
+        for case in CASES:
+            print("    %r: %r," % (_case_id(case),
+                                   digest(*run_report(found[case[0]],
+                                                      case[1]))))

@@ -9,8 +9,8 @@ rational estimates with certified residuals.
 """
 
 from .surface import (TopologyError, Triangulation, Relabeling, flip,
-                      flip_square_relabeling, isomorphism, automorphisms,
-                      build_surface, triangulation_to_json,
+                      flip_square_relabeling, isomorphism, isomorphisms,
+                      automorphisms, build_surface, triangulation_to_json,
                       triangulation_from_json)
 from .curves import (InvalidCurveError, MulticurveCoords, validate,
                      component_count, is_single_curve, is_essential,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TopologyError", "Triangulation", "Relabeling", "flip",
-    "flip_square_relabeling", "isomorphism", "automorphisms",
+    "flip_square_relabeling", "isomorphism", "isomorphisms", "automorphisms",
     "build_surface", "triangulation_to_json", "triangulation_from_json",
     "InvalidCurveError", "MulticurveCoords", "validate", "component_count",
     "is_single_curve", "is_essential", "is_parallel",

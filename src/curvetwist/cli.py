@@ -32,7 +32,7 @@ from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
 from .orbits import (SystemError_, CurveSystem, check_independent,
                      check_maximal, build_gamma, find_orbit,
-                     chain_decomposition)
+                     chain_decomposition, _orbit_graph)
 from .classify import ClassifyParams, classify, default_order_bound
 from .construct import (ConstructionError, SearchSchedule, maximalize,
                         search_twist_family, _result_jsonable)
@@ -307,31 +307,18 @@ def cmd_map_classify(args, ws):
     }, 0
 
 
-def _gamma_pieces(ws, f_name=None):
+def _gamma(ws):
+    """The orbit graph of the workspace system under its map, with the
+    system checked for independence once."""
     sys_, f = ws.curve_system()
     check = check_independent(sys_)
     if not check:
         raise SystemError_("system is not independent: "
                            + "; ".join(check.problems))
-    return sys_.with_images(f), check
+    return _orbit_graph(sys_.with_images(f))
 
 
-def cmd_gamma_build(args, ws):
-    sys_, check = _gamma_pieces(ws)
-    graph = build_gamma(sys_)
-    return {
-        "system": dict(ws.system),
-        "independence": {"ok": bool(check), "problems": list(check.problems)},
-        "graph": graph.to_jsonable(),
-    }, 0
-
-
-def cmd_gamma_orbit(args, ws):
-    sys_, _ = _gamma_pieces(ws)
-    graph = build_gamma(sys_)
-    orbit = find_orbit(graph)
-    if orbit is None:
-        return {"system": dict(ws.system), "orbit": None}, 0
+def _orbit_report(ws, orbit):
     return {
         "system": dict(ws.system),
         "orbit": list(orbit),
@@ -339,16 +326,26 @@ def cmd_gamma_orbit(args, ws):
     }, 2
 
 
+def cmd_gamma_build(args, ws):
+    return {
+        "system": dict(ws.system),
+        "independence": {"ok": True, "problems": []},
+        "graph": _gamma(ws).to_jsonable(),
+    }, 0
+
+
+def cmd_gamma_orbit(args, ws):
+    orbit = find_orbit(_gamma(ws))
+    if orbit is None:
+        return {"system": dict(ws.system), "orbit": None}, 0
+    return _orbit_report(ws, orbit)
+
+
 def cmd_gamma_chains(args, ws):
-    sys_, _ = _gamma_pieces(ws)
-    graph = build_gamma(sys_)
+    graph = _gamma(ws)
     orbit = find_orbit(graph)
     if orbit is not None:
-        return {
-            "system": dict(ws.system),
-            "orbit": list(orbit),
-            "period": len(orbit),
-        }, 2
+        return _orbit_report(ws, orbit)
     chains = chain_decomposition(graph)
     return {
         "system": dict(ws.system),

@@ -224,6 +224,17 @@ def is_single_curve(coords):
     return len(comps) == 1 and comps[0][1] == 1
 
 
+def _flipped_weight(coords, label):
+    """The weight of edge `label` after flipping it, or None when it cannot
+    be flipped."""
+    quad = coords.host.quad(label)
+    if quad is None:
+        return None
+    w, idx = coords.weights, coords.host.edge_index
+    wa, wb, wc, wd = [w[idx[lab]] for lab in quad[4:]]
+    return max(wa + wc, wb + wd) - w[idx[label]]
+
+
 def transform_under_flip(coords, label):
     r"""Transport normal coordinates through a flip of one edge.
 
@@ -232,22 +243,13 @@ def transform_under_flip(coords, label):
     weights.  Repeated side labels simply read the same weight twice.
     Returns coordinates on the flipped host.
     """
-    tri = coords.host
-    slots = tri.slots_of_edge(label)
-    if len(slots) != 2 or slots[0][0] == slots[1][0]:
+    new = _flipped_weight(coords, label)
+    if new is None:
         raise InvalidCurveError("edge %r is not flippable" % (label,))
-    (t1, i1), (t2, i2) = sorted(slots)
-    idx = tri.edge_index
-    wa = coords.weights[idx[tri.edge_at((t1, (i1 + 1) % 3))]]
-    wb = coords.weights[idx[tri.edge_at((t1, (i1 + 2) % 3))]]
-    wc = coords.weights[idx[tri.edge_at((t2, (i2 + 1) % 3))]]
-    wd = coords.weights[idx[tri.edge_at((t2, (i2 + 2) % 3))]]
-    we = coords.weights[idx[label]]
-    new_host = flip(tri, label)
     new_w = list(coords.weights)
     # edge labels (and hence the sorted label order) are preserved by a flip
-    new_w[idx[label]] = max(wa + wc, wb + wd) - we
-    return MulticurveCoords(new_host, new_w)
+    new_w[coords.host.edge_index[label]] = new
+    return MulticurveCoords(flip(coords.host, label), new_w)
 
 
 def apply_relabeling(coords, relab):
@@ -456,24 +458,30 @@ class CutResult:
     def piece_containing(self, d_coords):
         """The piece index holding a curve disjoint from the cut system.
 
-        Retraces the union system+d; the position of a d-arc among the
-        system's arcs at its corner picks out the cut cell containing it.
+        Traces the union system+d once: it is disjoint exactly when its
+        components are the system's plus d's (see disjoint_union_matches),
+        and the position of a d-arc among the system's arcs at its corner
+        picks out the cut cell containing it.
         """
         tri = self._tri
-        if not disjoint_union_matches(tri, [self._coords, d_coords]):
-            raise InvalidCurveError("curve is not disjoint from the system")
+        if d_coords.host != tri:
+            raise InvalidCurveError("mixed hosts in union test")
         d_comps = validate(d_coords)
+        expected = sorted(self._components + tuple(
+            vec for vec, mult in d_comps for _ in range(mult)))
+        try:
+            comps, arc_component = _Strands(tri, [
+                x + y for x, y in zip(self._coords.weights, d_coords.weights)
+            ]).trace()
+        except InvalidCurveError:
+            comps = None
+        if comps is None or list(comps) != expected:
+            raise InvalidCurveError("curve is not disjoint from the system")
         if len(d_comps) != 1 or d_comps[0][1] != 1:
             raise InvalidCurveError("piece location expects a single curve")
         d_vec = d_comps[0][0]
-        for vec, mult in validate(self._coords):
-            if vec == d_vec:
-                raise InvalidCurveError(
-                    "curve is parallel to a system component")
-        total = MulticurveCoords(
-            tri, [x + y for x, y in zip(self._coords.weights, d_coords.weights)])
-        strands = _Strands(tri, total.weights)
-        comps, arc_component = strands.trace()
+        if d_vec in self._components:
+            raise InvalidCurveError("curve is parallel to a system component")
         target = comps.index(d_vec)
         for arc, comp in arc_component.items():
             if comp != target:

@@ -51,11 +51,12 @@ from operator import itemgetter
 
 import json
 
-from .surface import (Relabeling, flip, flip_square_relabeling,
-                      triangulation_to_json, triangulation_from_json)
+from .surface import (TopologyError, Relabeling, flip, flip_square_relabeling,
+                      isomorphisms, triangulation_to_json,
+                      triangulation_from_json, _is_slot_pair)
 from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
                      transform_under_flip, disjoint_union_matches,
-                     enumerate_single_curves)
+                     enumerate_single_curves, _flipped_weight)
 
 
 class EncodingError(ValueError):
@@ -153,12 +154,8 @@ def _compile(path, moves):
         if isinstance(mv, Flip):
             key = (cur, mv.label)
             if key not in quads:
-                (t1, i1), (t2, i2) = sorted(cur.slots_of_edge(mv.label))
-                quads[key] = [idx[lab] for lab in (
-                    mv.label, cur.edge_at((t1, (i1 + 1) % 3)),
-                    cur.edge_at((t1, (i1 + 2) % 3)),
-                    cur.edge_at((t2, (i2 + 1) % 3)),
-                    cur.edge_at((t2, (i2 + 2) % 3)))]
+                quads[key] = [idx[lab] for lab in
+                              (mv.label,) + cur.quad(mv.label)[4:]]
             flips.append(tuple([pos[i] for i in quads[key]]))
         else:
             new = pos[:]
@@ -348,28 +345,14 @@ def equal_on(f, g, probes):
 
 # -- weight reduction ------------------------------------------------------------
 
-def _flip_delta(coords, label):
-    tri = coords.host
-    slots = tri.slots_of_edge(label)
-    (t1, i1), (t2, i2) = sorted(slots)
-    idx = tri.edge_index
-    wa = coords.weights[idx[tri.edge_at((t1, (i1 + 1) % 3))]]
-    wb = coords.weights[idx[tri.edge_at((t1, (i1 + 2) % 3))]]
-    wc = coords.weights[idx[tri.edge_at((t2, (i2 + 1) % 3))]]
-    wd = coords.weights[idx[tri.edge_at((t2, (i2 + 2) % 3))]]
-    we = coords.weights[idx[label]]
-    return max(wa + wc, wb + wd) - 2 * we
-
-
 def _greedy_step(coords):
     """The strictly weight-decreasing flip of the heaviest edge, or None on
     a plateau.  Ties break toward the lowest edge label."""
     tri = coords.host
     best = None
     for lab in tri.edge_labels:
-        if not tri.is_flippable(lab):
-            continue
-        if _flip_delta(coords, lab) >= 0:
+        new = _flipped_weight(coords, lab)
+        if new is None or new >= coords.weight_of(lab):
             continue
         key = (-coords.weight_of(lab), lab)
         if best is None or key < best[0]:
@@ -399,9 +382,8 @@ def _plateau_escape(coords, max_states=20000):
         if lab is not None:
             return path + [Flip(lab)], transform_under_flip(cur, lab)
         for lab in cur.host.edge_labels:
-            if not cur.host.is_flippable(lab):
-                continue
-            if _flip_delta(cur, lab) != 0:
+            # None (not flippable) never equals a weight
+            if _flipped_weight(cur, lab) != cur.weight_of(lab):
                 continue
             nxt = transform_under_flip(cur, lab)
             key = _canonical_state(nxt)
@@ -442,73 +424,29 @@ def shorten(coords):
 
 # -- the twist block --------------------------------------------------------------
 
-def find_relabelings(src, dst, edge_map):
-    """All isomorphisms src -> dst inducing exactly the given edge map,
-    found by propagating a single slot assignment around the complex."""
-    need = dict(edge_map)
-    sols = []
-    total = 3 * src.num_triangles
-    for t in range(dst.num_triangles):
-        for r in range(3):
-            m = {}
-            ok = True
-            stack = [((0, 0), (t, r))]
-            while stack and ok:
-                a, b = stack.pop()
-                if a in m:
-                    if m[a] != b:
-                        ok = False
-                    continue
-                ta, ia = a
-                tb, ib = b
-                for d in range(3):
-                    sa = (ta, (ia + d) % 3)
-                    sb = (tb, (ib + d) % 3)
-                    m[sa] = sb
-                    if need.get(src.edge_at(sa)) != dst.edge_at(sb):
-                        ok = False
-                        break
-                    pa = src.glued(sa)
-                    pb = dst.glued(sb)
-                    if (pa is None) != (pb is None):
-                        ok = False
-                        break
-                    if pa is not None:
-                        stack.append((pa, pb))
-            if ok and len(m) == total and len(set(m.values())) == total:
-                sols.append(Relabeling(src, dst, m))
-    return sols
-
-
 def _annulus_frame(coords):
-    """Identify the two-triangle annulus around a weight-two curve.
-
-    Returns (t1, r1, t2, r2, p, q): the triangles and rotations putting the
-    uncrossed side at position 0, and the two crossed edges in the common
-    counterclockwise order [boundary, p, q] shared by both triangles.
+    """The two crossed edges (p, q) of the two-triangle annulus around a
+    weight-two curve, in the counterclockwise order [boundary, p, q] that
+    both annulus triangles share.
     """
     tri = coords.host
     crossed = [lab for lab in tri.edge_labels if coords.weight_of(lab) == 1]
     if coords.total_weight != 2 or len(crossed) != 2:
         raise EncodingError("not a weight-two annulus position")
     frames = []
-    for t in range(tri.num_triangles):
-        labs = [tri.edge_at((t, i)) for i in range(3)]
+    for labs in tri.triangles:
         hits = [i for i in range(3) if labs[i] in crossed]
         if not hits:
             continue
         if len(hits) != 2:
             raise EncodingError("degenerate annulus: crossings share a side")
         (r,) = [i for i in range(3) if i not in hits]
-        frames.append((t, r,
-                       tri.edge_at((t, (r + 1) % 3)),
-                       tri.edge_at((t, (r + 2) % 3))))
+        frames.append((labs[(r + 1) % 3], labs[(r + 2) % 3]))
     if len(frames) != 2:
         raise EncodingError("crossed edges do not span two triangles")
-    (t1, r1, p1, q1), (t2, r2, p2, q2) = frames
-    if (p1, q1) != (p2, q2):
+    if frames[0] != frames[1]:
         raise EncodingError("annulus triangles disagree on edge order")
-    return t1, r1, t2, r2, p1, q1
+    return frames[0]
 
 
 def _twist_block(short_coords):
@@ -516,11 +454,11 @@ def _twist_block(short_coords):
     first crossed edge, then relabel swapping the two crossed edges back to
     the starting triangulation.  Returned as an encoding on the short host."""
     tri = short_coords.host
-    _, _, _, _, p, q = _annulus_frame(short_coords)
-    flipped = flip(tri, p)
+    p, q = _annulus_frame(short_coords)
     swap = {lab: lab for lab in tri.edge_labels}
     swap[p], swap[q] = q, p
-    sols = find_relabelings(flipped, tri, swap)
+    sols = [rl for rl in isomorphisms(flip(tri, p), tri)
+            if rl.edge_map == swap]
     if not sols:
         raise EncodingError("no closing relabel for the twist block")
     sols.sort(key=lambda rl: sorted(rl.slot_map.items()))
@@ -726,7 +664,10 @@ def parse_twist_word(word, curves):
             name = head
         if name not in curves:
             raise EncodingError("unknown curve name %r" % name)
-        enc = enc * twist(curves[name], k)
+        try:
+            enc = enc * twist(curves[name], k)
+        except InvalidCurveError as e:
+            raise InvalidCurveError("curve %r: %s" % (name, e))
     return enc
 
 
@@ -770,31 +711,49 @@ def encoding_from_jsonable(tri, data):
 
     Every move is checked along the replayed path; each distinct flip and
     each distinct relabeling (with its target complex) is built and fully
-    validated once."""
+    validated once.  A malformed move raises EncodingError naming its
+    index."""
+    moves_doc = data.get("moves") if isinstance(data, dict) else None
+    if not isinstance(moves_doc, list):
+        raise EncodingError('"moves" must be a list of move objects')
     cur = tri
     moves = []
     path = [tri]
     built = {}
-    for k, mv in enumerate(data["moves"]):
-        kind = mv.get("kind")
+    for k, mv in enumerate(moves_doc):
+        kind = mv.get("kind") if isinstance(mv, dict) else None
         if kind == "flip":
-            label = mv["label"]
-            if not cur.is_flippable(label):
-                raise EncodingError("move %d flips unflippable edge %r"
+            label = mv.get("label")
+            if type(label) is not int or label not in cur.edge_index \
+                    or not cur.is_flippable(label):
+                raise EncodingError('move %d: "label" %r is no flippable edge'
                                     % (k, label))
             key = (cur, label)
             if key not in built:
                 built[key] = (Flip(label), flip(cur, label))
         elif kind == "relabel":
-            key = (cur, json.dumps([mv["slot_map"], mv["target"]],
+            key = (cur, json.dumps([mv.get("slot_map"), mv.get("target")],
                                    sort_keys=True))
             if key not in built:
-                target = triangulation_from_json(json.dumps(mv["target"]))
-                slot_map = {tuple(a): tuple(b) for a, b in mv["slot_map"]}
-                built[key] = (Relabel(Relabeling(cur, target, slot_map)),
-                              target)
+                try:
+                    target = triangulation_from_json(
+                        json.dumps(mv.get("target")))
+                except TopologyError as e:
+                    raise EncodingError('move %d: "target": %s' % (k, e))
+                pairs = mv.get("slot_map")
+                if not (isinstance(pairs, list)
+                        and all(map(_is_slot_pair, pairs))):
+                    raise EncodingError('move %d: "slot_map" must be a list '
+                                        'of slot pairs' % k)
+                try:
+                    rel = Relabeling(cur, target, {tuple(a): tuple(b)
+                                                   for a, b in pairs})
+                except TopologyError as e:
+                    raise EncodingError('move %d: "slot_map": %s' % (k, e))
+                built[key] = (Relabel(rel), target)
         else:
-            raise EncodingError("unknown serialized move kind %r" % (kind,))
+            raise EncodingError('move %d is not an object of "kind" flip or '
+                                'relabel' % k)
         move, cur = built[key]
         moves.append(move)
         path.append(cur)

@@ -171,6 +171,12 @@ def build_gamma(sys):
     if sys.f_images is None:
         raise SystemError_("system has no image coordinates")
     require_independent(sys)
+    return _orbit_graph(sys)
+
+
+def _orbit_graph(sys):
+    """build_gamma for a system with images already known to be
+    independent."""
     by_coords = {c.weights: name for name, c in sys.components.items()}
     edges = []
     for name in sys.components:

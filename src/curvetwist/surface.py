@@ -25,6 +25,10 @@ The standard models built here are always fully glued:
 For ideal models the vertices are punctures and do not count toward the
 Euler characteristic, so chi = T - E; for closed models chi = T - E + V.
 Everything is immutable: flips and relabelings return new objects.
+
+`Triangulation.quad` is the one owner of the flip quadrilateral convention
+and `isomorphisms` the one isomorphism search; every other module reads
+flip geometry and finds relabelings through them.
 """
 
 from __future__ import annotations
@@ -168,16 +172,24 @@ class Triangulation:
     def num_edges(self):
         return len(self.edge_labels)
 
-    def slots_of_edge(self, label):
-        out = [(t, i) for t in range(self.num_triangles) for i in range(3)
-               if self._triangles[t][i] == label]
-        if not out:
+    def quad(self, label):
+        """(t1, i1, t2, i2, a, b, c, d): the edge's slots (t1, i1) < (t2, i2),
+        then the labels of its flip quadrilateral, read ccw from the edge in
+        triangle t1 (a, b) and t2 (c, d), as drawn in `flip`.  None when the
+        edge is a boundary side or has both sides on one triangle."""
+        slots = [(t, i) for t, sides in enumerate(self._triangles)
+                 for i in range(3) if sides[i] == label]
+        if not slots:
             raise TopologyError("no edge labelled %r" % (label,))
-        return out
+        if len(slots) != 2 or slots[0][0] == slots[1][0]:
+            return None
+        (t1, i1), (t2, i2) = slots
+        x, y = self._triangles[t1], self._triangles[t2]
+        return (t1, i1, t2, i2, x[(i1 + 1) % 3], x[(i1 + 2) % 3],
+                y[(i2 + 1) % 3], y[(i2 + 2) % 3])
 
     def is_flippable(self, label):
-        slots = self.slots_of_edge(label)
-        return len(slots) == 2 and slots[0][0] != slots[1][0]
+        return self.quad(label) is not None
 
     # -- vertices ----------------------------------------------------------
 
@@ -378,24 +390,23 @@ class Relabeling:
         self.source = source
         self.target = target
         self.slot_map = dict(slot_map)
+        if (source.num_triangles != target.num_triangles
+                or source.ideal != target.ideal):
+            raise TopologyError("relabeling between incompatible complexes")
+        # checked before edge_at reads any slot, so a slot outside the
+        # complex, such as (-1, 0), is rejected instead of looked up
+        slots = {(t, i) for t in range(source.num_triangles) for i in range(3)}
+        if set(self.slot_map) != slots or set(self.slot_map.values()) != slots:
+            raise TopologyError("slot map is not a bijection on slots")
         self.edge_map = {}
         for s, img in self.slot_map.items():
             a = source.edge_at(s)
             b = target.edge_at(img)
             if self.edge_map.setdefault(a, b) != b:
                 raise TopologyError("slot map induces no edge bijection")
-        self._check()
-
-    def _check(self):
-        src, tgt = self.source, self.target
-        if src.num_triangles != tgt.num_triangles or src.ideal != tgt.ideal:
-            raise TopologyError("relabeling between incompatible complexes")
-        slots = {(t, i) for t in range(src.num_triangles) for i in range(3)}
-        if set(self.slot_map) != slots or set(self.slot_map.values()) != slots:
-            raise TopologyError("slot map is not a bijection on slots")
         if len(set(self.edge_map.values())) != len(self.edge_map):
             raise TopologyError("edge map is not injective")
-        for t in range(src.num_triangles):
+        for t in range(source.num_triangles):
             # ccw order must be preserved: positions shift by a rotation
             imgs = [self.slot_map[(t, i)] for i in range(3)]
             if len({im[0] for im in imgs}) != 1:
@@ -403,8 +414,8 @@ class Relabeling:
             if [imgs[(k + 1) % 3][1] for k in range(3)] != [(imgs[k][1] + 1) % 3 for k in range(3)]:
                 raise TopologyError("slot map reverses orientation")
         for s in slots:
-            p = src.glued(s)
-            q = tgt.glued(self.slot_map[s])
+            p = source.glued(s)
+            q = target.glued(self.slot_map[s])
             if (p is None) != (q is None):
                 raise TopologyError("slot map breaks boundary structure")
             if p is not None and self.slot_map[p] != q:
@@ -435,37 +446,33 @@ class Relabeling:
         return all(a == b for a, b in self.edge_map.items())
 
 
-def isomorphism(tri1, tri2):
-    """An orientation-preserving isomorphism tri1 -> tri2, or None.
+def isomorphisms(src, dst):
+    """Every orientation-preserving isomorphism src -> dst, lazily.
 
-    Deterministic: both sides are brought to their lexicographically least
-    BFS canonical form and the witness is composed from the first root
-    achieving it on each side.
+    Deterministic: the roots of src achieving the least BFS canonical form
+    are taken in order, each composed with the inverse of the first such
+    root of dst.  A connected complex has one isomorphism per image of a
+    root, so this lists each exactly once.
     """
-    if tri1.ideal != tri2.ideal:
-        return None
-    f1, m1 = tri1._min_form_maps()
-    f2, m2 = tri2._min_form_maps()
+    if src.ideal != dst.ideal:
+        return
+    f1, m1 = src._min_form_maps()
+    f2, m2 = dst._min_form_maps()
     if f1 != f2:
-        return None
-    a = m1[0]
+        return
     b_inv = {v: k for k, v in m2[0].items()}
-    return Relabeling(tri1, tri2, {s: b_inv[a[s]] for s in a})
+    for a in m1:
+        yield Relabeling(src, dst, {s: b_inv[a[s]] for s in a})
+
+
+def isomorphism(tri1, tri2):
+    """The first isomorphism tri1 -> tri2 in `isomorphisms` order, or None."""
+    return next(isomorphisms(tri1, tri2), None)
 
 
 def automorphisms(tri):
     """All combinatorial automorphisms (orientation-preserving)."""
-    _, maps = tri._min_form_maps()
-    base_inv = {v: k for k, v in maps[0].items()}
-    out = []
-    seen = set()
-    for m in maps:
-        slot_map = {s: base_inv[m[s]] for s in m}
-        key = tuple(sorted(slot_map.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(Relabeling(tri, tri, slot_map))
-    return out
+    return list(isomorphisms(tri, tri))
 
 
 # -- the elementary move ----------------------------------------------------
@@ -488,33 +495,21 @@ def flip(tri, label):
     Faces (eps,a,b), (eps,c,d) become (eps,b,c), (eps,d,a).  Returns the new
     triangulation, built without re-validation; the input is unchanged.
     """
-    slots = tri.slots_of_edge(label)
-    if len(slots) != 2:
-        raise TopologyError("cannot flip boundary edge %r" % (label,))
-    s1, s2 = sorted(slots)
-    (t1, i1), (t2, i2) = s1, s2
-    if t1 == t2:
-        raise TopologyError(
-            "edge %r has both sides on one triangle; no quadrilateral to flip"
-            % (label,))
-    # sides of the quad, ccw from the diagonal in each face
-    a_s = (t1, (i1 + 1) % 3)
-    b_s = (t1, (i1 + 2) % 3)
-    c_s = (t2, (i2 + 1) % 3)
-    d_s = (t2, (i2 + 2) % 3)
-    ea, eb = tri.edge_at(a_s), tri.edge_at(b_s)
-    ec, ed = tri.edge_at(c_s), tri.edge_at(d_s)
+    quad = tri.quad(label)
+    if quad is None:
+        raise TopologyError("edge %r has no quadrilateral to flip" % (label,))
+    t1, i1, t2, i2, ea, eb, ec, ed = quad
 
     # the two new faces keep the diagonal at sides i1 and i2
     new_triangles = list(tri.triangles)
     new_triangles[t1] = tuple((label, eb, ec)[(j - i1) % 3] for j in range(3))
     new_triangles[t2] = tuple((label, ed, ea)[(j - i2) % 3] for j in range(3))
 
-    # where each old quad slot ends up
-    move = {a_s: (t2, (i2 + 2) % 3),
-            b_s: (t1, (i1 + 1) % 3),
-            c_s: (t1, (i1 + 2) % 3),
-            d_s: (t2, (i2 + 1) % 3)}
+    # each old side slot of the quad moves to the slot its ccw successor
+    # a -> d -> c -> b -> a held
+    sa, sb = (t1, (i1 + 1) % 3), (t1, (i1 + 2) % 3)
+    sc, sd = (t2, (i2 + 1) % 3), (t2, (i2 + 2) % 3)
+    move = {sa: sd, sb: sa, sc: sb, sd: sc}
     new_gluing = {}
     for s, p in tri._gluing.items():
         new_gluing[move.get(s, s)] = move.get(p, p)
@@ -529,15 +524,13 @@ def flip_square_relabeling(tri, label):
     rho swaps the two quad triangles slot-for-slot and is the identity on
     edge labels; it is its own inverse.  Needed to invert a flip move.
     """
-    slots = tri.slots_of_edge(label)
-    if len(slots) != 2 or slots[0][0] == slots[1][0]:
+    quad = tri.quad(label)
+    if quad is None:
         raise TopologyError("edge %r is not flippable" % (label,))
-    (t1, i1), (t2, i2) = sorted(slots)
+    t1, i1, t2, i2 = quad[:4]
     double = flip(flip(tri, label), label)
-    slot_map = {}
-    for t in range(tri.num_triangles):
-        for i in range(3):
-            slot_map[(t, i)] = (t, i)
+    slot_map = {(t, i): (t, i) for t in range(tri.num_triangles)
+                for i in range(3)}
     for k in range(3):
         slot_map[(t1, (i1 + k) % 3)] = (t2, (i2 + k) % 3)
         slot_map[(t2, (i2 + k) % 3)] = (t1, (i1 + k) % 3)
@@ -684,15 +677,37 @@ def triangulation_to_json(tri):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _is_ints(x, length=None):
+    return (isinstance(x, list) and all(type(v) is int for v in x)
+            and length in (None, len(x)))
+
+
+def _is_slot_pair(x):
+    """True for [[t, i], [t', i']], the JSON form of two glued slots."""
+    return isinstance(x, list) and len(x) == 2 and all(
+        _is_ints(s, 2) for s in x)
+
+
 def triangulation_from_json(text):
+    """Rebuild and fully check a triangulation; a missing or ill-typed
+    field raises TopologyError naming it."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise TopologyError("a triangulation must be a JSON object")
+    if not (isinstance(data.get("triangles"), list)
+            and all(map(_is_ints, data["triangles"]))):
+        raise TopologyError('"triangles" must be a list of edge label lists')
+    if not (isinstance(data.get("gluing"), list)
+            and all(map(_is_slot_pair, data["gluing"]))):
+        raise TopologyError('"gluing" must be a list of slot pairs')
+    if not isinstance(data.get("ideal", False), bool):
+        raise TopologyError('"ideal" must be true or false')
     gluing = {}
     for a, b in data["gluing"]:
-        a = tuple(a)
-        b = tuple(b)
-        gluing[a] = b
-        gluing[b] = a
+        gluing[tuple(a)] = tuple(b)
+        gluing[tuple(b)] = tuple(a)
     tri = Triangulation(data["triangles"], gluing, data.get("ideal", False))
-    if sorted(data.get("labels", tri.edge_labels)) != list(tri.edge_labels):
+    labels = data.get("labels", list(tri.edge_labels))
+    if not _is_ints(labels) or sorted(labels) != list(tri.edge_labels):
         raise TopologyError("label block disagrees with triangle data")
     return tri

@@ -185,3 +185,92 @@ def reference_to_jsonable(moves):
                 "target": json.loads(triangulation_to_json(rel.target)),
             })
     return {"moves": out}
+
+
+# -- flip geometry and isomorphism search, spelled out -------------------------
+#
+# The package reads every flip quadrilateral through Triangulation.quad and
+# finds every isomorphism through surface.isomorphisms.  The references
+# below are the formulas those two replaced: slot arithmetic on a scan of
+# the triangles, slot propagation from one root, and the canonical-form
+# witness and automorphism list composed directly from the least-form roots
+# (which fix the order the package promises).
+
+def reference_quad(tri, label):
+    """(t1, i1, t2, i2, a, b, c, d) by scanning for the edge's slots, or
+    None when it is a boundary side or lies twice on one triangle."""
+    slots = sorted((t, i) for t in range(tri.num_triangles) for i in range(3)
+                   if tri.edge_at((t, i)) == label)
+    if len(slots) != 2 or slots[0][0] == slots[1][0]:
+        return None
+    (t1, i1), (t2, i2) = slots
+    return (t1, i1, t2, i2,
+            tri.edge_at((t1, (i1 + 1) % 3)), tri.edge_at((t1, (i1 + 2) % 3)),
+            tri.edge_at((t2, (i2 + 1) % 3)), tri.edge_at((t2, (i2 + 2) % 3)))
+
+
+def reference_relabelings(src, dst, edge_map=None):
+    """All isomorphisms src -> dst (inducing exactly `edge_map`, if given),
+    found by propagating each assignment of slot (0, 0) around the
+    complex."""
+    from curvetwist import Relabeling
+    sols = []
+    total = 3 * src.num_triangles
+    for t in range(dst.num_triangles):
+        for r in range(3):
+            m = {}
+            ok = True
+            stack = [((0, 0), (t, r))]
+            while stack and ok:
+                a, b = stack.pop()
+                if a in m:
+                    ok = m[a] == b
+                    continue
+                (ta, ia), (tb, ib) = a, b
+                for d in range(3):
+                    sa = (ta, (ia + d) % 3)
+                    sb = (tb, (ib + d) % 3)
+                    m[sa] = sb
+                    if edge_map is not None and \
+                            edge_map.get(src.edge_at(sa)) != dst.edge_at(sb):
+                        ok = False
+                        break
+                    pa, pb = src.glued(sa), dst.glued(sb)
+                    if (pa is None) != (pb is None):
+                        ok = False
+                        break
+                    if pa is not None:
+                        stack.append((pa, pb))
+            if ok and len(m) == total and len(set(m.values())) == total:
+                sols.append(Relabeling(src, dst, m))
+    return sols
+
+
+def reference_isomorphism(tri1, tri2):
+    """The witness composed from the first least-form root on each side."""
+    from curvetwist import Relabeling
+    if tri1.ideal != tri2.ideal:
+        return None
+    f1, m1 = tri1._min_form_maps()
+    f2, m2 = tri2._min_form_maps()
+    if f1 != f2:
+        return None
+    b_inv = {v: k for k, v in m2[0].items()}
+    return Relabeling(tri1, tri2, {s: b_inv[m1[0][s]] for s in m1[0]})
+
+
+def reference_automorphisms(tri):
+    """Each least-form root composed with the inverse of the first, with
+    repeats dropped, in root order."""
+    from curvetwist import Relabeling
+    _, maps = tri._min_form_maps()
+    base_inv = {v: k for k, v in maps[0].items()}
+    out = []
+    seen = set()
+    for m in maps:
+        slot_map = {s: base_inv[m[s]] for s in m}
+        key = tuple(sorted(slot_map.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(Relabeling(tri, tri, slot_map))
+    return out

@@ -249,3 +249,62 @@ def test_k_max_below_one_is_rejected(ws_path, tmp_path, value):
 def test_system_components_must_be_a_list_of_names(tmp_path, system):
     path = _workspace(tmp_path, system=system)
     assert_one_line_error(run_cli("construct", "search", path), "system")
+
+
+def _serialized_twist():
+    """The move list of T(a) on the punctured torus: one flip, then one
+    relabeling."""
+    tri = curvetwist.build_surface(1, 1)
+    enc = curvetwist.parse_twist_word("T(a)", curvetwist.standard_curves(tri))
+    doc = curvetwist.encoding_to_jsonable(enc)
+    assert [mv["kind"] for mv in doc["moves"]] == ["flip", "relabel"]
+    return doc
+
+
+def _drop(*path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+def _put(value, *path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (_drop("moves", 0, "label"), 'move 0: "label"'),
+    (_drop("moves", 1, "target"), 'move 1: "target"'),
+    (_put(5, "moves", 0), "move 0 is not an object"),
+    (_put("flip", "moves"), '"moves" must be a list'),
+    (_put([9, 0], "moves", 1, "slot_map", 0, 1), 'move 1: "slot_map"'),
+    (_put([[0, 0]], "moves", 1, "slot_map", 0), 'move 1: "slot_map"'),
+    (_drop("moves", 1, "target", "gluing"), '"gluing"'),
+    (_drop("moves", 1, "target", "triangles"), '"triangles"'),
+], ids=["flip-without-label", "relabel-without-target", "move-not-object",
+        "moves-a-string", "slot-outside-complex", "slot-entry-not-pair",
+        "target-without-gluing", "target-without-triangles"])
+def test_malformed_moves_exit_one_naming_the_move(tmp_path, mutate, field):
+    doc = _serialized_twist()
+    mutate(doc)
+    path = _workspace(tmp_path, maps={"f": doc})
+    proc = run_cli("map", "act", path, "f", "a")
+    assert_one_line_error(proc, field)
+    assert proc.stderr.startswith("error: map 'f': ")
+
+
+def test_invalid_curve_is_named_in_the_map_error(tmp_path):
+    curves = dict(PUNCTURED_TORUS_WS["curves"], a={"weights": ["0", "1", "2"]})
+    path = _workspace(tmp_path, curves=curves,
+                      maps={"f": {"word": "T(b) * T(a)"}},
+                      system={"components": ["b"], "map": "f"})
+    proc = run_cli("map", "act", path, "f", "b")
+    assert_one_line_error(proc, "map 'f': curve 'a': triangle 0 has odd "
+                                "weight sum (0, 1, 2)")

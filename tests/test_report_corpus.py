@@ -5,8 +5,10 @@ Every report below is JSON with sorted keys and decimal-string weights, so
 its bytes are a deterministic function of the workspace and the command.
 The digests pin `map compose` (whose reports embed whole move lists,
 including the flip-square relabelings of negative exponents), `map act`,
-`map classify`, `construct maximalize` and `construct search` on the
-punctured-torus flagship and on a genus-two workspace.  A change to how
+`map classify`, `gamma build`, `gamma orbit`, `gamma chains`,
+`construct maximalize` and `construct search` on the punctured-torus
+flagship, on a torus whose map fixes its system, and on a genus-two
+workspace.  A change to how
 encodings are built or stored must leave all of them unchanged.
 
     python3 tests/test_report_corpus.py     # print the current digests
@@ -57,7 +59,12 @@ GENUS_TWO = {
     "system": {"components": ["c"], "map": "f"},
 }
 
-WORKSPACES = {"torus": TORUS, "genus2": GENUS_TWO}
+# the twist about a fixes a: the orbit graph has a self-loop
+TORUS_ORBIT = dict(TORUS, maps={"ta": {"word": "T(a)^2"}},
+                   system={"components": ["a"], "map": "ta"})
+
+WORKSPACES = {"torus": TORUS, "genus2": GENUS_TWO,
+              "torus_orbit": TORUS_ORBIT}
 
 # (workspace, argv after the workspace path)
 CASES = [
@@ -82,6 +89,15 @@ CASES = [
     ("genus2", ["map", "classify", "mt"]),
     ("genus2", ["construct", "maximalize"]),
     ("genus2", ["construct", "search"]),
+    ("torus", ["gamma", "build"]),
+    ("torus", ["gamma", "orbit"]),
+    ("torus", ["gamma", "chains"]),
+    ("genus2", ["gamma", "build"]),
+    ("genus2", ["gamma", "orbit"]),
+    ("genus2", ["gamma", "chains"]),
+    ("torus_orbit", ["gamma", "build"]),
+    ("torus_orbit", ["gamma", "orbit"]),
+    ("torus_orbit", ["gamma", "chains"]),
 ]
 
 GOLDEN = {
@@ -106,6 +122,15 @@ GOLDEN = {
     'genus2:map classify mt': '0:63cc826c957105d674cc641e5737ed44cafa6b8fb8bc233708b18a9137e5ca85',
     'genus2:construct maximalize': '0:c009a4e89f6ddb4cbfabf12f57dd6d1bb4e4ac4fe0c294e82cc8e18f9e32ba63',
     'genus2:construct search': '0:1e663e9464f1c2ec60a20c6402bfc399189121b116f8e569ba3ef3e9f660d1ba',
+    'torus:gamma build': '0:a8206a1d868fda54d60ccb9c6b196d223e38650fe4000e6756157ecabbff97b4',
+    'torus:gamma orbit': '0:bd677d98cabcacd054386a0ea5a8173cc974540fe8b81e7f1034271acc066d62',
+    'torus:gamma chains': '0:2e088c9d14a174cacbc8af7288d53ade176550fccf88d9da5c0962e80a241e15',
+    'genus2:gamma build': '0:69d778c4f8b4f0d6f1b3814614ea62cb26168e10c20bc9cead242fcbe23d7200',
+    'genus2:gamma orbit': '0:c277fa292ed4b7b3c2e563e90e194004a111ec8b2dd4ad3d6e98002fdf9b0e59',
+    'genus2:gamma chains': '0:e18a13b0fa06b3d679e7369a1397f7c8747943642589e46130354ed5ac8dbde3',
+    'torus_orbit:gamma build': '0:b4a646046ee31de1c4233151c9cbafe7a34132a74c21d8fc896d9527d64a3bcf',
+    'torus_orbit:gamma orbit': '2:3912e4da5154462b76cbb1f6e3cdfce0218eb5f3094d755ed6fddc4c2a1e01f4',
+    'torus_orbit:gamma chains': '2:da6bbff3f25cca3f70a07566b30b27e66cc1914fcb1090ee2e57c9265cdf2441',
 }
 
 

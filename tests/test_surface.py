@@ -1,5 +1,5 @@
 """
-The standard models and the flip calculus.
+The standard models, the flip calculus, and isomorphism search.
 
 Frozen expectations below are forced by Euler characteristic counting: an
 ideal model of a punctured surface has T = 2|chi| triangles and E = 3|chi|
@@ -10,10 +10,15 @@ vertex has E = 6g - 3 and T = 4g - 2.
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curvetwist import (TopologyError, build_surface, flip,
-                        flip_square_relabeling, isomorphism, automorphisms,
-                        triangulation_to_json, triangulation_from_json)
+from curvetwist import (TopologyError, Triangulation, MulticurveCoords,
+                        build_surface, flip, flip_square_relabeling,
+                        isomorphism, isomorphisms, automorphisms, twist,
+                        enumerate_single_curves, triangulation_to_json,
+                        triangulation_from_json)
+from oracles import (reference_quad, reference_relabelings,
+                     reference_isomorphism, reference_automorphisms)
 
 
 MODEL_STATS = {
@@ -122,3 +127,109 @@ def test_json_rejects_tampered_labels(s11):
     doc["labels"] = [99, 98, 97]
     with pytest.raises(TopologyError):
         triangulation_from_json(json.dumps(doc))
+
+
+# -- flip geometry and isomorphism search against the references ---------------
+
+LADDER = [build_surface(*gh)
+          for gh in [(1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0)]]
+
+SETTINGS = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def flipped_models(draw, max_flips=10):
+    """A ladder model after a random sequence of flips."""
+    tri = draw(st.sampled_from(LADDER))
+    for _ in range(draw(st.integers(0, max_flips))):
+        labels = [lab for lab in tri.edge_labels
+                  if reference_quad(tri, lab) is not None]
+        tri = flip(tri, draw(st.sampled_from(labels)))
+    return tri
+
+
+def _slot_maps(relabelings):
+    return [sorted(rel.slot_map.items()) for rel in relabelings]
+
+
+def _flippable(tri):
+    return [lab for lab in tri.edge_labels if tri.is_flippable(lab)]
+
+
+@SETTINGS
+@given(flipped_models())
+def test_quad_matches_slot_arithmetic(tri):
+    for lab in tri.edge_labels:
+        ref = reference_quad(tri, lab)
+        assert tri.quad(lab) == ref
+        assert tri.is_flippable(lab) == (ref is not None)
+
+
+def test_quad_is_none_on_boundary_sides_and_rejects_unknown_labels():
+    # two ideal triangles glued along edge 0 only: edges 1..4 are boundary
+    tri = Triangulation([(0, 1, 2), (0, 3, 4)],
+                        {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
+    assert tri.quad(0) == (0, 0, 1, 0, 1, 2, 3, 4)
+    assert [tri.quad(lab) for lab in (1, 2, 3, 4)] == [None] * 4
+    with pytest.raises(TopologyError):
+        tri.quad(5)
+    with pytest.raises(TopologyError):
+        flip(tri, 1)
+
+
+def test_quad_is_none_on_a_self_folded_edge():
+    # two flips on the twice-punctured torus fold edge 5 onto one triangle
+    tri = flip(flip(build_surface(1, 2), 3), 4)
+    assert tri.triangles[3] == (5, 5, 4)
+    assert tri.quad(5) is None and reference_quad(tri, 5) is None
+    with pytest.raises(TopologyError):
+        flip(tri, 5)
+
+
+@SETTINGS
+@given(flipped_models())
+def test_automorphisms_match_reference_in_order(tri):
+    assert _slot_maps(automorphisms(tri)) == \
+        _slot_maps(reference_automorphisms(tri))
+
+
+@SETTINGS
+@given(flipped_models(), st.data())
+def test_isomorphism_witness_matches_reference(tri, data):
+    flipped = flip(tri, data.draw(st.sampled_from(_flippable(tri))))
+    for src, dst in ((flipped, tri), (tri, flipped), (tri, tri)):
+        got, ref = isomorphism(src, dst), reference_isomorphism(src, dst)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got.slot_map == ref.slot_map
+
+
+@SETTINGS
+@given(flipped_models(), st.data())
+def test_isomorphisms_match_propagation_for_every_edge_map(tri, data):
+    src = flip(tri, data.draw(st.sampled_from(_flippable(tri))))
+    isos = list(isomorphisms(src, tri))
+    assert set(isos) == set(reference_relabelings(src, tri))
+    by_edge_map = {}
+    for rel in isos:
+        by_edge_map.setdefault(tuple(sorted(rel.edge_map.items())),
+                               set()).add(rel)
+    for edge_map, rels in by_edge_map.items():
+        assert rels == set(reference_relabelings(src, tri, dict(edge_map)))
+
+
+@pytest.mark.parametrize("tri", LADDER, ids=repr)
+def test_twist_block_closes_with_the_least_swap_relabeling(tri):
+    """At a weight-two curve the twist is one flip of the first crossed
+    edge p and the least relabeling (by sorted slot map) that swaps p with
+    the other crossed edge q."""
+    for vec in enumerate_single_curves(tri, 2):
+        (mv_flip, mv_rel) = twist(MulticurveCoords(tri, vec)).moves
+        p = mv_flip.label
+        (q,) = [lab for lab, w in zip(tri.edge_labels, vec) if w and lab != p]
+        swap = {lab: lab for lab in tri.edge_labels}
+        swap[p], swap[q] = q, p
+        refs = reference_relabelings(flip(tri, p), tri, swap)
+        least = min(refs, key=lambda rel: sorted(rel.slot_map.items()))
+        assert mv_rel.relabeling.slot_map == least.slot_map

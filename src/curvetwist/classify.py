@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .curves import (MulticurveCoords, InvalidCurveError, validate,
-                     is_essential, disjoint_union_matches)
+from .curves import MulticurveCoords
 from .mapping import Encoding, spanning_probes, equal_on
+from .orbits import CurveSystem, check_independent
 
 
 def decimal_string(value, digits=10):
@@ -169,8 +169,8 @@ def invariant_multicurve_search(e, depth=8, weight_cap=8, extra_seeds=()):
 
     Seeds are the extra curves first (a caller's system curves), then the
     enumerated essential curves up to the weight cap.  For the first seed c
-    with e^p(c) = c at some p <= depth whose orbit curves are essential and
-    jointly disjoint, returns (orbit union, p, orbit tuple); else None.
+    with e^p(c) = c at some p <= depth whose orbit curves pass
+    check_independent, returns (orbit union, p, orbit tuple); else None.
     """
     from .curves import enumerate_single_curves
     tri = e.source
@@ -196,25 +196,13 @@ def invariant_multicurve_search(e, depth=8, weight_cap=8, extra_seeds=()):
             orbit.append(w)
         if period is None:
             continue
-        coords = [MulticurveCoords(tri, v) for v in orbit]
-        ok = True
-        for c in coords:
-            try:
-                parts = validate(c)
-            except InvalidCurveError:
-                ok = False
-                break
-            if len(parts) != 1 or parts[0][1] != 1 or not is_essential(c):
-                ok = False
-                break
-        if ok and len(coords) > 1:
-            ok = disjoint_union_matches(tri, coords)
-        if not ok:
+        # the orbit curves are distinct, and a disjoint, essential,
+        # non-parallel family never exceeds the size bound
+        found = CurveSystem(tri, {str(i): MulticurveCoords(tri, v)
+                                  for i, v in enumerate(orbit)})
+        if not check_independent(found).ok:
             continue
-        total = [0] * tri.num_edges
-        for c in coords:
-            total = [x + y for x, y in zip(total, c.weights)]
-        return (MulticurveCoords(tri, total), period, tuple(orbit))
+        return (found.joint_coords(), period, tuple(orbit))
     return None
 
 

@@ -191,6 +191,9 @@ def classify_params(args, ws):
             kw["residual_tol"] = Fraction(str(tol))
         except (ValueError, ZeroDivisionError):
             raise WorkspaceError("bad tolerance %r" % tol)
+        if kw["residual_tol"] < 0:
+            raise WorkspaceError(
+                "tolerance must be a non-negative decimal, not %r" % tol)
     return ClassifyParams(**kw)
 
 
@@ -203,8 +206,11 @@ def search_schedule(args, ws):
     if weight_cap is not None:
         kw["weight_cap"] = weight_cap
     independent = _setting(args, ws, "independent", None)
-    if independent:
-        kw["independent"] = True
+    if independent is not None:
+        if not isinstance(independent, bool):
+            raise WorkspaceError("independent must be true or false, not %r"
+                                 % (independent,))
+        kw["independent"] = independent
     return SearchSchedule(**kw)
 
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .curves import (MulticurveCoords, enumerate_single_curves, cut_along,
-                     disjoint_union_matches)
+from .curves import cut_along, disjoint_union_matches
 from .mapping import Encoding, twist, intersects
-from .orbits import (CurveSystem, require_independent, build_gamma,
+from .orbits import (CurveSystem, require_independent, _orbit_graph,
                      find_orbit, chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
 
@@ -66,20 +65,6 @@ def realize_family(fam):
     return enc
 
 
-def _candidates_in_piece(host, joint, cut, piece_index, existing, cap):
-    out = []
-    for vec in enumerate_single_curves(host, cap):
-        if vec in existing:
-            continue
-        c = MulticurveCoords(host, vec)
-        if not disjoint_union_matches(host, [joint, c]):
-            continue
-        if cut.piece_containing(c) != piece_index:
-            continue
-        out.append(c)
-    return out
-
-
 def maximalize(sys, f, weight_cap=12):
     """Complete the system to a maximal one without disturbing f's action.
 
@@ -90,7 +75,7 @@ def maximalize(sys, f, weight_cap=12):
     """
     require_independent(sys)
     host = sys.host
-    if find_orbit(build_gamma(sys.with_images(f))) is not None:
+    if find_orbit(_orbit_graph(sys.with_images(f))) is not None:
         raise ValueError("input system already contains an orbit")
     comps = dict(sys.components)
     fp = f
@@ -103,11 +88,9 @@ def maximalize(sys, f, weight_cap=12):
         if not bad:
             break
         piece = bad[0]
-        existing = {c.weights for c in comps.values()}
         pair = None
         for cap in (weight_cap, weight_cap + 4, weight_cap + 8):
-            cands = _candidates_in_piece(host, joint, cut, piece,
-                                         existing, cap)
+            cands = cut.curves_in_piece(piece, cap)
             for i in range(len(cands)):
                 for j in range(i + 1, len(cands)):
                     if intersects(cands[i], cands[j]):
@@ -125,7 +108,7 @@ def maximalize(sys, f, weight_cap=12):
         name = "d%d" % next(fresh)
         while name in comps:
             name = "d%d" % next(fresh)
-        taken = existing | {c_new.weights}
+        taken = {c.weights for c in comps.values()} | {c_new.weights}
         for k in range(1, len(comps) + 3):
             image = fp.act(twist(c_aux, k).act(c_new))
             if image.weights not in taken:
@@ -139,7 +122,7 @@ def maximalize(sys, f, weight_cap=12):
         if fp.act(c).weights != f.act(c).weights:
             raise AssertionError("completion disturbed the image of %r"
                                  % name)
-    if find_orbit(build_gamma(done)) is not None:
+    if find_orbit(_orbit_graph(done)) is not None:
         raise AssertionError("completion created an orbit")
     return done, fp
 
@@ -231,7 +214,7 @@ def search_twist_family(sys, f, schedule=None):
     """
     schedule = schedule or SearchSchedule()
     require_independent(sys)
-    gamma = build_gamma(sys.with_images(f))
+    gamma = _orbit_graph(sys.with_images(f))
     orbit = find_orbit(gamma)
     if orbit is not None:
         witness = {
@@ -245,7 +228,7 @@ def search_twist_family(sys, f, schedule=None):
         }
         return Refused(orbit, len(orbit), witness)
     full, fp = maximalize(sys, f, schedule.weight_cap)
-    chains = chain_decomposition(build_gamma(full))
+    chains = chain_decomposition(_orbit_graph(full))
     reps = [ch.representative for ch in chains]
     curves = tuple(full.components.items())
     names = full.names

@@ -300,14 +300,18 @@ def disjoint_union_matches(tri, parts):
         total = [x + y for x, y in zip(total, p.weights)]
         for vec, mult in validate(p):
             expected.extend([vec] * mult)
+    return _traces_to(tri, total, expected) is not None
+
+
+def _traces_to(tri, weights, expected):
+    """The strand trace (components, arc_component) of `weights` when it is
+    realizable with exactly the component vectors in `expected` (a
+    multiset), else None."""
     try:
-        comps = validate(MulticurveCoords(tri, total))
+        trace = _Strands(tri, weights).trace()
     except InvalidCurveError:
-        return False
-    got = []
-    for vec, mult in comps:
-        got.extend([vec] * mult)
-    return sorted(got) == sorted(expected)
+        return None
+    return trace if list(trace[0]) == sorted(expected) else None
 
 
 # -- cutting along a multicurve ------------------------------------------------
@@ -456,32 +460,33 @@ class CutResult:
         return self._cell_region[cell]
 
     def piece_containing(self, d_coords):
-        """The piece index holding a curve disjoint from the cut system.
+        """The piece index holding a single curve disjoint from the cut
+        system.
 
-        Traces the union system+d once: it is disjoint exactly when its
-        components are the system's plus d's (see disjoint_union_matches),
-        and the position of a d-arc among the system's arcs at its corner
-        picks out the cut cell containing it.
+        Traces the union system+d once, against the system components the
+        cut traced (see disjoint_union_matches).  Raises InvalidCurveError,
+        in this order, when d is not disjoint from the system, is not a
+        single curve, or is parallel to a system component.
         """
-        tri = self._tri
-        if d_coords.host != tri:
+        if d_coords.host != self._tri:
             raise InvalidCurveError("mixed hosts in union test")
-        d_comps = validate(d_coords)
-        expected = sorted(self._components + tuple(
-            vec for vec, mult in d_comps for _ in range(mult)))
-        try:
-            comps, arc_component = _Strands(tri, [
-                x + y for x, y in zip(self._coords.weights, d_coords.weights)
-            ]).trace()
-        except InvalidCurveError:
-            comps = None
-        if comps is None or list(comps) != expected:
+        d_comps = [vec for vec, mult in validate(d_coords)
+                   for _ in range(mult)]
+        trace = _traces_to(self._tri, [
+            x + y for x, y in zip(self._coords.weights, d_coords.weights)
+        ], self._components + tuple(d_comps))
+        if trace is None:
             raise InvalidCurveError("curve is not disjoint from the system")
-        if len(d_comps) != 1 or d_comps[0][1] != 1:
+        if len(d_comps) != 1:
             raise InvalidCurveError("piece location expects a single curve")
-        d_vec = d_comps[0][0]
-        if d_vec in self._components:
+        if d_comps[0] in self._components:
             raise InvalidCurveError("curve is parallel to a system component")
+        return self._piece_of(d_comps[0], *trace)
+
+    def _piece_of(self, d_vec, comps, arc_component):
+        """The cut piece holding the component d_vec of a traced union: the
+        position of a d-arc among the system's arcs at its corner picks out
+        the cut cell containing it."""
         target = comps.index(d_vec)
         for arc, comp in arc_component.items():
             if comp != target:
@@ -494,7 +499,21 @@ class CutResult:
             n_sys = self._counts[(t, j)]
             cell = ("c", t, j, below) if below < n_sys else ("z", t)
             return self._cell_region[cell]
-        raise InvalidCurveError("curve has no arcs; empty vector?")
+
+    def curves_in_piece(self, piece, max_total):
+        """The essential single curves of weight <= max_total lying in piece
+        `piece` and parallel to no system component, in enumeration order;
+        each candidate is traced once, together with the system."""
+        out = []
+        for vec in enumerate_single_curves(self._tri, max_total):
+            if vec in self._components:
+                continue
+            trace = _traces_to(self._tri, [
+                x + y for x, y in zip(self._coords.weights, vec)
+            ], self._components + (vec,))
+            if trace is not None and self._piece_of(vec, *trace) == piece:
+                out.append(MulticurveCoords(self._tri, vec))
+        return out
 
 
 def cut_along(coords):
@@ -554,15 +573,16 @@ def _enumerate_vectors(tri, max_total):
 def enumerate_single_curves(tri, max_total, essential_only=True):
     """All single curves (one component, multiplicity 1) up to a weight cap,
     sorted by (total weight, vector)."""
+    links = set(tri.vertex_links())
     out = []
     for vec in _enumerate_vectors(tri, max_total):
         if not any(vec):
             continue
-        c = MulticurveCoords(tri, vec)
-        comps = validate(c)
+        comps = validate(MulticurveCoords(tri, vec))
         if len(comps) != 1 or comps[0][1] != 1:
             continue
-        if essential_only and not is_essential(c):
+        # a single curve's one component is the vector itself
+        if essential_only and vec in links:
             continue
         out.append(vec)
     return tuple(sorted(out, key=lambda v: (sum(v), v)))

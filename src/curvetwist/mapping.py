@@ -56,7 +56,7 @@ from .surface import (TopologyError, Relabeling, flip, flip_square_relabeling,
                       triangulation_from_json, _is_slot_pair)
 from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
                      transform_under_flip, disjoint_union_matches,
-                     enumerate_single_curves, _flipped_weight)
+                     enumerate_single_curves, _flipped_weight, _traces_to)
 
 
 class EncodingError(ValueError):
@@ -320,13 +320,13 @@ def spanning_probes(tri, max_total=None):
     if max_total is None:
         max_total = _probe_cap_cache.get(tri)
         if max_total is None:
-            witnesses = [MulticurveCoords(tri, v)
-                         for v in enumerate_single_curves(tri, 12)]
+            witnesses = enumerate_single_curves(tri, 12)
             caps = (4, 6, 8, 10, 12)
             for cap in caps:
-                probes = [MulticurveCoords(tri, v)
-                          for v in enumerate_single_curves(tri, cap)]
-                if all(any(not disjoint_union_matches(tri, [w, pr])
+                probes = enumerate_single_curves(tri, cap)
+                # single curves are disjoint iff their sum traces to both
+                if all(any(_traces_to(tri, [x + y for x, y in zip(w, pr)],
+                                      (w, pr)) is None
                            for pr in probes) for w in witnesses):
                     break
             max_total = cap
@@ -509,18 +509,8 @@ def _isolating_block(short_coords):
         return True
 
     for cap in (8, 12, 16):
-        cands = []
-        for vec in enumerate_single_curves(tri, cap):
-            c = MulticurveCoords(tri, vec)
-            if vec == short_coords.weights:
-                continue
-            if not disjoint_union_matches(tri, [short_coords, c]):
-                continue
-            if cut.piece_containing(c) != isolated[0]:
-                continue
-            if not _shortens_to_annulus(c):
-                continue
-            cands.append(c)
+        cands = [c for c in cut.curves_in_piece(isolated[0], cap)
+                 if _shortens_to_annulus(c)]
         twists = {c.weights: twist(c, 1) for c in cands}
         braid_memo = {}
         meet_memo = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
-                     is_essential, disjoint_union_matches, cut_along)
+                     _traces_to, cut_along)
 
 
 class SystemError_(ValueError):
@@ -88,6 +88,7 @@ def check_independent(sys):
     bound, with diagnostics naming every offender."""
     problems = []
     singles = {}
+    links = set(sys.host.vertex_links())
     for name, c in sys.components.items():
         try:
             comps = validate(c)
@@ -97,7 +98,7 @@ def check_independent(sys):
         if len(comps) != 1 or comps[0][1] != 1:
             problems.append("%s: not a single curve" % name)
             continue
-        if not is_essential(c):
+        if comps[0][0] in links:
             problems.append("%s: inessential (vertex or puncture link)" % name)
             continue
         singles[name] = c
@@ -108,7 +109,8 @@ def check_independent(sys):
                 problems.append("%s and %s are parallel"
                                 % (names[i], names[j]))
     if not problems and len(singles) > 1:
-        if not disjoint_union_matches(sys.host, list(singles.values())):
+        if _traces_to(sys.host, sys.joint_coords().weights,
+                      [c.weights for c in singles.values()]) is None:
             problems.append("components are not jointly disjoint")
     bound = 3 * sys.host.genus + sys.host.num_punctures - 3
     if len(sys.components) > bound:

@@ -274,3 +274,134 @@ def reference_automorphisms(tri):
             seen.add(key)
             out.append(Relabeling(tri, tri, slot_map))
     return out
+
+
+# -- curve-system questions, each answered from validate alone -----------------
+#
+# The package answers "is this family a disjoint multicurve?" and "which
+# pieces of a cut hold which curves?" through CutResult.curves_in_piece and
+# orbits.check_independent, tracing each curve once per question.  The
+# references below are the filters those replaced: every part validated
+# again, essentiality and disjointness asked separately.
+
+def reference_disjoint(tri, parts):
+    """Joint normality of a family: the coordinatewise sum is realizable and
+    its traced components are exactly the union of the parts' components."""
+    from curvetwist import InvalidCurveError, MulticurveCoords, validate
+    total = [0] * tri.num_edges
+    expected = []
+    for p in parts:
+        total = [x + y for x, y in zip(total, p.weights)]
+        for vec, mult in validate(p):
+            expected.extend([vec] * mult)
+    try:
+        comps = validate(MulticurveCoords(tri, total))
+    except InvalidCurveError:
+        return False
+    got = []
+    for vec, mult in comps:
+        got.extend([vec] * mult)
+    return sorted(got) == sorted(expected)
+
+
+def reference_curves_in_piece(joint, piece, cap):
+    """The completion's candidate filter: enumerated essential curves that
+    are parallel to no component of `joint`, disjoint from it, and placed
+    in `piece` by piece_containing, in enumeration order."""
+    from curvetwist import (MulticurveCoords, cut_along,
+                            enumerate_single_curves, validate)
+    tri = joint.host
+    cut = cut_along(joint)
+    existing = {vec for vec, _ in validate(joint)}
+    out = []
+    for vec in enumerate_single_curves(tri, cap):
+        if vec in existing:
+            continue
+        c = MulticurveCoords(tri, vec)
+        if not reference_disjoint(tri, [joint, c]):
+            continue
+        if cut.piece_containing(c) != piece:
+            continue
+        out.append(c)
+    return out
+
+
+def reference_check_independent(sys):
+    """(ok, problems) of the independence check: validate each component,
+    then test essentiality, parallelism, joint disjointness and the size
+    bound one after another."""
+    from curvetwist import InvalidCurveError, is_essential, validate
+    problems = []
+    singles = {}
+    for name, c in sys.components.items():
+        try:
+            comps = validate(c)
+        except InvalidCurveError as err:
+            problems.append("%s: invalid coordinates (%s)" % (name, err))
+            continue
+        if len(comps) != 1 or comps[0][1] != 1:
+            problems.append("%s: not a single curve" % name)
+            continue
+        if not is_essential(c):
+            problems.append("%s: inessential (vertex or puncture link)" % name)
+            continue
+        singles[name] = c
+    names = list(singles)
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            if singles[names[i]].weights == singles[names[j]].weights:
+                problems.append("%s and %s are parallel"
+                                % (names[i], names[j]))
+    if not problems and len(singles) > 1:
+        if not reference_disjoint(sys.host, list(singles.values())):
+            problems.append("components are not jointly disjoint")
+    bound = 3 * sys.host.genus + sys.host.num_punctures - 3
+    if len(sys.components) > bound:
+        problems.append("%d components exceed the bound %d"
+                        % (len(sys.components), bound))
+    return not problems, tuple(problems)
+
+
+def reference_invariant_multicurve_search(e, depth=8, weight_cap=8,
+                                          extra_seeds=()):
+    """The first seed with a finite orbit whose curves are valid single
+    essential curves, jointly disjoint; (orbit union, period, orbit) or
+    None."""
+    from curvetwist import (InvalidCurveError, MulticurveCoords,
+                            enumerate_single_curves, is_essential, validate)
+    tri = e.source
+    seeds = []
+    for vec in [c.weights for c in extra_seeds] + list(
+            enumerate_single_curves(tri, weight_cap)):
+        if vec not in seeds:
+            seeds.append(vec)
+    for seed in seeds:
+        orbit = [seed]
+        w = seed
+        period = None
+        for p in range(1, depth + 1):
+            w = e.act_on_weights(w)
+            if w == seed:
+                period = p
+                break
+            orbit.append(w)
+        if period is None:
+            continue
+        coords = [MulticurveCoords(tri, v) for v in orbit]
+        ok = True
+        for c in coords:
+            try:
+                parts = validate(c)
+            except InvalidCurveError:
+                ok = False
+                break
+            if len(parts) != 1 or parts[0][1] != 1 or not is_essential(c):
+                ok = False
+                break
+        if ok and len(coords) > 1:
+            ok = reference_disjoint(tri, coords)
+        if not ok:
+            continue
+        total = [sum(ws) for ws in zip(*orbit)]
+        return MulticurveCoords(tri, total), period, tuple(orbit)
+    return None

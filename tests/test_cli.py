@@ -240,6 +240,42 @@ def test_k_max_below_one_is_rejected(ws_path, tmp_path, value):
     assert_one_line_error(run_cli("construct", "search", path), "k_max")
 
 
+@pytest.mark.parametrize("params,field", [
+    ({"independent": "false"}, "independent"),
+    ({"independent": "no"}, "independent"),
+    ({"independent": [1]}, "independent"),
+    ({"independent": -1}, "independent"),
+    ({"independent": 1}, "independent"),
+    ({"tolerance": "-1"}, "tolerance"),
+    ({"tolerance": -0.5}, "tolerance"),
+    ({"tolerance": "abc"}, "tolerance"),
+])
+def test_misread_search_params_exit_one_naming_the_field(tmp_path, params,
+                                                         field):
+    params = dict(params, k_max=3)
+    path = _workspace(tmp_path, params=params)
+    assert_one_line_error(run_cli("construct", "search", path), field)
+
+
+@pytest.mark.parametrize("params,status,independent", [
+    ({"independent": True}, 3, True),
+    ({"independent": False}, 3, False),
+    ({"tolerance": "0"}, 3, False),
+    ({"tolerance": 0.001}, 3, False),
+])
+def test_well_formed_search_params_are_read(tmp_path, params, status,
+                                            independent):
+    path = _workspace(tmp_path, params=dict(params, k_max=3))
+    proc = run_cli("construct", "search", path)
+    assert proc.returncode == status, proc.stderr
+    assert json.loads(proc.stdout)["schedule"]["independent"] is independent
+
+
+def test_tolerance_flag_must_not_be_negative(ws_path):
+    assert_one_line_error(
+        run_cli("construct", "search", ws_path, "--tolerance=-1"), "tolerance")
+
+
 @pytest.mark.parametrize("system", [
     {"components": "a", "map": "f"},
     {"components": "ab", "map": "f"},

@@ -9,6 +9,7 @@ with dilatation (3 + sqrt 5)/2.  The sweep must report exactly that trail.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
                         find_orbit, TwistFamily, realize_family, maximalize,
                         SearchSchedule, Refused, Accepted, Exhausted,
                         search_twist_family, ClassifyParams,
-                        PseudoAnosovEvidence, build_surface)
+                        PseudoAnosovEvidence, build_surface,
+                        enumerate_single_curves, intersects)
 from curvetwist.construct import _exponent_vectors, _result_jsonable
 
 from oracles import spectral_radius
@@ -176,6 +178,43 @@ def test_search_genus_two_end_to_end(s20):
     # the sweep exponent lands on every chain representative
     assert set(res.exponents.values()) <= {0, res.exponents["c"]} or \
         set(res.exponents.values()) == {res.exponents["c"]}
+
+
+def _independence_checks_from_construct(monkeypatch):
+    """A list that gets one True per check_independent call whose nearest
+    caller outside orbits.py is in construct.py."""
+    from curvetwist import construct, orbits
+    calls = []
+    check = orbits.check_independent
+
+    def counted(system):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == orbits.__file__:
+            frame = frame.f_back
+        calls.append(frame.f_code.co_filename == construct.__file__)
+        return check(system)
+
+    monkeypatch.setattr(orbits, "check_independent", counted)
+    return calls
+
+
+def test_search_checks_independence_at_most_twice(monkeypatch, ab, s20):
+    """Once for the input in the search, once more in the completion."""
+    calls = _independence_checks_from_construct(monkeypatch)
+    a, b = ab
+    assert isinstance(search_twist_family(CurveSystem(a.host, {"a": a}),
+                                          twist(b, 1)), Accepted)
+    assert sum(calls) <= 2
+    del calls[:]
+    vecs = enumerate_single_curves(s20, 8)
+    c = MulticurveCoords(s20, vecs[0])
+    d = max((v for v in vecs if intersects(c, MulticurveCoords(s20, v))),
+            key=lambda v: (sum(v), v))
+    res = search_twist_family(CurveSystem(s20, {"c": c}),
+                              twist(MulticurveCoords(s20, d), 1),
+                              SearchSchedule(k_max=4))
+    assert isinstance(res, Accepted)
+    assert sum(calls) <= 2
 
 
 def test_search_independent_mode(s20):

@@ -1,0 +1,138 @@
+"""
+Differential tests of the two curve-system questions against the filters
+they replaced (tests/oracles.py): which enumerated curves lie in a piece of
+a cut (CutResult.curves_in_piece), and whether a family is an independent
+multicurve (check_independent, also behind invariant_multicurve_search).
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from curvetwist import (MulticurveCoords, CurveSystem, Encoding, Relabel,
+                        automorphisms, build_surface, check_independent,
+                        cut_along, disjoint_union_matches,
+                        enumerate_single_curves, invariant_multicurve_search,
+                        twist)
+
+from oracles import (reference_check_independent, reference_curves_in_piece,
+                     reference_invariant_multicurve_search)
+
+
+MODELS = [build_surface(*gh)
+          for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4))]
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _curves(tri, cap=6):
+    return [MulticurveCoords(tri, v) for v in enumerate_single_curves(tri, cap)]
+
+
+@st.composite
+def systems(draw):
+    """One enumerated curve, or two disjoint non-parallel ones, summed."""
+    tri = draw(st.sampled_from(MODELS))
+    curves = _curves(tri)
+    first = draw(st.sampled_from(curves))
+    partners = [c for c in curves if c != first
+                and disjoint_union_matches(tri, [first, c])]
+    parts = [first]
+    if partners and draw(st.booleans()):
+        parts.append(draw(st.sampled_from(partners)))
+    return CurveSystem(tri, {str(i): c for i, c in enumerate(parts)})
+
+
+@SETTINGS
+@given(systems(), st.integers(4, 8))
+def test_curves_in_piece_matches_the_reference_filter(system, cap):
+    joint = system.joint_coords()
+    cut = cut_along(joint)
+    for piece in range(len(cut.pieces)):
+        assert cut.curves_in_piece(piece, cap) == \
+            reference_curves_in_piece(joint, piece, cap)
+
+
+@st.composite
+def families(draw):
+    """Families mixing enumerated curves (so parallel and crossing pairs),
+    vertex links, doubled curves and arbitrary, mostly unrealizable,
+    vectors."""
+    tri = draw(st.sampled_from(MODELS))
+    pool = ([c.weights for c in _curves(tri, 4)] + list(tri.vertex_links())
+            + [tuple(2 * x for x in c.weights) for c in _curves(tri, 2)])
+    arbitrary = st.lists(st.integers(0, 3), min_size=tri.num_edges,
+                         max_size=tri.num_edges).map(tuple)
+    bound = 3 * tri.genus + tri.num_punctures - 3
+    element = st.sampled_from(pool)
+    if draw(st.booleans()):
+        element = st.one_of(element, arbitrary)
+    vectors = draw(st.lists(element, min_size=1, max_size=bound + 1))
+    return CurveSystem(tri, {"c%d" % i: MulticurveCoords(tri, v)
+                             for i, v in enumerate(vectors)})
+
+
+@SETTINGS
+@given(families())
+def test_check_independent_matches_the_reference(system):
+    rep = check_independent(system)
+    assert (rep.ok, rep.problems) == reference_check_independent(system)
+
+
+def test_check_independent_reference_covers_each_problem(s11, s20):
+    """The strategy's kinds of fault, once each, on fixed families."""
+    a, b = _curves(s11, 2)[:2]
+    link = MulticurveCoords(s20, s20.vertex_links()[0])
+    c = _curves(s20, 2)[0]
+    doubled = MulticurveCoords(s20, [2 * x for x in c.weights])
+    odd = MulticurveCoords(s20, [1] + [0] * (s20.num_edges - 1))
+    for host, parts in ((s11, [a, b]), (s20, [c, c]), (s20, [link]),
+                        (s20, [doubled]), (s20, [odd]), (s11, [a, a])):
+        system = CurveSystem(host, {"c%d" % i: p for i, p in enumerate(parts)})
+        rep = check_independent(system)
+        assert not rep.ok
+        assert (rep.ok, rep.problems) == reference_check_independent(system)
+
+
+@st.composite
+def words(draw):
+    """A product of one to three twist powers about curves of weight <= 6
+    on one model, sometimes followed by a symmetry of the model, whose
+    orbits can be longer than one curve."""
+    tri = draw(st.sampled_from(MODELS))
+    curves = _curves(tri)
+    enc = Encoding.identity(tri)
+    for _ in range(draw(st.integers(1, 3))):
+        enc = enc * twist(draw(st.sampled_from(curves)),
+                          draw(st.sampled_from([-2, -1, 1, 2])))
+    if draw(st.booleans()):
+        symmetry = draw(st.sampled_from(automorphisms(tri)))
+        enc = enc * Encoding(tri, [Relabel(symmetry)])
+    return enc
+
+
+@SETTINGS
+@given(words(), st.integers(2, 6), st.data())
+def test_invariant_multicurve_search_matches_the_reference(e, cap, data):
+    seeds = data.draw(st.lists(st.sampled_from(_curves(e.source, 6)),
+                               max_size=2))
+    assert invariant_multicurve_search(e, weight_cap=cap, extra_seeds=seeds) \
+        == reference_invariant_multicurve_search(e, weight_cap=cap,
+                                                 extra_seeds=seeds)
+
+
+def test_invariant_multicurve_search_matches_on_finite_orbits(ab, s20):
+    """Orbits longer than one curve, which random words rarely reach: the
+    model's curve-swapping symmetry after a twist about c permutes two
+    disjoint curves; T_a T_b on the punctured torus permutes triples of
+    crossing curves, so no orbit is an invariant multicurve."""
+    swap = next(rel for rel in automorphisms(s20) if not rel.is_edge_identity())
+    c = MulticurveCoords(s20, (0, 0, 1, 0, 0, 0, 0, 1, 0))
+    g = twist(c, 1) * Encoding(s20, [Relabel(swap)])
+    a, b = ab
+    h = twist(a, 1) * twist(b, 1)
+    for cap in (2, 4, 6):
+        got = invariant_multicurve_search(g, weight_cap=cap)
+        assert got is not None and got[1] == 2
+        assert got == reference_invariant_multicurve_search(g, weight_cap=cap)
+        assert invariant_multicurve_search(h, weight_cap=cap) is None
+        assert reference_invariant_multicurve_search(h, weight_cap=cap) is None

@@ -58,8 +58,13 @@ def realize_family(fam):
         host = coords[0].host
         if not disjoint_union_matches(host, coords):
             raise ValueError("family curves are not jointly disjoint")
-    enc = fam.f
-    for (_, c), k in zip(fam.curves, fam.exponents):
+    return _realize(fam.f, fam.curves, fam.exponents)
+
+
+def _realize(f, curves, exponents):
+    """realize_family without its check, for a system built disjoint."""
+    enc = f
+    for (_, c), k in zip(curves, exponents):
         if k:
             enc = enc * twist(c, k)
     return enc
@@ -235,8 +240,7 @@ def search_twist_family(sys, f, schedule=None):
     system_curves = [c for _, c in curves]
     reports = []
     for vec in _exponent_vectors(names, reps, schedule):
-        fam = TwistFamily(fp, curves, tuple(vec[n] for n in names))
-        enc = realize_family(fam)
+        enc = _realize(fp, curves, [vec[n] for n in names])
         report = classify(enc, schedule.classify_params,
                           extra_seeds=system_curves)
         reports.append((vec, report))

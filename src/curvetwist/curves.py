@@ -24,10 +24,10 @@ other.  All weights are arbitrary-precision integers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .surface import Triangulation, TopologyError, flip
+from .surface import Triangulation, TopologyError, flip, _find, _union
 
 
 class InvalidCurveError(ValueError):
@@ -159,13 +159,6 @@ class _Strands:
         """
         arcs = self.arcs()
         parent = {a: a for a in arcs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         by_point = {}
         for a in arcs:
             for pt in self.arc_points(a):
@@ -174,12 +167,10 @@ class _Strands:
             if len(pair) != 2:
                 raise InvalidCurveError(
                     "point %r met by %d arcs" % (pt, len(pair)))
-            ra, rb = find(pair[0]), find(pair[1])
-            if ra != rb:
-                parent[ra] = rb
+            _union(parent, pair[0], pair[1])
         groups = {}
         for a in arcs:
-            groups.setdefault(find(a), []).append(a)
+            groups.setdefault(_find(parent, a), []).append(a)
         vectors = []
         for root, members in groups.items():
             vec = [0] * self.tri.num_edges
@@ -193,7 +184,7 @@ class _Strands:
             vectors.append((tuple(x // 2 for x in vec), root))
         vectors.sort()
         index_of_root = {root: i for i, (_, root) in enumerate(vectors)}
-        arc_component = {a: index_of_root[find(a)] for a in arcs}
+        arc_component = {a: index_of_root[_find(parent, a)] for a in arcs}
         return tuple(v for v, _ in vectors), arc_component
 
 
@@ -281,7 +272,7 @@ def is_essential(coords):
     comps = validate(coords)
     if len(comps) != 1 or comps[0][1] != 1:
         raise InvalidCurveError("essentiality test expects a single curve")
-    return comps[0][0] not in set(coords.host.vertex_links())
+    return comps[0][0] not in _context(coords.host).links
 
 
 def disjoint_union_matches(tri, parts):
@@ -357,26 +348,11 @@ class CutResult:
         # cells: ('c', t, j, k) between arcs k-1 and k at corner j (k=0 holds
         # the corner itself); ('z', t) is the central cell of triangle t.
         parent = {}
-
-        def add(cell):
-            parent.setdefault(cell, cell)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
         for t in range(tri.num_triangles):
-            add(("z", t))
+            parent[("z", t)] = ("z", t)
             for j in range(3):
                 for k in range(counts[(t, j)]):
-                    add(("c", t, j, k))
+                    parent[("c", t, j, k)] = ("c", t, j, k)
 
         def segment_cell(slot, q):
             # segment q of a side spans points q-1..q; q ranges 0..w
@@ -396,7 +372,7 @@ class CutResult:
             for q in range(w + 1):
                 c1 = segment_cell(s, q)
                 c2 = segment_cell(p, w - q)
-                union(c1, c2)
+                _union(parent, c1, c2)
                 seg_pairs.append((c1, q, s))
 
         def corner_cell(t, j):
@@ -404,25 +380,23 @@ class CutResult:
                 return ("c", t, j, 0)
             return ("z", t)
 
-        regions = {}
-        for cell in parent:
-            regions.setdefault(find(cell), []).append(cell)
-        region_ids = {root: i for i, root in enumerate(sorted(regions))}
-        self._cell_region = {cell: region_ids[find(cell)] for cell in parent}
-        nregions = len(regions)
+        root = {cell: _find(parent, cell) for cell in parent}
+        region_ids = {r: i for i, r in enumerate(sorted(set(root.values())))}
+        self._cell_region = {cell: region_ids[root[cell]] for cell in parent}
+        nregions = len(region_ids)
 
         cells_in = [0] * nregions
         for cell in parent:
             cells_in[self._cell_region[cell]] += 1
         segs_in = [0] * nregions
         for c1, _, _ in seg_pairs:
-            segs_in[self._cell_region[find(c1)]] += 1
+            segs_in[self._cell_region[c1]] += 1
 
         verts_in = [0] * nregions
         punct_in = [0] * nregions
         for orbit in tri.vertex_orbits:
             t, j = orbit[0]
-            r = self._cell_region[find(corner_cell(t, j))]
+            r = self._cell_region[corner_cell(t, j)]
             if tri.ideal:
                 punct_in[r] += 1
             else:
@@ -430,7 +404,7 @@ class CutResult:
 
         comps, arc_component = strands.trace()
         self._components = comps
-        self._arc_component = arc_component
+        self._placed = {}       # see curves_in_piece
         circles = [0] * nregions
         seen = set()
         for arc, comp in arc_component.items():
@@ -440,8 +414,8 @@ class CutResult:
             t, j, k = arc
             inner = ("c", t, j, k)
             outer = ("c", t, j, k + 1) if k + 1 < counts[(t, j)] else ("z", t)
-            circles[self._cell_region[find(inner)]] += 1
-            circles[self._cell_region[find(outer)]] += 1
+            circles[self._cell_region[inner]] += 1
+            circles[self._cell_region[outer]] += 1
 
         pieces = []
         for r in range(nregions):
@@ -502,16 +476,20 @@ class CutResult:
 
     def curves_in_piece(self, piece, max_total):
         """The essential single curves of weight <= max_total lying in piece
-        `piece` and parallel to no system component, in enumeration order;
-        each candidate is traced once, together with the system."""
+        `piece` and parallel to no system component, in enumeration order.
+        Each candidate is traced once, together with the system, and its
+        piece (None if none) is kept for the lifetime of the cut."""
         out = []
         for vec in enumerate_single_curves(self._tri, max_total):
-            if vec in self._components:
-                continue
-            trace = _traces_to(self._tri, [
-                x + y for x, y in zip(self._coords.weights, vec)
-            ], self._components + (vec,))
-            if trace is not None and self._piece_of(vec, *trace) == piece:
+            if vec not in self._placed:
+                self._placed[vec] = None
+                if vec not in self._components:
+                    trace = _traces_to(self._tri, [
+                        x + y for x, y in zip(self._coords.weights, vec)
+                    ], self._components + (vec,))
+                    if trace is not None:
+                        self._placed[vec] = self._piece_of(vec, *trace)
+            if self._placed[vec] == piece:
                 out.append(MulticurveCoords(self._tri, vec))
         return out
 
@@ -521,13 +499,38 @@ def cut_along(coords):
     return CutResult(coords)
 
 
+# -- the per-surface context ---------------------------------------------------
+
+class _SurfaceContext:
+    """What the package derives from one triangulation, each fact at most
+    once: the vertex links, the essential single curves enumerated so far,
+    the spanning probes, and per curve weight vector its shortening and its
+    twist parts (mapping._shortening and mapping._twist_parts)."""
+
+    def __init__(self, tri):
+        self.links = frozenset(tri.vertex_links())
+        self.cap = 0            # singles: every curve of weight <= cap,
+        self.singles = ()       # sorted by (total weight, vector)
+        self.probes = None
+        self.shortenings = {}
+        self.twists = {}
+
+
+# one context per triangulation value, kept for the life of the process
+_CONTEXTS = {}
+
+
+def _context(tri):
+    if tri not in _CONTEXTS:
+        _CONTEXTS[tri] = _SurfaceContext(tri)
+    return _CONTEXTS[tri]
+
+
 # -- enumeration ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _enumerate_vectors(tri, max_total):
-    """All realizable weight vectors with total weight <= max_total."""
-    labels = tri.edge_labels
-    m = len(labels)
+def _enumerate_vectors(tri, lo, hi):
+    """All realizable weight vectors with lo < total weight <= hi."""
+    m = tri.num_edges
     # assignment order completing triangles as early as possible
     order = []
     remaining = set(range(m))
@@ -550,7 +553,8 @@ def _enumerate_vectors(tri, max_total):
 
     def dfs(k, budget):
         if k == m:
-            out.append(tuple(vec))
+            if budget < hi - lo:
+                out.append(tuple(vec))
             return
         e = order[k]
         for val in range(budget + 1):
@@ -565,27 +569,27 @@ def _enumerate_vectors(tri, max_total):
                 dfs(k + 1, budget - val)
         vec[e] = 0
 
-    dfs(0, max_total)
-    return tuple(sorted(out))
+    dfs(0, hi)
+    return out
 
 
-@lru_cache(maxsize=None)
-def enumerate_single_curves(tri, max_total, essential_only=True):
-    """All single curves (one component, multiplicity 1) up to a weight cap,
-    sorted by (total weight, vector)."""
-    links = set(tri.vertex_links())
-    out = []
-    for vec in _enumerate_vectors(tri, max_total):
-        if not any(vec):
-            continue
-        comps = validate(MulticurveCoords(tri, vec))
-        if len(comps) != 1 or comps[0][1] != 1:
-            continue
-        # a single curve's one component is the vector itself
-        if essential_only and vec in links:
-            continue
-        out.append(vec)
-    return tuple(sorted(out, key=lambda v: (sum(v), v)))
+def enumerate_single_curves(tri, max_total):
+    """All essential single curves (one component, multiplicity 1, no
+    vertex link) up to a weight cap, sorted by (total weight, vector).
+    A cap above all earlier caps on the triangulation traces only the
+    heavier vectors; any other cap reads a prefix of the stored list."""
+    ctx = _context(tri)
+    if max_total > ctx.cap:
+        new = []
+        for vec in _enumerate_vectors(tri, ctx.cap, max_total):
+            comps = validate(MulticurveCoords(tri, vec))
+            # a single curve's one component is the vector itself
+            if len(comps) == 1 and comps[0][1] == 1 and vec not in ctx.links:
+                new.append(vec)
+        new.sort(key=lambda v: (sum(v), v))
+        ctx.singles += tuple(new)
+        ctx.cap = max_total
+    return ctx.singles[:bisect_right(ctx.singles, max_total, key=sum)]
 
 
 def standard_curves(tri, max_total=4):

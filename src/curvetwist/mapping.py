@@ -56,7 +56,8 @@ from .surface import (TopologyError, Relabeling, flip, flip_square_relabeling,
                       triangulation_from_json, _is_slot_pair)
 from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
                      transform_under_flip, disjoint_union_matches,
-                     enumerate_single_curves, _flipped_weight, _traces_to)
+                     enumerate_single_curves, _flipped_weight, _traces_to,
+                     _context)
 
 
 class EncodingError(ValueError):
@@ -303,36 +304,32 @@ def intersects(c1, c2):
     return not disjoint_union_matches(c1.host, [c1, c2])
 
 
-_probe_cap_cache = {}
-
-
-def spanning_probes(tri, max_total=None):
+def spanning_probes(tri):
     """The probe family used for equality of mapping classes on curves: all
     essential single curves up to a weight cap.
 
     Agreement on this family is the package's working notion of equality of
     curve actions; that it determines a mapping class is a documented
-    assumption, not a theorem.  By default the cap is the smallest value in
-    4..12 whose probes intersect every essential curve of weight at most 12,
-    so no curve a test corpus can produce slips past the family unseen; the
-    choice is cached per triangulation.
+    assumption, not a theorem.  The cap is the smallest of 4, 6, 8, 10, 12
+    whose probes intersect every essential curve of weight at most 12, so
+    no curve a test corpus can produce slips past the family unseen.  One
+    pass finds it: `need` is the largest weight of the lightest probe
+    meeting each such curve (13 when a curve meets none), and the cap is
+    the first value >= need, else 12.
     """
-    if max_total is None:
-        max_total = _probe_cap_cache.get(tri)
-        if max_total is None:
-            witnesses = enumerate_single_curves(tri, 12)
-            caps = (4, 6, 8, 10, 12)
-            for cap in caps:
-                probes = enumerate_single_curves(tri, cap)
-                # single curves are disjoint iff their sum traces to both
-                if all(any(_traces_to(tri, [x + y for x, y in zip(w, pr)],
-                                      (w, pr)) is None
-                           for pr in probes) for w in witnesses):
-                    break
-            max_total = cap
-            _probe_cap_cache[tri] = max_total
-    return tuple(MulticurveCoords(tri, v)
-                 for v in enumerate_single_curves(tri, max_total))
+    ctx = _context(tri)
+    if ctx.probes is None:
+        curves = enumerate_single_curves(tri, 12)
+        need = 0
+        for w in curves:
+            # single curves are disjoint iff their sum traces to both
+            meeting = (sum(pr) for pr in curves if _traces_to(
+                tri, [x + y for x, y in zip(w, pr)], (w, pr)) is None)
+            need = max(need, next(meeting, 13))
+        cap = next((c for c in (4, 6, 8, 10) if c >= need), 12)
+        ctx.probes = tuple(MulticurveCoords(tri, v)
+                           for v in enumerate_single_curves(tri, cap))
+    return ctx.probes
 
 
 def equal_on(f, g, probes):
@@ -465,11 +462,13 @@ def _twist_block(short_coords):
     return Encoding(tri, [Flip(p), Relabel(sols[0])])
 
 
-def _shortens_to_annulus(coords, cache={}):
-    key = (coords.host, coords.weights)
-    if key not in cache:
-        cache[key] = shorten(coords)[1].total_weight == 2
-    return cache[key]
+def _shortening(coords):
+    """shorten(coords), with the path as a tuple, once per curve."""
+    known = _context(coords.host).shortenings
+    if coords.weights not in known:
+        path, short = shorten(coords)
+        known[coords.weights] = (tuple(path), short)
+    return known[coords.weights]
 
 
 def _isolating_block(short_coords):
@@ -510,7 +509,7 @@ def _isolating_block(short_coords):
 
     for cap in (8, 12, 16):
         cands = [c for c in cut.curves_in_piece(isolated[0], cap)
-                 if _shortens_to_annulus(c)]
+                 if _shortening(c)[1].total_weight == 2]
         twists = {c.weights: twist(c, 1) for c in cands}
         braid_memo = {}
         meet_memo = {}
@@ -579,24 +578,18 @@ class _TwistParts:
         return self._back
 
 
-_twist_cache = {}
-
-
 def _twist_parts(coords):
-    key = (coords.host, coords.weights)
-    hit = _twist_cache.get(key)
-    if hit is not None:
-        return hit
-    if not is_essential(coords):
-        raise InvalidCurveError("can only twist about an essential curve")
-    path, short = shorten(coords)
-    if short.total_weight == 2:
-        block = _twist_block(short)
-    else:
-        block = _isolating_block(short)
-    parts = _TwistParts(coords.host, tuple(path), block)
-    _twist_cache[key] = parts
-    return parts
+    known = _context(coords.host).twists
+    if coords.weights not in known:
+        if not is_essential(coords):
+            raise InvalidCurveError("can only twist about an essential curve")
+        path, short = _shortening(coords)
+        if short.total_weight == 2:
+            block = _twist_block(short)
+        else:
+            block = _isolating_block(short)
+        known[coords.weights] = _TwistParts(coords.host, path, block)
+    return known[coords.weights]
 
 
 def twist(coords, k=1):

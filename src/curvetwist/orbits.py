@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
-                     _traces_to, cut_along)
+                     _traces_to, cut_along, _context)
 
 
 class SystemError_(ValueError):
@@ -88,7 +88,7 @@ def check_independent(sys):
     bound, with diagnostics naming every offender."""
     problems = []
     singles = {}
-    links = set(sys.host.vertex_links())
+    links = _context(sys.host).links
     for name, c in sys.components.items():
         try:
             comps = validate(c)

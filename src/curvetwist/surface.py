@@ -45,6 +45,20 @@ def _other(pair, x):
     return pair[1] if pair[0] == x else pair[0]
 
 
+def _find(parent, x):
+    """The root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
+
+
 class Triangulation:
     """An oriented surface glued from labelled triangles.
 
@@ -204,31 +218,19 @@ class Triangulation:
         """
         n = self.num_triangles
         parent = {(t, j): (t, j) for t in range(n) for j in range(3)}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
         for t in range(n):
             for j in range(3):
                 p = self._gluing.get((t, (j + 1) % 3))
                 if p is not None:
                     pt, pi = p
-                    union((t, j), (pt, pi))
+                    _union(parent, (t, j), (pt, pi))
                 p = self._gluing.get((t, j))
                 if p is not None:
                     pt, pi = p
-                    union((t, j), (pt, (pi - 1) % 3))
+                    _union(parent, (t, j), (pt, (pi - 1) % 3))
         groups = {}
         for c in parent:
-            groups.setdefault(find(c), []).append(c)
+            groups.setdefault(_find(parent, c), []).append(c)
         return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
     @property
@@ -357,20 +359,14 @@ class Triangulation:
         sw = None
         if weights is not None:
             sw = lambda s: weights[self.edge_at(s)]
-        best = None
-        for t in range(self.num_triangles):
-            for r in range(3):
-                form, _ = self._bfs_form(t, r, sw)
-                if best is None or form < best:
-                    best = form
-        return (self._ideal, best)
+        return (self._ideal, self._min_form_maps(sw)[0])
 
-    def _min_form_maps(self):
+    def _min_form_maps(self, slot_weight=None):
         best = None
         maps = []
         for t in range(self.num_triangles):
             for r in range(3):
-                form, m = self._bfs_form(t, r)
+                form, m = self._bfs_form(t, r, slot_weight)
                 if best is None or form < best:
                     best = form
                     maps = [m]

@@ -405,3 +405,73 @@ def reference_invariant_multicurve_search(e, depth=8, weight_cap=8,
         total = [sum(ws) for ws in zip(*orbit)]
         return MulticurveCoords(tri, total), period, tuple(orbit)
     return None
+
+
+# -- enumeration and probe families without a surface context -----------------
+#
+# The package keeps each triangulation's enumerated curves and probe family
+# in one context, extending the curve list as caps grow and picking the
+# probe cap in one pass.  The references below are the code that replaced:
+# a fresh depth-first search per cap, and the probe cap tried cap by cap.
+
+def reference_single_curves(tri, cap):
+    """The essential single curves of weight <= cap, sorted by (weight,
+    vector): every realizable vector from a fresh depth-first search over
+    the edges (ordered to complete triangles early), kept when it traces to
+    one component of multiplicity one that is no vertex link."""
+    from curvetwist import MulticurveCoords, validate
+    m = tri.num_edges
+    tri_edges = [[tri.edge_index[lab] for lab in t] for t in tri.triangles]
+    order = []
+    remaining = set(range(m))
+    while remaining:
+        def openness(e):
+            return min(sum(1 for x in te if x in remaining)
+                       for te in tri_edges if e in te)
+        nxt = min(remaining, key=lambda e: (openness(e), e))
+        order.append(nxt)
+        remaining.discard(nxt)
+    pos_of = {e: k for k, e in enumerate(order)}
+    completes = [[] for _ in range(m)]
+    for te in tri_edges:
+        completes[max(pos_of[e] for e in te)].append(te)
+    vectors = []
+    vec = [0] * m
+
+    def dfs(k, budget):
+        if k == m:
+            vectors.append(tuple(vec))
+            return
+        for val in range(budget + 1):
+            vec[order[k]] = val
+            if all((a + b + c) % 2 == 0 and a <= b + c and b <= a + c
+                   and c <= a + b
+                   for a, b, c in ([vec[x] for x in te]
+                                   for te in completes[k])):
+                dfs(k + 1, budget - val)
+        vec[order[k]] = 0
+
+    dfs(0, cap)
+    links = set(tri.vertex_links())
+    out = []
+    for v in vectors:
+        if any(v) and v not in links \
+                and validate(MulticurveCoords(tri, v)) == ((v, 1),):
+            out.append(v)
+    return sorted(out, key=lambda v: (sum(v), v))
+
+
+def reference_spanning_probes(tri):
+    """The essential single curves up to the first cap in 4, 6, 8, 10, 12
+    at which every essential curve of weight <= 12 crosses some of them (12
+    when no cap does), trying the caps one after another."""
+    from curvetwist import MulticurveCoords
+    witnesses = [MulticurveCoords(tri, v)
+                 for v in reference_single_curves(tri, 12)]
+    for cap in (4, 6, 8, 10, 12):
+        probes = [w for w in witnesses if w.total_weight <= cap]
+        if all(any(not reference_disjoint(tri, [w, pr]) for pr in probes)
+               for w in witnesses):
+            break
+    return tuple(MulticurveCoords(tri, v)
+                 for v in reference_single_curves(tri, cap))

@@ -1,16 +1,18 @@
 """
-Strand-trace counts: each curve is traced once per question.
+Strand-trace and shortening counts: each curve is traced once per question
+and shortened once per surface.
 
-The counts come from a fresh interpreter, so the package's caches start
-empty and the numbers repeat exactly.  The child wraps curves._Strands.trace,
-the one place a weight vector is traced, and prints its counts as JSON.
-Counters carry no timing noise, so these pins guard the trace-once property
-without timing anything.
+The counts come from a fresh interpreter, so the package's surface contexts
+start empty and the numbers repeat exactly.  The child wraps
+curves._Strands.trace, the one place a weight vector is traced, and
+mapping.shorten, and prints their counts as JSON.  Counters carry no timing
+noise, so these pins guard the trace-once property without timing anything.
 """
 
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,38 +22,76 @@ from test_cli import CHILD_ENV
 CHILD = r"""
 import json
 import curvetwist as ct
-from curvetwist.curves import _Strands, _enumerate_vectors
+from curvetwist import mapping
+from curvetwist.curves import _CONTEXTS, _Strands, _enumerate_vectors
 
-count = [0]
+traced = []
+shortened = []
 trace = _Strands.trace
+shorten = mapping.shorten
 
 
-def counted(self):
-    count[0] += 1
+def counted_trace(self):
+    traced.append(self.weights)
     return trace(self)
 
 
-_Strands.trace = counted
-out = {"enumerate": {}}
+def counted_shorten(coords):
+    shortened.append(coords.weights)
+    return shorten(coords)
+
+
+_Strands.trace = counted_trace
+mapping.shorten = counted_shorten
+out = {"enumerate": {}, "caps": {}}
 for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)):
     tri = ct.build_surface(*gh)
-    nonzero = sum(1 for v in _enumerate_vectors(tri, 8) if any(v))
-    count[0] = 0
+    model = "S(%d,%d)" % gh
+    _CONTEXTS.clear()
+    del traced[:]
     ct.enumerate_single_curves(tri, 8)
-    out["enumerate"]["S(%d,%d)" % gh] = [count[0], nonzero]
+    out["enumerate"][model] = [len(traced), len(_enumerate_vectors(tri, 0, 8))]
+    _CONTEXTS.clear()
+    del traced[:]
+    for cap in (8, 4, 12, 6):
+        ct.enumerate_single_curves(tri, cap)
+    out["caps"][model] = [list(map(list, traced)),
+                          list(map(list, _enumerate_vectors(tri, 0, 12)))]
 
-# the search_ladder rung on S(2,0): c is the first essential curve of
-# weight <= 8, d the heaviest such curve crossing c, f = T(d), k_max 4
+# the candidate filter of one cut on S(2,0), asked for every piece at caps
+# 4, 8, 12 and 8 again with the curves enumerated: each candidate (every
+# curve but the cut one) is traced once
+_CONTEXTS.clear()
 tri = ct.build_surface(2, 0)
-vecs = ct.enumerate_single_curves(tri, 8)
-c = ct.MulticurveCoords(tri, vecs[0])
-d = max((v for v in vecs if ct.intersects(c, ct.MulticurveCoords(tri, v))),
-        key=lambda v: (sum(v), v))
-f = ct.twist(ct.MulticurveCoords(tri, d))
-count[0] = 0
-res = ct.search_twist_family(ct.CurveSystem(tri, {"c": c}), f,
-                             ct.SearchSchedule(k_max=4))
-out["search"] = [count[0], res.status]
+vecs = ct.enumerate_single_curves(tri, 12)
+cut = ct.cut_along(ct.MulticurveCoords(tri, vecs[0]))
+del traced[:]
+for cap in (4, 8, 12, 8):
+    for piece in range(len(cut.pieces)):
+        cut.curves_in_piece(piece, cap)
+out["filter"] = [len(traced), len(set(traced)), len(vecs) - 1]
+
+
+def rung():
+    # the search_ladder rung on S(2,0): c is the first essential curve of
+    # weight <= 8, d the heaviest such curve crossing c, f = T(d), k_max 4
+    _CONTEXTS.clear()
+    tri = ct.build_surface(2, 0)
+    vecs = ct.enumerate_single_curves(tri, 8)
+    c = ct.MulticurveCoords(tri, vecs[0])
+    d = max((v for v in vecs if ct.intersects(c, ct.MulticurveCoords(tri, v))),
+            key=lambda v: (sum(v), v))
+    del shortened[:]
+    f = ct.twist(ct.MulticurveCoords(tri, d))
+    del traced[:]
+    res = ct.search_twist_family(ct.CurveSystem(tri, {"c": c}), f,
+                                 ct.SearchSchedule(k_max=4))
+    return [len(traced), len(set(traced)), res.status,
+            list(map(list, shortened))]
+
+
+out["search"] = rung()
+out["again"] = rung()
 print(json.dumps(out))
 """
 
@@ -69,9 +109,33 @@ def test_enumeration_traces_each_vector_once(counts):
         assert traces == nonzero, model
 
 
+def test_enumeration_in_any_cap_order_traces_each_vector_once(counts):
+    # caps 8, 4, 12, 6: the smaller caps read the stored list and 12 traces
+    # only the vectors heavier than 8
+    for model, (traced, nonzero) in counts["caps"].items():
+        assert sorted(traced) == sorted(nonzero), model
+
+
+def test_candidate_filter_traces_each_candidate_once_per_cut(counts):
+    traces, distinct, candidates = counts["filter"]
+    assert traces == distinct == candidates
+
+
 def test_ladder_rung_search_trace_budget(counts):
-    traces, status = counts["search"]
+    traces, _, status, _ = counts["search"]
     assert status == "accepted"
     # 2,399 before the curve filter and the independence check traced each
-    # curve once per question
-    assert traces <= 1061
+    # curve once per question; 1,061 before the surface context
+    assert traces <= 871
+
+
+def test_ladder_rung_search_shortens_each_curve_once(counts):
+    # 24 shortenings of 14 curves before the surface context
+    shortened = Counter(map(tuple, counts["search"][3]))
+    assert shortened and set(shortened.values()) == {1}
+
+
+def test_cleared_contexts_repeat_the_cold_counts(counts):
+    # no derived fact outlives _CONTEXTS.clear(): a second run after it
+    # does exactly the work of the first
+    assert counts["again"] == counts["search"]

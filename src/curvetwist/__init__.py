@@ -9,9 +9,8 @@ rational estimates with certified residuals.
 """
 
 from .surface import (TopologyError, Triangulation, Relabeling, flip,
-                      flip_square_relabeling, isomorphism, isomorphisms,
-                      automorphisms, build_surface, triangulation_to_json,
-                      triangulation_from_json)
+                      isomorphism, isomorphisms, automorphisms, build_surface,
+                      triangulation_to_json, triangulation_from_json)
 from .curves import (InvalidCurveError, MulticurveCoords, validate,
                      component_count, is_single_curve, is_essential,
                      is_parallel, transform_under_flip,
@@ -20,7 +19,7 @@ from .curves import (InvalidCurveError, MulticurveCoords, validate,
                      enumerate_single_curves, standard_curves,
                      coords_to_jsonable, coords_from_jsonable)
 from .mapping import (EncodingError, ShorteningError, Flip, Relabel,
-                      Encoding, replay, invert_moves, intersects,
+                      Encoding, replay, intersects,
                       spanning_probes, equal_on, shorten, twist,
                       parse_twist_word, format_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
@@ -41,8 +40,8 @@ from .construct import (ConstructionError, TwistFamily, realize_family,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TopologyError", "Triangulation", "Relabeling", "flip",
-    "flip_square_relabeling", "isomorphism", "isomorphisms", "automorphisms",
+    "TopologyError", "Triangulation", "Relabeling", "flip", "isomorphism",
+    "isomorphisms", "automorphisms",
     "build_surface", "triangulation_to_json", "triangulation_from_json",
     "InvalidCurveError", "MulticurveCoords", "validate", "component_count",
     "is_single_curve", "is_essential", "is_parallel",
@@ -51,7 +50,7 @@ __all__ = [
     "enumerate_single_curves", "standard_curves", "coords_to_jsonable",
     "coords_from_jsonable",
     "EncodingError", "ShorteningError", "Flip", "Relabel", "Encoding",
-    "replay", "invert_moves", "intersects", "spanning_probes", "equal_on",
+    "replay", "intersects", "spanning_probes", "equal_on",
     "shorten", "twist", "parse_twist_word", "format_twist_word",
     "encoding_to_jsonable", "encoding_from_jsonable",
     "SystemError_", "IndependenceReport", "CurveSystem",

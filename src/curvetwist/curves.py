@@ -24,10 +24,11 @@ other.  All weights are arbitrary-precision integers.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .surface import Triangulation, TopologyError, flip, _find, _union
+from .surface import Triangulation, TopologyError, _flip, _find, _union
 
 
 class InvalidCurveError(ValueError):
@@ -215,12 +216,8 @@ def is_single_curve(coords):
     return len(comps) == 1 and comps[0][1] == 1
 
 
-def _flipped_weight(coords, label):
-    """The weight of edge `label` after flipping it, or None when it cannot
-    be flipped."""
-    quad = coords.host.quad(label)
-    if quad is None:
-        return None
+def _flipped_weight(coords, label, quad):
+    """The weight of edge `label` after flipping it, given its quad."""
     w, idx = coords.weights, coords.host.edge_index
     wa, wb, wc, wd = [w[idx[lab]] for lab in quad[4:]]
     return max(wa + wc, wb + wd) - w[idx[label]]
@@ -234,13 +231,18 @@ def transform_under_flip(coords, label):
     weights.  Repeated side labels simply read the same weight twice.
     Returns coordinates on the flipped host.
     """
-    new = _flipped_weight(coords, label)
-    if new is None:
+    quad = coords.host.quad(label)
+    if quad is None:
         raise InvalidCurveError("edge %r is not flippable" % (label,))
+    return _transported(coords, label, quad)
+
+
+def _transported(coords, label, quad):
+    """transform_under_flip(coords, label), given the edge's quad."""
     new_w = list(coords.weights)
     # edge labels (and hence the sorted label order) are preserved by a flip
-    new_w[coords.host.edge_index[label]] = new
-    return MulticurveCoords(flip(coords.host, label), new_w)
+    new_w[coords.host.edge_index[label]] = _flipped_weight(coords, label, quad)
+    return MulticurveCoords(_flip(coords.host, label, quad), new_w)
 
 
 def apply_relabeling(coords, relab):
@@ -615,6 +617,23 @@ def coords_to_jsonable(coords):
     return data
 
 
+def _strict_int(x):
+    """x as an int when it is a JSON integer (not a boolean) or a string of
+    decimal digits with an optional minus sign, else None."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
+        return int(x)
+    return None
+
+
 def coords_from_jsonable(tri, data):
-    return MulticurveCoords(tri, [int(x) for x in data["weights"]],
-                            data.get("components"))
+    weights = data["weights"]
+    if not isinstance(weights, list):
+        raise InvalidCurveError('"weights" must be a list')
+    ints = [_strict_int(x) for x in weights]
+    if None in ints:
+        i = ints.index(None)
+        raise InvalidCurveError("weight %d: %r is not an integer"
+                                % (i, weights[i]))
+    return MulticurveCoords(tri, ints, data.get("components"))

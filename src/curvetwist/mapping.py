@@ -1,19 +1,26 @@
 r"""
 Mapping classes as exact flip sequences.
 
-A mapping class is stored as a closed loop in the flip graph: a list of moves
-(edge flips and relabelings) that starts and ends at the same labeled
-triangulation.  Next to its move list an `Encoding` holds the loop compiled
-into a flip program on weight lists: one index quintuple per flip, with the
-relabelings folded into the indices of later flips and into a single final
-gather.  The program is compiled once, when a move list from outside is
-replayed and checked.  Composition, powers, inverses and twists join
-compiled programs and never replay a move; an inverse reads the flips
-backwards, because each flip w_e <- max(w_a + w_c, w_b + w_d) - w_e undoes
-itself.  The move list of a joined encoding is built on first use and is
-the one the moves define: len(e.inverse()) still counts the flip-square
-relabeling that undoes each flip of e.  Every step is integer-exact, so
-group operations and equality tests on curves never accumulate error.
+A mapping class is stored in one normal form: flips from a source
+triangulation, then one closing relabeling back to the source.  Any closed
+loop of moves (edge flips and relabelings) reduces to it, because a
+relabeling pushed past a flip keeps its slot map and only renames the
+flipped label.  The flips are held as a flip program on weight lists, one
+index quintuple per flip, with the closing relabeling as one final gather
+of edge weights; next to them an `Encoding` keeps the closing map on slots,
+which the gather cannot see (the hyperelliptic involution of S(1,1) fixes
+every edge), and per flip the two slots carrying the flipped label.
+
+A move list from outside is replayed, checked and reduced once.
+Composition, powers, inverses and twists join normal forms and never build
+a triangulation.  An inverse reads the flips backwards, because each flip
+w_e <- max(w_a + w_c, w_b + w_d) - w_e undoes itself: flipping an edge
+twice returns to the complex before up to the slot swap of the two quad
+triangles, which the inverse multiplies into its closing map.  `.moves`
+lists the flips and the closing relabeling (left out when it is the
+identity), `len()` counts them and the JSON writes them, so
+len(e.inverse()) == len(e).  Every step is integer-exact, so group
+operations and equality tests on curves never accumulate error.
 
 Dehn twists are built by shortening the curve (greedy weight-decreasing
 flips, preferring the heaviest edge, with breadth-first search across weight
@@ -46,18 +53,17 @@ about the original curve; every step stays integer-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 
 import json
 
-from .surface import (TopologyError, Relabeling, flip, flip_square_relabeling,
-                      isomorphisms, triangulation_to_json,
-                      triangulation_from_json, _is_slot_pair)
+from .surface import (TopologyError, Relabeling, flip, isomorphisms,
+                      triangulation_to_json, triangulation_from_json,
+                      _is_slot_pair)
 from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
-                     transform_under_flip, disjoint_union_matches,
-                     enumerate_single_curves, _flipped_weight, _traces_to,
-                     _context)
+                     disjoint_union_matches, enumerate_single_curves,
+                     _flipped_weight, _transported, _traces_to, _context,
+                     _strict_int)
 
 
 class EncodingError(ValueError):
@@ -106,146 +112,144 @@ def replay(source, moves):
     return path
 
 
-def invert_moves(source, moves):
-    """The move list undoing `moves`, read from the endpoint back to source.
-
-    A flip is undone by flipping the same edge again and then applying the
-    relabeling that matches the double flip back to the pre-flip
-    triangulation; a relabeling is undone by its inverse.  Each distinct
-    (triangulation, label) pair and relabeling is inverted once per call.
-    """
-    path = replay(source, moves)
-    undo = {}
-    out = []
-    for k in range(len(moves) - 1, -1, -1):
-        mv = moves[k]
-        if isinstance(mv, Flip):
-            key = (path[k], mv.label)
-            if key not in undo:
-                undo[key] = Relabel(flip_square_relabeling(path[k], mv.label))
-            out.append(mv)
-            out.append(undo[key])
-        else:
-            key = id(mv.relabeling)
-            if key not in undo:
-                undo[key] = Relabel(mv.relabeling.inverse())
-            out.append(undo[key])
-    return out
-
-
 # -- compiled flip programs ---------------------------------------------------
 #
-# A program acts on a weight list w indexed like source.edge_labels.  It is a
-# pair (flips, gather): each flip (e, a, b, c, d) sets
-# w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e], and the result is
-# [w[i] for i in gather].  Relabelings never move weights while the program
-# runs; they are folded into the indices of later flips and into the final
-# gather.  Each flip is an involution on w, so a program is inverted
-# by reading its flips backwards through the inverse of its gather.
+# A program acts on a weight list w indexed like source.edge_labels and
+# stores the normal form.  It is a 4-tuple (flips, anchors, gather, slots):
+# each flip (e, a, b, c, d) sets w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e],
+# and the result is [w[i] for i in gather].  A slot (t, i) is numbered
+# 3t + i; anchors holds, per flip, the two slots carrying the flipped edge
+# (a flip keeps them), and slots[s] is the slot that the closing relabeling
+# sends to slot s of the source.  Relabelings never move weights while the
+# program runs; they are folded into the indices of later flips and into
+# gather and slots.
 
 def _compile(path, moves):
     """The program of `moves`, given the triangulations `path` it visits
     (as returned by replay).  Each distinct flip is looked up once."""
     idx = path[0].edge_index
     pos = list(range(len(idx)))     # label index -> position in w holding it
-    flips = []
+    at = list(range(3 * path[0].num_triangles))  # slot -> slot sent to it
+    flips, anchors = [], []
     quads = {}
     for k, mv in enumerate(moves):
         cur = path[k]
         if isinstance(mv, Flip):
             key = (cur, mv.label)
             if key not in quads:
-                quads[key] = [idx[lab] for lab in
-                              (mv.label,) + cur.quad(mv.label)[4:]]
-            flips.append(tuple([pos[i] for i in quads[key]]))
+                t1, i1, t2, i2, *sides = cur.quad(mv.label)
+                quads[key] = ([idx[lab] for lab in [mv.label] + sides],
+                              (3 * t1 + i1, 3 * t2 + i2))
+            labs, (x, y) = quads[key]
+            flips.append(tuple([pos[i] for i in labs]))
+            anchors.append((at[x], at[y]))
         else:
+            rel = mv.relabeling
             new = pos[:]
-            for lab, img in mv.relabeling.edge_map.items():
+            for lab, img in rel.edge_map.items():
                 new[idx[img]] = pos[idx[lab]]
             pos = new
-    return tuple(flips), tuple(pos)
+            new = at[:]
+            for (t, i), (u, j) in rel.slot_map.items():
+                new[3 * u + j] = at[3 * t + i]
+            at = new
+    return tuple(flips), tuple(anchors), tuple(pos), tuple(at)
 
 
 def _chain(programs):
     """The program running the (one or more) `programs` in turn."""
-    (flips, pos), *rest = programs
-    flips = list(flips)
-    for more, gather in rest:
+    (flips, anchors, pos, at), *rest = programs
+    flips, anchors = list(flips), list(anchors)
+    for more, more_anchors, gather, slots in rest:
         flips.extend([(pos[e], pos[a], pos[b], pos[c], pos[d])
                       for e, a, b, c, d in more])
+        anchors.extend([(at[x], at[y]) for x, y in more_anchors])
         pos = tuple([pos[i] for i in gather])
-    return tuple(flips), pos
+        at = tuple([at[s] for s in slots])
+    return tuple(flips), tuple(anchors), pos, at
+
+
+def _inverse_perm(perm):
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return inv
 
 
 def _invert(program):
-    flips, gather = program
-    inv = [0] * len(gather)
-    for i, x in enumerate(gather):
-        inv[x] = i
+    """Undo the closing relabeling, then each flip from the last: flipping
+    its edge again reaches the complex before it up to the slot swap of its
+    two quad triangles, which is multiplied into the closing map."""
+    flips, anchors, gather, slots = program
+    inv = _inverse_perm(gather)
+    at = _inverse_perm(slots)
+    back = []
+    for x, y in reversed(anchors):
+        back.append((at[x], at[y]))
+        (t, i), (u, j) = divmod(x, 3), divmod(y, 3)
+        for r in range(3):
+            p, q = 3 * t + (i + r) % 3, 3 * u + (j + r) % 3
+            at[p], at[q] = at[q], at[p]
     return (tuple([(inv[e], inv[a], inv[b], inv[c], inv[d])
                    for e, a, b, c, d in reversed(flips)]),
-            tuple(inv))
-
-
-# The move list of an encoding built from others is a tuple or, until it is
-# first asked for, a flat list of parts: tuples of moves and zero-argument
-# functions returning one.
-
-def _materialize(moves):
-    if isinstance(moves, tuple):
-        return moves
-    return tuple(chain.from_iterable(
-        part if isinstance(part, tuple) else part() for part in moves))
-
-
-def _concat(first, then):
-    if isinstance(first, tuple) and isinstance(then, tuple):
-        return first + then
-    return ([first] if isinstance(first, tuple) else first) \
-        + ([then] if isinstance(then, tuple) else then)
+            tuple(back), tuple(inv), tuple(at))
 
 
 class Encoding:
-    """A mapping class: a closed move loop with fast exact action.
+    """A mapping class: flips, then one closing relabeling, with fast exact
+    action.
 
     act() runs the compiled flip program, one integer formula per flip.
-    Encodings joined from others (compose, power, inverse, twist) build
-    their move list on first use.
     """
 
-    __slots__ = ("source", "_moves", "_len", "_program", "_pick")
+    __slots__ = ("source", "_program", "_pick")
 
     def __init__(self, source, moves):
         moves = tuple(moves)
         path = replay(source, moves)
         if path[-1] != source:
             raise EncodingError("move list does not return to its source")
-        self._set(source, moves, len(moves), _compile(path, moves))
+        self._set(source, _compile(path, moves))
 
-    def _set(self, source, moves, length, program):
+    def _set(self, source, program):
         self.source = source
-        self._moves = moves     # a tuple, or a list of parts (see _concat)
-        self._len = length
         self._program = program
-        self._pick = itemgetter(*program[1])
+        self._pick = itemgetter(*program[2])
 
     @classmethod
-    def _closed(cls, source, moves, length, program):
+    def _closed(cls, source, program):
         """An encoding whose loop is closed by construction: no replay and
         no check."""
         enc = cls.__new__(cls)
-        enc._set(source, moves, length, program)
+        enc._set(source, program)
         return enc
 
     @classmethod
     def identity(cls, source):
-        return cls._closed(source, (), 0,
-                           ((), tuple(range(source.num_edges))))
+        return cls._closed(source, ((), (), tuple(range(source.num_edges)),
+                                    tuple(range(3 * source.num_triangles))))
+
+    def _closing(self):
+        """The closing slot map {slot after the flips: slot of the source},
+        or None when it is the identity."""
+        flips, _, _, slots = self._program
+        if len(self) == len(flips):
+            return None
+        return {divmod(x, 3): divmod(s, 3) for s, x in enumerate(slots)}
 
     @property
     def moves(self):
-        self._moves = _materialize(self._moves)
-        return self._moves
+        """The flips, then the closing relabeling unless it is the
+        identity."""
+        labels = self.source.edge_labels
+        flips = tuple([Flip(labels[f[0]]) for f in self._program[0]])
+        closing = self._closing()
+        if closing is None:
+            return flips
+        end = self.source
+        for mv in flips:
+            end = flip(end, mv.label)
+        return flips + (Relabel(Relabeling(end, self.source, closing)),)
 
     def act_on_weights(self, weights):
         w = list(weights)
@@ -264,20 +268,14 @@ class Encoding:
         """self after other (function composition)."""
         if other.source != self.source:
             raise EncodingError("cannot compose encodings on different sources")
-        return Encoding._closed(self.source, _concat(other._moves, self._moves),
-                                other._len + self._len,
+        return Encoding._closed(self.source,
                                 _chain([other._program, self._program]))
 
     def __mul__(self, other):
         return self.compose(other)
 
     def inverse(self):
-        """Flips read backwards through the inverse gather; each flip undoes
-        itself on weights."""
-        source, moves = self.source, self._moves
-        return Encoding._closed(
-            source, [lambda: tuple(invert_moves(source, _materialize(moves)))],
-            self._len + len(self._program[0]), _invert(self._program))
+        return Encoding._closed(self.source, _invert(self._program))
 
     def power(self, k):
         k = int(k)
@@ -285,14 +283,17 @@ class Encoding:
             return self.inverse().power(-k)
         if k == 0:
             return Encoding.identity(self.source)
-        return Encoding._closed(self.source, self._moves * k, self._len * k,
-                                _chain([self._program] * k))
+        return Encoding._closed(self.source, _chain([self._program] * k))
 
     def __len__(self):
-        return self._len
+        """The flips, plus one unless the closing relabeling is the
+        identity on slots and on edge labels."""
+        flips, _, gather, slots = self._program
+        return len(flips) + (gather != tuple(range(len(gather)))
+                             or slots != tuple(range(len(slots))))
 
     def __repr__(self):
-        return "Encoding(%d moves)" % self._len
+        return "Encoding(%d moves)" % len(self)
 
 
 # -- curve-level predicates ------------------------------------------------------
@@ -343,18 +344,19 @@ def equal_on(f, g, probes):
 # -- weight reduction ------------------------------------------------------------
 
 def _greedy_step(coords):
-    """The strictly weight-decreasing flip of the heaviest edge, or None on
-    a plateau.  Ties break toward the lowest edge label."""
+    """(label, quad) of the strictly weight-decreasing flip of the heaviest
+    edge, or None on a plateau.  Ties break toward the lowest edge label."""
     tri = coords.host
     best = None
     for lab in tri.edge_labels:
-        new = _flipped_weight(coords, lab)
-        if new is None or new >= coords.weight_of(lab):
+        quad = tri.quad(lab)
+        if quad is None \
+                or _flipped_weight(coords, lab, quad) >= coords.weight_of(lab):
             continue
         key = (-coords.weight_of(lab), lab)
         if best is None or key < best[0]:
-            best = (key, lab)
-    return None if best is None else best[1]
+            best = (key, lab, quad)
+    return None if best is None else best[1:]
 
 
 def _canonical_state(coords):
@@ -375,14 +377,15 @@ def _plateau_escape(coords, max_states=20000):
     queue = deque([(coords, [])])
     while queue:
         cur, path = queue.popleft()
-        lab = _greedy_step(cur)
-        if lab is not None:
-            return path + [Flip(lab)], transform_under_flip(cur, lab)
+        step = _greedy_step(cur)
+        if step is not None:
+            return path + [Flip(step[0])], _transported(cur, *step)
         for lab in cur.host.edge_labels:
-            # None (not flippable) never equals a weight
-            if _flipped_weight(cur, lab) != cur.weight_of(lab):
+            quad = cur.host.quad(lab)
+            if quad is None \
+                    or _flipped_weight(cur, lab, quad) != cur.weight_of(lab):
                 continue
-            nxt = transform_under_flip(cur, lab)
+            nxt = _transported(cur, lab, quad)
             key = _canonical_state(nxt)
             if key in seen:
                 continue
@@ -406,10 +409,10 @@ def shorten(coords):
     cur = coords
     moves = []
     while cur.total_weight > 2:
-        lab = _greedy_step(cur)
-        if lab is not None:
-            moves.append(Flip(lab))
-            cur = transform_under_flip(cur, lab)
+        step = _greedy_step(cur)
+        if step is not None:
+            moves.append(Flip(step[0]))
+            cur = _transported(cur, *step)
             continue
         hop = _plateau_escape(cur)
         if hop is None:
@@ -556,26 +559,16 @@ def _isolating_block(short_coords):
 
 
 class _TwistParts:
-    """What the twist about one curve is joined from: the shortening path
-    from the curve's host to its short position, the block there (an
-    encoding on the short host), and the compiled path and its reverse."""
+    """What the twist about one curve is joined from: the block at the
+    short position (an encoding on the short host), and the compiled
+    shortening path from the curve's host there and its reverse."""
 
-    __slots__ = ("host", "path", "block", "path_program", "back_program",
-                 "_back")
+    __slots__ = ("block", "path_program", "back_program")
 
     def __init__(self, host, path, block):
-        self.host = host
-        self.path = path
         self.block = block
         self.path_program = _compile(replay(host, path), path)
         self.back_program = _invert(self.path_program)
-        self._back = None
-
-    def back(self):
-        """The moves undoing the path, built on first use."""
-        if self._back is None:
-            self._back = tuple(invert_moves(self.host, self.path))
-        return self._back
 
 
 def _twist_parts(coords):
@@ -597,23 +590,16 @@ def twist(coords, k=1):
     as a closed encoding on the curve's host: the shortening path, |k|
     copies of the block (or of its inverse), and the path undone."""
     k = int(k)
-    host = coords.host
     if k == 0:
         # essentiality is still required for a twist to make sense
         if not is_essential(coords):
             raise InvalidCurveError("can only twist about an essential curve")
-        return Encoding.identity(host)
+        return Encoding.identity(coords.host)
     parts = _twist_parts(coords)
     block = parts.block if k > 0 else parts.block.inverse()
-    reps = abs(k)
-
-    def moves():
-        return parts.path + block.moves * reps + parts.back()
-
     return Encoding._closed(
-        host, [moves], 3 * len(parts.path) + reps * len(block),
-        _chain([parts.path_program] + [block._program] * reps
-               + [parts.back_program]))
+        coords.host, _chain([parts.path_program] + [block._program] * abs(k)
+                            + [parts.back_program]))
 
 
 # -- twist words -------------------------------------------------------------------
@@ -635,9 +621,8 @@ def parse_twist_word(word, curves):
     for tok in tokens:
         if "^" in tok:
             head, _, exp = tok.partition("^")
-            try:
-                k = int(exp)
-            except ValueError:
+            k = _strict_int(exp)
+            if k is None:
                 raise EncodingError("bad exponent in %r" % tok)
         else:
             head, k = tok, 1
@@ -665,27 +650,19 @@ def format_twist_word(factors):
 # -- serialization ------------------------------------------------------------
 
 def encoding_to_jsonable(enc):
-    """Serialize an encoding as a move list.
-
-    Flips store the edge label; relabelings store the slot bijection and the
-    full target complex, which is all the constructor needs to rebuild them
-    along the replayed path.  Repeats of one relabeling share the
-    serialized data of its first occurrence.
-    """
-    moves = []
-    seen = {}
-    for mv in enc.moves:
-        if isinstance(mv, Flip):
-            moves.append({"kind": "flip", "label": mv.label})
-            continue
-        rel = mv.relabeling
-        body = seen.get(id(rel))
-        if body is None:
-            body = seen[id(rel)] = (
-                sorted([list(a), list(b)] for a, b in rel.slot_map.items()),
-                json.loads(triangulation_to_json(rel.target)))
-        moves.append({"kind": "relabel", "slot_map": body[0],
-                      "target": body[1]})
+    """Serialize an encoding as its move list: the flips by edge label, then
+    the closing relabeling, if any, as its slot bijection and its target
+    complex (the source), which is all the reader needs to rebuild it at
+    the end of the replayed flips."""
+    labels = enc.source.edge_labels
+    moves = [{"kind": "flip", "label": labels[f[0]]}
+             for f in enc._program[0]]
+    closing = enc._closing()
+    if closing is not None:
+        moves.append({
+            "kind": "relabel",
+            "slot_map": sorted([list(a), list(b)] for a, b in closing.items()),
+            "target": json.loads(triangulation_to_json(enc.source))})
     return {"moves": moves}
 
 
@@ -742,5 +719,4 @@ def encoding_from_jsonable(tri, data):
         path.append(cur)
     if cur != tri:
         raise EncodingError("move list does not return to its source")
-    moves = tuple(moves)
-    return Encoding._closed(tri, moves, len(moves), _compile(path, moves))
+    return Encoding._closed(tri, _compile(path, moves))

@@ -494,6 +494,11 @@ def flip(tri, label):
     quad = tri.quad(label)
     if quad is None:
         raise TopologyError("edge %r has no quadrilateral to flip" % (label,))
+    return _flip(tri, label, quad)
+
+
+def _flip(tri, label, quad):
+    """flip(tri, label), given tri.quad(label) (not None)."""
     t1, i1, t2, i2, ea, eb, ec, ed = quad
 
     # the two new faces keep the diagonal at sides i1 and i2
@@ -512,28 +517,6 @@ def flip(tri, label):
     # flipping a flippable edge of a valid triangulation gives a valid one
     # with the same labels, so the result needs no re-check
     return Triangulation._unchecked(tuple(new_triangles), new_gluing, tri)
-
-
-def flip_square_relabeling(tri, label):
-    """The relabeling rho with flip(flip(T,e)) = rho applied to T.
-
-    rho swaps the two quad triangles slot-for-slot and is the identity on
-    edge labels; it is its own inverse.  Needed to invert a flip move.
-    """
-    quad = tri.quad(label)
-    if quad is None:
-        raise TopologyError("edge %r is not flippable" % (label,))
-    t1, i1, t2, i2 = quad[:4]
-    double = flip(flip(tri, label), label)
-    slot_map = {(t, i): (t, i) for t in range(tri.num_triangles)
-                for i in range(3)}
-    for k in range(3):
-        slot_map[(t1, (i1 + k) % 3)] = (t2, (i2 + k) % 3)
-        slot_map[(t2, (i2 + k) % 3)] = (t1, (i1 + k) % 3)
-    rho = Relabeling(double, tri, slot_map)
-    if not rho.is_edge_identity():
-        raise TopologyError("flip square relabeling moved an edge label")
-    return rho
 
 
 # -- standard models ---------------------------------------------------------

@@ -139,33 +139,71 @@ def reference_act(source, moves, weights):
     return coords.weights
 
 
+def flip_square_relabeling(tri, label):
+    """The relabeling rho with flip(flip(T, e)) = rho applied to T.
+
+    rho swaps the two quad triangles slot for slot and is the identity on
+    edge labels; it is its own inverse.  It undoes a flip move."""
+    from curvetwist import Relabeling, TopologyError, flip
+    (t1, i1), (t2, i2) = sorted(
+        (t, i) for t in range(tri.num_triangles) for i in range(3)
+        if tri.edge_at((t, i)) == label)
+    slot_map = {(t, i): (t, i) for t in range(tri.num_triangles)
+                for i in range(3)}
+    for j in range(3):
+        slot_map[(t1, (i1 + j) % 3)] = (t2, (i2 + j) % 3)
+        slot_map[(t2, (i2 + j) % 3)] = (t1, (i1 + j) % 3)
+    rho = Relabeling(flip(flip(tri, label), label), tri, slot_map)
+    if not rho.is_edge_identity():
+        raise TopologyError("flip square relabeling moved an edge label")
+    return rho
+
+
 def reference_inverse_moves(source, moves):
     """Undo `moves` from the end: a flip by the same flip followed by the
     slot swap of its two quad triangles back to the pre-flip complex, a
     relabeling by its inverse.  One step at a time, nothing shared."""
-    from curvetwist import Flip, Relabel, Relabeling, flip
+    from curvetwist import Flip, Relabel, flip
     path = [source]
     for mv in moves:
         path.append(flip(path[-1], mv.label) if isinstance(mv, Flip)
                     else mv.relabeling.target)
     out = []
     for k in range(len(moves) - 1, -1, -1):
-        mv, before = moves[k], path[k]
-        if not isinstance(mv, Flip):
+        mv = moves[k]
+        if isinstance(mv, Flip):
+            out.append(mv)
+            out.append(Relabel(flip_square_relabeling(path[k], mv.label)))
+        else:
             out.append(Relabel(mv.relabeling.inverse()))
-            continue
-        (t1, i1), (t2, i2) = sorted(
-            (t, i) for t in range(before.num_triangles) for i in range(3)
-            if before.edge_at((t, i)) == mv.label)
-        slot_map = {(t, i): (t, i) for t in range(before.num_triangles)
-                    for i in range(3)}
-        for j in range(3):
-            slot_map[(t1, (i1 + j) % 3)] = (t2, (i2 + j) % 3)
-            slot_map[(t2, (i2 + j) % 3)] = (t1, (i1 + j) % 3)
-        double = flip(flip(before, mv.label), mv.label)
-        out.append(Flip(mv.label))
-        out.append(Relabel(Relabeling(double, before, slot_map)))
     return out
+
+
+def reference_normal_form(source, moves):
+    """The move list rewritten as flips, then one closing relabeling (left
+    out when it is the identity): replay the flips on a second complex and
+    carry a slot map from it to the complex the moves reach, composing in
+    each relabeling and renaming each flipped label through the map."""
+    from curvetwist import Flip, Relabel, Relabeling, flip
+    here = there = source
+    slots = {(t, i): (t, i) for t in range(source.num_triangles)
+             for i in range(3)}
+    flips = []
+    for mv in moves:
+        if isinstance(mv, Flip):
+            s = next(s for s, img in slots.items()
+                     if there.edge_at(img) == mv.label)
+            flips.append(Flip(here.edge_at(s)))
+            here, there = flip(here, here.edge_at(s)), flip(there, mv.label)
+        else:
+            slots = {s: mv.relabeling.slot_map[img]
+                     for s, img in slots.items()}
+            there = mv.relabeling.target
+    if there != source:
+        raise AssertionError("move list does not close up")
+    if here == source and all(s == img for s, img in slots.items()):
+        return tuple(flips)
+    return tuple(flips) + (Relabel(Relabeling(here, source, slots)),)
 
 
 def reference_to_jsonable(moves):
@@ -185,6 +223,27 @@ def reference_to_jsonable(moves):
                 "target": json.loads(triangulation_to_json(rel.target)),
             })
     return {"moves": out}
+
+
+def reference_greedy_shorten(coords):
+    """Greedy shortening by trying every flip: take the strictly
+    weight-decreasing flip of the heaviest edge (lowest label on ties)
+    until the weight is two or no flip decreases it.  Returns the flips
+    and the coordinates reached."""
+    from curvetwist import Flip, transform_under_flip
+    moves = []
+    while coords.total_weight > 2:
+        down = [(-coords.weight_of(lab), lab)
+                for lab in coords.host.edge_labels
+                if coords.host.is_flippable(lab)
+                and transform_under_flip(coords, lab).weight_of(lab)
+                < coords.weight_of(lab)]
+        if not down:
+            break
+        lab = min(down)[1]
+        moves.append(Flip(lab))
+        coords = transform_under_flip(coords, lab)
+    return moves, coords
 
 
 # -- flip geometry and isomorphism search, spelled out -------------------------

@@ -18,7 +18,7 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, Relabel,
                         twist, equal_on, spanning_probes, automorphisms,
                         enumerate_single_curves, standard_curves, cut_along,
                         transform_under_flip, apply_relabeling,
-                        flip_square_relabeling, build_gamma, find_orbit,
+                        build_gamma, find_orbit,
                         OrbitGraph, chain_decomposition, TwistFamily,
                         realize_family, maximalize, check_maximal,
                         SearchSchedule, Refused, Accepted, Exhausted,
@@ -26,7 +26,7 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, Relabel,
                         PseudoAnosovEvidence, build_surface)
 
 from oracles import (brute_force_chains, random_orbit_free_graph,
-                     word_trace, spectral_radius)
+                     word_trace, spectral_radius, flip_square_relabeling)
 
 
 def _line(n, label, ok):

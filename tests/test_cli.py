@@ -344,3 +344,27 @@ def test_invalid_curve_is_named_in_the_map_error(tmp_path):
     proc = run_cli("map", "act", path, "f", "b")
     assert_one_line_error(proc, "map 'f': curve 'a': triangle 0 has odd "
                                 "weight sum (0, 1, 2)")
+
+
+@pytest.mark.parametrize("weights,field", [
+    ([2.5, "1", "1"], "weight 0: 2.5"),
+    (["0", True, "1"], "weight 1: True"),
+    (["0", "1", "1_0"], "weight 2: '1_0'"),
+    (["0", " 1", "1"], "weight 1: ' 1'"),
+    (["0", "+1", "1"], "weight 1: '+1'"),
+    ("011", '"weights" must be a list'),
+], ids=["float", "bool", "underscore", "space", "plus-sign", "string"])
+def test_weights_must_be_integers(tmp_path, weights, field):
+    curves = dict(PUNCTURED_TORUS_WS["curves"], a={"weights": weights})
+    path = _workspace(tmp_path, curves=curves)
+    proc = run_cli("curve", "validate", path, "a")
+    assert_one_line_error(proc, "curve 'a': " + field)
+
+
+@pytest.mark.parametrize("word", [
+    "T(b)^1_0", "T(b)^+1", "T(b)^１", "T(b)^", "T(b)^1.0",
+], ids=["underscore", "plus-sign", "fullwidth-digit", "empty", "decimal"])
+def test_word_exponents_must_be_integers(tmp_path, word):
+    path = _workspace(tmp_path, maps={"f": {"word": word}})
+    proc = run_cli("map", "act", path, "f", "a")
+    assert_one_line_error(proc, "map 'f': bad exponent in %r" % word)

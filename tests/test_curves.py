@@ -31,8 +31,8 @@ from curvetwist import (InvalidCurveError, MulticurveCoords, validate,
                         disjoint_union_matches, cut_along,
                         enumerate_single_curves, standard_curves,
                         coords_to_jsonable, coords_from_jsonable,
-                        build_surface, flip, flip_square_relabeling,
-                        automorphisms)
+                        build_surface, flip, automorphisms)
+from oracles import flip_square_relabeling
 
 
 # -- validation ---------------------------------------------------------------

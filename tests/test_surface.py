@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curvetwist import (TopologyError, Triangulation, MulticurveCoords,
-                        build_surface, flip, flip_square_relabeling,
-                        isomorphism, isomorphisms, automorphisms, twist,
-                        enumerate_single_curves, triangulation_to_json,
-                        triangulation_from_json)
-from oracles import (reference_quad, reference_relabelings,
-                     reference_isomorphism, reference_automorphisms)
+                        build_surface, flip, isomorphism, isomorphisms,
+                        automorphisms, twist, enumerate_single_curves,
+                        triangulation_to_json, triangulation_from_json)
+from oracles import (flip_square_relabeling, reference_quad,
+                     reference_relabelings, reference_isomorphism,
+                     reference_automorphisms)
 
 
 MODEL_STATS = {

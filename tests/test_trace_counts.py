@@ -1,11 +1,13 @@
 """
-Strand-trace and shortening counts: each curve is traced once per question
-and shortened once per surface.
+Strand-trace, shortening and flip counts: each curve is traced once per
+question and shortened once per surface, and warm group operations build
+no triangulation.
 
 The counts come from a fresh interpreter, so the package's surface contexts
 start empty and the numbers repeat exactly.  The child wraps
 curves._Strands.trace, the one place a weight vector is traced, and
-mapping.shorten, and prints their counts as JSON.  Counters carry no timing
+mapping.shorten (or, for the group operations, every flip, replay and
+checked triangulation), and prints their counts as JSON.  Counters carry no timing
 noise, so these pins guard the trace-once property without timing anything.
 """
 
@@ -139,3 +141,58 @@ def test_cleared_contexts_repeat_the_cold_counts(counts):
     # no derived fact outlives _CONTEXTS.clear(): a second run after it
     # does exactly the work of the first
     assert counts["again"] == counts["search"]
+
+
+GROUP_CHILD = r"""
+import json
+import curvetwist as ct
+from curvetwist import curves, mapping, surface
+
+calls = {"flip": 0, "replay": 0, "Triangulation": 0}
+
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+# every flip, public or private, ends in surface._flip; curves holds its
+# own binding of it and mapping its own binding of replay
+surface._flip = curves._flip = counted("flip", surface._flip)
+mapping.replay = counted("replay", mapping.replay)
+surface.Triangulation.__init__ = counted("Triangulation",
+                                         surface.Triangulation.__init__)
+
+tri = ct.build_surface(2, 0)
+named = {"c": (0, 0, 1, 0, 0, 0, 0, 1, 0), "d": (1, 0, 0, 0, 0, 1, 0, 0, 0),
+         "sep": (0, 0, 2, 2, 0, 0, 0, 2, 2),
+         "x": (0, 1, 0, 1, 2, 1, 1, 1, 1)}
+curve = {n: ct.MulticurveCoords(tri, w) for n, w in named.items()}
+
+
+def group_ops():
+    f = ct.twist(curve["c"], 2) * ct.twist(curve["x"], -1)
+    g = ct.twist(curve["sep"], -1).compose(ct.twist(curve["d"]))
+    (f * g).power(3).inverse().power(-2) * f.inverse()
+
+
+group_ops()
+cold = dict(calls)
+for key in calls:
+    calls[key] = 0
+group_ops()
+print(json.dumps({"cold": cold, "warm": calls}))
+"""
+
+
+def test_warm_group_operations_build_no_triangulation():
+    proc = subprocess.run([sys.executable, "-c", GROUP_CHILD],
+                          capture_output=True, text=True, timeout=300,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    # the cold pass shortens the curves and builds the twist blocks
+    assert out["cold"]["flip"] > 0 and out["cold"]["replay"] > 0
+    assert out["warm"] == {"flip": 0, "replay": 0, "Triangulation": 0}

@@ -106,10 +106,10 @@ CASES = [
 ]
 
 GOLDEN = {
-    'torus:map compose g': '0:e6bde415ac1bd2736fff9f55604758d244bf07ede94fce08026320d1daab321c',
-    'torus:map compose g f': '0:a964e5815e0beffa8853290c5bc10a92894e92e26c8020d23d6f302861b2b248',
-    'torus:map compose h w': '0:f8fca810bc91d7b422b4c5961ce4c65b9a5ea002ad785ee37c536376989a12d2',
-    'torus:map compose w p': '0:a9c4239ac5184be0527e659446ed33daf2d91c4ae65017028d0726b20e50a759',
+    'torus:map compose g': '0:10a3fbef7f8914dba6eaa7e1f3fefc10368bd81a337e2a3ec1629422eec65c3e',
+    'torus:map compose g f': '0:7d4fc8cfe521cb2bbdb6ac53f8201f82e85e1a934f4ff0ecf3332b191eb46fc1',
+    'torus:map compose h w': '0:4c734ebc1851916ea79c3f94d1c1e3236932ecc7897b3a96569f0a5afb995e2f',
+    'torus:map compose w p': '0:c38864013af57dff30b43d8a0f3be9884b50f9955949aefa43ef9df74d60ca25',
     'torus:map act h a': '0:eabbe7df5c232a1a598725c861df058770b904f23f19f689d9aeec4f9c60594c',
     'torus:map act p b': '0:0a7ee9bd290f68d285a866ad98984e17221e9e61ec9c07ece1b1ed28fb7af939',
     'torus:map act w a': '0:ce7a0913457d2bb2057e087e13d453e27fb3f37c247ad2f57fa9bda39c1a8c3a',
@@ -119,13 +119,13 @@ GOLDEN = {
     'torus:construct maximalize': '0:d2483a8f2cc5412667ccdaac2fe334cb31909c6dc1a3896f2aba3e7f47344b90',
     'torus:construct search': '0:a333e38dd452f68352c8b7a10033b05c6b2939ba9add2e73c226b59ef730f322',
     'torus:construct search --k-max 3': '3:6cbcfc9b494fba382b19d880230ef8ece63cbd3e8cb97a6265efb50793507e14',
-    'genus2:map compose pen': '0:088f2049922874d80a61dc257adc6df6efb62064bab1818c47758b11e06084a3',
-    'genus2:map compose neg f': '0:be6a2d84e5be084b2049247a9f764b28b21c860ac8780357a65e449d5a0854be',
+    'genus2:map compose pen': '0:5700e334a7450fc84a2d86ec8421c3dffdf376e3fcc4e7d9863a6378579dc596',
+    'genus2:map compose neg f': '0:e72a6c115e95efe2303f4d248b5c962c1a0d475da5ff08eebbf5748891eba780',
     'genus2:map act neg c': '0:21807d089abcab2dfb47640ceef7f28dbd2f9860645ed081cd159ab6e3e3233c',
     'genus2:map act pen sep': '0:40733ed587534c0c76b3a7205bc38442067130366728ff76297aec06c35336aa',
     'genus2:map classify pen': '0:21e16e0f2eac4c86a8f7a1d6303cf2abcbabb5a868db769049a6916b88392423',
     'genus2:map classify mt': '0:63cc826c957105d674cc641e5737ed44cafa6b8fb8bc233708b18a9137e5ca85',
-    'genus2:construct maximalize': '0:c009a4e89f6ddb4cbfabf12f57dd6d1bb4e4ac4fe0c294e82cc8e18f9e32ba63',
+    'genus2:construct maximalize': '0:e681130a655a46693ef01f2de72298dbee615d30279ec733173b162858af6bf0',
     'genus2:construct search': '0:1e663e9464f1c2ec60a20c6402bfc399189121b116f8e569ba3ef3e9f660d1ba',
     'torus:gamma build': '0:a8206a1d868fda54d60ccb9c6b196d223e38650fe4000e6756157ecabbff97b4',
     'torus:gamma orbit': '0:bd677d98cabcacd054386a0ea5a8173cc974540fe8b81e7f1034271acc066d62',

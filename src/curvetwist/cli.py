@@ -27,7 +27,7 @@ from fractions import Fraction
 from .surface import (TopologyError, build_surface, triangulation_to_json)
 from .curves import (InvalidCurveError, MulticurveCoords, validate,
                      is_single_curve, is_essential, cut_along,
-                     coords_to_jsonable, coords_from_jsonable)
+                     coords_to_jsonable, coords_from_jsonable, _strict_int)
 from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
 from .orbits import (SystemError_, CurveSystem, check_independent,
@@ -91,10 +91,9 @@ def load_workspace(path):
     surf = doc.get("surface")
     if not isinstance(surf, dict):
         raise WorkspaceError('workspace needs a "surface" object')
-    try:
-        genus = int(surf["genus"])
-        punctures = int(surf.get("punctures", 0))
-    except (KeyError, TypeError, ValueError):
+    genus = _strict_int(surf.get("genus"))
+    punctures = _strict_int(surf.get("punctures", 0))
+    if genus is None or punctures is None:
         raise WorkspaceError('surface needs integer "genus" and "punctures"')
     try:
         tri = build_surface(genus, punctures)
@@ -164,12 +163,8 @@ def _int_setting(args, ws, key, least):
     val = _setting(args, ws, key, None)
     if val is None:
         return None
-    try:
-        n = int(val)
-        ok = not isinstance(val, bool) and (isinstance(val, str) or n == val)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    n = _strict_int(val)
+    if n is None:
         raise WorkspaceError("%s must be an integer, not %r" % (key, val))
     if n < least:
         raise WorkspaceError("%s must be at least %d, not %d"

@@ -219,6 +219,9 @@ def assert_one_line_error(proc, field):
     (("map", "classify", "g"), {"order_bound": "abc"}, "order_bound"),
     (("map", "classify", "g"), {"weight_cap": "x"}, "weight_cap"),
     (("map", "classify", "g"), {"order_bound": -1}, "order_bound"),
+    (("construct", "search"), {"k_max": 3.0}, "k_max"),
+    (("construct", "search"), {"k_max": "1_0"}, "k_max"),
+    (("map", "classify", "g"), {"weight_cap": True}, "weight_cap"),
 ])
 def test_bad_integer_params_exit_one_naming_the_field(tmp_path, command,
                                                      params, field):
@@ -359,6 +362,18 @@ def test_weights_must_be_integers(tmp_path, weights, field):
     path = _workspace(tmp_path, curves=curves)
     proc = run_cli("curve", "validate", path, "a")
     assert_one_line_error(proc, "curve 'a': " + field)
+
+
+@pytest.mark.parametrize("surface", [
+    {"genus": True, "punctures": 1},
+    {"genus": 1.9, "punctures": 1},
+    {"genus": 1, "punctures": "1_0"},
+    {"punctures": 1},
+], ids=["bool", "float", "underscore", "missing"])
+def test_surface_needs_integer_genus_and_punctures(tmp_path, surface):
+    path = _workspace(tmp_path, surface=surface)
+    assert_one_line_error(run_cli("surface", "info", path),
+                          'surface needs integer "genus" and "punctures"')
 
 
 @pytest.mark.parametrize("word", [

@@ -164,8 +164,8 @@ def _chain(programs):
         flips.extend([(pos[e], pos[a], pos[b], pos[c], pos[d])
                       for e, a, b, c, d in more])
         anchors.extend([(at[x], at[y]) for x, y in more_anchors])
-        pos = tuple([pos[i] for i in gather])
-        at = tuple([at[s] for s in slots])
+        pos = itemgetter(*gather)(pos)
+        at = itemgetter(*slots)(at)
     return tuple(flips), tuple(anchors), pos, at
 
 
@@ -186,9 +186,10 @@ def _invert(program):
     back = []
     for x, y in reversed(anchors):
         back.append((at[x], at[y]))
-        (t, i), (u, j) = divmod(x, 3), divmod(y, 3)
-        for r in range(3):
-            p, q = 3 * t + (i + r) % 3, 3 * u + (j + r) % 3
+        # swap the two quad triangles slot for slot from the flipped edge
+        u, v = x - x % 3, y - y % 3
+        for r in (0, 1, 2):
+            p, q = u + (x + r) % 3, v + (y + r) % 3
             at[p], at[q] = at[q], at[p]
     return (tuple([(inv[e], inv[a], inv[b], inv[c], inv[d])
                    for e, a, b, c, d in reversed(flips)]),

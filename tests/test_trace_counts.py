@@ -7,8 +7,9 @@ The counts come from a fresh interpreter, so the package's surface contexts
 start empty and the numbers repeat exactly.  The child wraps
 curves._Strands.trace, the one place a weight vector is traced, and
 mapping.shorten (or, for the group operations, every flip, replay and
-checked triangulation), and prints their counts as JSON.  Counters carry no timing
-noise, so these pins guard the trace-once property without timing anything.
+checked triangulation), and prints their counts as JSON.  Counters carry no
+timing noise, so these pins guard the trace-once property without timing
+anything.
 """
 
 import json

@@ -15,18 +15,21 @@ isotopy ("parallel") testing, sums of disjoint curves add coordinatewise, and
 tracing the strand structure below recovers the components of any vector.
 
 Arcs are indexed (t, j, k) with k = 0 the innermost arc at corner j of
-triangle t.  On side i (which runs from corner i-1 to corner i) the crossing
-points are numbered 0..w-1 from the start; the first n_{i-1} belong to
-corner i-1 and the last n_i to corner i.  Glued sides traverse the common
-edge in opposite directions, so point q on one side is point w-1-q on the
-other.  All weights are arbitrary-precision integers.
+triangle t, and the tracer numbers them by integers in that order.  On side
+i (which runs from corner i-1 to corner i) the crossing points are numbered
+0..w-1 from the start; the first n_{i-1} belong to corner i-1, innermost
+arc first, and the last n_i to corner i, outermost arc first.  Glued sides
+traverse the common edge in opposite directions, so point q on one side is
+point w-1-q on the other.  All weights are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .surface import Triangulation, TopologyError, _flip, _find, _union
 
@@ -83,110 +86,108 @@ class MulticurveCoords:
         return "MulticurveCoords(%s)" % (self.weights,)
 
 
-def _corner_counts(tri, weights):
-    """Per-triangle corner arc counts, or an error message string."""
-    counts = {}
-    for t in range(tri.num_triangles):
-        w = [weights[tri.edge_index[lab]] for lab in tri.triangles[t]]
-        if (w[0] + w[1] + w[2]) % 2 != 0:
-            return None, "triangle %d has odd weight sum %r" % (t, tuple(w))
-        for j in range(3):
-            n = (w[j] + w[(j + 1) % 3] - w[(j + 2) % 3]) // 2
-            if n < 0:
-                return None, ("triangle %d violates the triangle inequality "
-                              "at corner %d: %r" % (t, j, tuple(w)))
-            counts[(t, j)] = n
-    return counts, None
-
-
-def _require_closed_host(tri):
-    for t in range(tri.num_triangles):
-        for i in range(3):
-            if tri.glued((t, i)) is None:
-                raise InvalidCurveError(
-                    "host has boundary slots; normal curves need a fully "
-                    "glued triangulation")
-
-
 class _Strands:
-    """Point/arc incidence structure of a realizable weight vector."""
+    """The arcs of a realizable weight vector, numbered, and how they meet.
+
+    Corner j of triangle t is numbered 3t + j, like slot (t, j), and the
+    arcs corner by corner in (t, j, k) order: arc (t, j, k) is
+    first[3t + j] + k, and counts[3t + j] arcs cut off that corner.
+    side[3t + i] is the weight of slot (t, i).
+    """
 
     def __init__(self, tri, weights):
-        _require_closed_host(tri)
-        counts, err = _corner_counts(tri, weights)
-        if err:
-            raise InvalidCurveError(err)
+        n = tri.num_triangles
+        # a gluing is an involution on its domain, so 3T glued slots is
+        # every slot
+        if len(tri._gluing) != 3 * n:
+            raise InvalidCurveError(
+                "host has boundary slots; normal curves need a fully "
+                "glued triangulation")
         self.tri = tri
         self.weights = tuple(weights)
-        self.counts = counts
-        self.min_slot = {}
-        for s, p in ((a, b) for a, b in tri.gluing_pairs()):
-            self.min_slot[s] = s
-            self.min_slot[p] = s
-
-    def slot_weight(self, slot):
-        return self.weights[self.tri.edge_index[self.tri.edge_at(slot)]]
-
-    def point(self, slot, q):
-        """Canonical id of crossing point q on this side."""
-        base = self.min_slot[slot]
-        if base == slot:
-            return (base, q)
-        return (base, self.slot_weight(slot) - 1 - q)
-
-    def arcs(self):
-        out = []
-        for (t, j), n in self.counts.items():
-            for k in range(n):
-                out.append((t, j, k))
-        return out
-
-    def arc_points(self, arc):
-        """The two crossing points of an arc at corner j: one on side j
-        (position w_j - 1 - k, near the corner) and one on side j+1
-        (position k)."""
-        t, j, k = arc
-        s1 = (t, j)
-        s2 = (t, (j + 1) % 3)
-        return (self.point(s1, self.slot_weight(s1) - 1 - k),
-                self.point(s2, k))
+        idx = tri.edge_index
+        self.side = side = [self.weights[idx[lab]]
+                            for sides in tri.triangles for lab in sides]
+        self.counts = counts = []
+        for t in range(n):
+            w = tuple(side[3 * t:3 * t + 3])
+            half, odd = divmod(w[0] + w[1] + w[2], 2)
+            if odd:
+                raise InvalidCurveError(
+                    "triangle %d has odd weight sum %r" % (t, w))
+            # corner j is cut off by (w_j + w_{j+1} - w_{j+2}) / 2 arcs
+            for j in range(3):
+                if half < w[j - 1]:
+                    raise InvalidCurveError(
+                        "triangle %d violates the triangle inequality at "
+                        "corner %d: %r" % (t, j, w))
+                counts.append(half - w[j - 1])
+        self.first = list(accumulate(counts, initial=0))
 
     def trace(self):
         """Group arcs into curve components.
 
         Returns (components, arc_component) where components is a tuple of
-        weight vectors in sorted order and arc_component maps each arc to its
-        index in that tuple.
+        weight vectors in sorted order and arc_component lists, per arc
+        number, its index in that tuple.
+
+        The two arcs through each point (see the module docstring) are
+        joined in a union-find that links the larger root under the
+        smaller, so one forward pass leaves every arc pointing at its root,
+        the least arc of its component.
         """
-        arcs = self.arcs()
-        parent = {a: a for a in arcs}
-        by_point = {}
-        for a in arcs:
-            for pt in self.arc_points(a):
-                by_point.setdefault(pt, []).append(a)
-        for pt, pair in by_point.items():
-            if len(pair) != 2:
-                raise InvalidCurveError(
-                    "point %r met by %d arcs" % (pt, len(pair)))
-            _union(parent, pair[0], pair[1])
-        groups = {}
-        for a in arcs:
-            groups.setdefault(_find(parent, a), []).append(a)
+        tri, first, counts = self.tri, self.first, self.counts
+        near, far = [], []
+        for (t, i), (u, l) in tri._gluing.items():
+            s, p = 3 * t + i, 3 * u + l
+            if s > p:
+                continue
+            a, b = s - i + (i - 1) % 3, p - l + (l - 1) % 3
+            # each of the edge's w points is met by one arc from each side
+            ends = (counts[a] + counts[s], counts[b] + counts[p])
+            if ends != (self.side[s],) * 2:
+                q = min(ends)
+                raise InvalidCurveError("point %r met by %d arcs" % (
+                    ((t, i), q), sum(q < e for e in ends)))
+            # point q of side s, and the same point w-1-q of side p
+            near += range(first[a], first[a] + counts[a])
+            near += range(first[s] + counts[s] - 1, first[s] - 1, -1)
+            far += range(first[p], first[p] + counts[p])
+            far += range(first[b] + counts[b] - 1, first[b] - 1, -1)
+        parent = list(range(first[-1]))
+        for x, y in zip(near, far):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+        for x in range(len(parent)):
+            parent[x] = parent[parent[x]]
+        # an arc at corner j crosses sides j and j+1, so each component
+        # meets each point of its edges twice
+        idx = tri.edge_index
+        corner = list(chain.from_iterable(map(repeat, range(len(counts)),
+                                              counts)))
+        vecs = {}
+        for (root, c), m in Counter(zip(parent, corner)).items():
+            vec = vecs.get(root)
+            if vec is None:
+                vec = vecs[root] = [0] * tri.num_edges
+            sides = tri.triangles[c // 3]
+            vec[idx[sides[c % 3]]] += m
+            vec[idx[sides[(c + 1) % 3]]] += m
         vectors = []
-        for root, members in groups.items():
-            vec = [0] * self.tri.num_edges
-            for a in members:
-                for pt in self.arc_points(a):
-                    base, _ = pt
-                    vec[self.tri.edge_index[self.tri.edge_at(base)]] += 1
-            # every point was counted twice (once per incident arc)
+        for root, vec in vecs.items():
             if any(x % 2 for x in vec):
                 raise InvalidCurveError("inconsistent strand trace")
-            vectors.append((tuple(x // 2 for x in vec), root))
+            vectors.append((tuple([x // 2 for x in vec]), root))
         vectors.sort()
-        index_of_root = {root: i for i, (_, root) in enumerate(vectors)}
-        arc_component = {a: index_of_root[_find(parent, a)] for a in arcs}
-        return tuple(v for v, _ in vectors), arc_component
+        index_of_root = {root: k for k, (_, root) in enumerate(vectors)}
+        return (tuple([v for v, _ in vectors]),
+                list(map(index_of_root.__getitem__, parent)))
 
 
 def validate(coords):
@@ -297,14 +298,18 @@ def disjoint_union_matches(tri, parts):
 
 
 def _traces_to(tri, weights, expected):
-    """The strand trace (components, arc_component) of `weights` when it is
-    realizable with exactly the component vectors in `expected` (a
-    multiset), else None."""
+    """(first, components, arc_component) of `weights` when it is realizable
+    with exactly the component vectors in `expected` (a multiset), else
+    None; `first` numbers its arcs (see _Strands) and the rest is its
+    strand trace."""
     try:
-        trace = _Strands(tri, weights).trace()
+        strands = _Strands(tri, weights)
+        comps, arc_component = strands.trace()
     except InvalidCurveError:
         return None
-    return trace if list(trace[0]) == sorted(expected) else None
+    if list(comps) != sorted(expected):
+        return None
+    return strands.first, comps, arc_component
 
 
 # -- cutting along a multicurve ------------------------------------------------
@@ -346,6 +351,7 @@ class CutResult:
         strands = _Strands(tri, coords.weights)
         counts = strands.counts
         self._counts = counts
+        first = strands.first
 
         # cells: ('c', t, j, k) between arcs k-1 and k at corner j (k=0 holds
         # the corner itself); ('z', t) is the central cell of triangle t.
@@ -353,15 +359,15 @@ class CutResult:
         for t in range(tri.num_triangles):
             parent[("z", t)] = ("z", t)
             for j in range(3):
-                for k in range(counts[(t, j)]):
+                for k in range(counts[3 * t + j]):
                     parent[("c", t, j, k)] = ("c", t, j, k)
 
         def segment_cell(slot, q):
             # segment q of a side spans points q-1..q; q ranges 0..w
             t, i = slot
-            w = strands.slot_weight(slot)
-            n_start = counts[(t, (i - 1) % 3)]
-            n_end = counts[(t, i)]
+            w = strands.side[3 * t + i]
+            n_start = counts[3 * t + (i - 1) % 3]
+            n_end = counts[3 * t + i]
             if q < n_start:
                 return ("c", t, (i - 1) % 3, q)
             if w - q < n_end:
@@ -370,7 +376,7 @@ class CutResult:
 
         seg_pairs = []
         for s, p in tri.gluing_pairs():
-            w = strands.slot_weight(s)
+            w = strands.side[3 * s[0] + s[1]]
             for q in range(w + 1):
                 c1 = segment_cell(s, q)
                 c2 = segment_cell(p, w - q)
@@ -378,7 +384,7 @@ class CutResult:
                 seg_pairs.append((c1, q, s))
 
         def corner_cell(t, j):
-            if counts[(t, j)] > 0:
+            if counts[3 * t + j] > 0:
                 return ("c", t, j, 0)
             return ("z", t)
 
@@ -408,14 +414,16 @@ class CutResult:
         self._components = comps
         self._placed = {}       # see curves_in_piece
         circles = [0] * nregions
-        seen = set()
-        for arc, comp in arc_component.items():
-            if comp in seen:
-                continue
-            seen.add(comp)
-            t, j, k = arc
+        # the least arc of each component, from either side of which a
+        # cell of each adjacent piece is read
+        least = dict(zip(reversed(arc_component),
+                         range(len(arc_component) - 1, -1, -1)))
+        for a in least.values():
+            c = bisect_right(first, a) - 1
+            t, j = divmod(c, 3)
+            k = a - first[c]
             inner = ("c", t, j, k)
-            outer = ("c", t, j, k + 1) if k + 1 < counts[(t, j)] else ("z", t)
+            outer = ("c", t, j, k + 1) if k + 1 < counts[c] else ("z", t)
             circles[self._cell_region[inner]] += 1
             circles[self._cell_region[outer]] += 1
 
@@ -459,22 +467,17 @@ class CutResult:
             raise InvalidCurveError("curve is parallel to a system component")
         return self._piece_of(d_comps[0], *trace)
 
-    def _piece_of(self, d_vec, comps, arc_component):
-        """The cut piece holding the component d_vec of a traced union: the
-        position of a d-arc among the system's arcs at its corner picks out
-        the cut cell containing it."""
-        target = comps.index(d_vec)
-        for arc, comp in arc_component.items():
-            if comp != target:
-                continue
-            t, j, k = arc
-            below = 0
-            for kk in range(k):
-                if comps[arc_component[(t, j, kk)]] != d_vec:
-                    below += 1
-            n_sys = self._counts[(t, j)]
-            cell = ("c", t, j, below) if below < n_sys else ("z", t)
-            return self._cell_region[cell]
+    def _piece_of(self, d_vec, first, comps, arc_component):
+        """The cut piece holding the component d_vec, parallel to no system
+        component, of a traced union: the first d-arc (t, j, k) has only
+        system arcs below it at its corner, so it lies in the cut cell
+        between the system's arcs k-1 and k there."""
+        a = arc_component.index(comps.index(d_vec))
+        c = bisect_right(first, a) - 1
+        t, j = divmod(c, 3)
+        k = a - first[c]
+        cell = ("c", t, j, k) if k < self._counts[c] else ("z", t)
+        return self._cell_region[cell]
 
     def curves_in_piece(self, piece, max_total):
         """The essential single curves of weight <= max_total lying in piece

@@ -345,25 +345,29 @@ def equal_on(f, g, probes):
 # -- weight reduction ------------------------------------------------------------
 
 def _greedy_step(coords):
-    """(label, quad) of the strictly weight-decreasing flip of the heaviest
-    edge, or None on a plateau.  Ties break toward the lowest edge label."""
+    """(step, level) from one read of every quad: step is (label, quad) of
+    the strictly weight-decreasing flip of the heaviest edge, or None on a
+    plateau, with ties broken toward the lowest edge label; level lists
+    (label, quad) of every weight-preserving flip in label order."""
     tri = coords.host
     best = None
+    level = []
     for lab in tri.edge_labels:
         quad = tri.quad(lab)
-        if quad is None \
-                or _flipped_weight(coords, lab, quad) >= coords.weight_of(lab):
+        if quad is None:
             continue
-        key = (-coords.weight_of(lab), lab)
-        if best is None or key < best[0]:
-            best = (key, lab, quad)
-    return None if best is None else best[1:]
+        old = coords.weight_of(lab)
+        new = _flipped_weight(coords, lab, quad)
+        if new == old:
+            level.append((lab, quad))
+        elif new < old and (best is None or old > best[0]):
+            best = (old, lab, quad)
+    return None if best is None else best[1:], level
 
 
 def _canonical_state(coords):
-    w = {lab: coords.weights[coords.host.edge_index[lab]]
-         for lab in coords.host.edge_labels}
-    return coords.host.canonical_form(w)
+    tri = coords.host
+    return tri.canonical_form(dict(zip(tri.edge_labels, coords.weights)))
 
 
 def _plateau_escape(coords, max_states=20000):
@@ -378,14 +382,10 @@ def _plateau_escape(coords, max_states=20000):
     queue = deque([(coords, [])])
     while queue:
         cur, path = queue.popleft()
-        step = _greedy_step(cur)
+        step, level = _greedy_step(cur)
         if step is not None:
             return path + [Flip(step[0])], _transported(cur, *step)
-        for lab in cur.host.edge_labels:
-            quad = cur.host.quad(lab)
-            if quad is None \
-                    or _flipped_weight(cur, lab, quad) != cur.weight_of(lab):
-                continue
+        for lab, quad in level:
             nxt = _transported(cur, lab, quad)
             key = _canonical_state(nxt)
             if key in seen:
@@ -410,7 +410,7 @@ def shorten(coords):
     cur = coords
     moves = []
     while cur.total_weight > 2:
-        step = _greedy_step(cur)
+        step = _greedy_step(cur)[0]
         if step is not None:
             moves.append(Flip(step[0]))
             cur = _transported(cur, *step)
@@ -612,13 +612,14 @@ def parse_twist_word(word, curves):
     whitespace or '*'; each is T(NAME) or bare NAME, optionally followed by
     ^INT.  Factors compose left to right as written, with the leftmost
     applied last, matching the usual composition order.  An empty word is
-    the identity.
+    the identity.  The factors' programs are joined by one _chain, so the
+    cost is linear in the length of the word.
     """
     tokens = [t for t in word.replace("*", " ").split() if t]
     if not curves:
         raise EncodingError("no named curves available for twist words")
     host = next(iter(curves.values())).host
-    enc = Encoding.identity(host)
+    programs = []
     for tok in tokens:
         if "^" in tok:
             head, _, exp = tok.partition("^")
@@ -634,10 +635,13 @@ def parse_twist_word(word, curves):
         if name not in curves:
             raise EncodingError("unknown curve name %r" % name)
         try:
-            enc = enc * twist(curves[name], k)
+            programs.append(twist(curves[name], k)._program)
         except InvalidCurveError as e:
             raise InvalidCurveError("curve %r: %s" % (name, e))
-    return enc
+    if not programs:
+        return Encoding.identity(host)
+    # the leftmost factor runs last
+    return Encoding._closed(host, _chain(programs[::-1]))
 
 
 def format_twist_word(factors):

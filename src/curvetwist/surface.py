@@ -308,71 +308,84 @@ class Triangulation:
 
     # -- canonical form and isomorphism --------------------------------------
 
-    def _bfs_form(self, start, rot, slot_weight=None):
-        """Canonical encoding of the complex grown from one rooted corner.
+    def canonical_form(self, weights=None):
+        """Lexicographically least BFS form over all rooted corners.
 
-        Returns (form, slot_map) where slot_map sends old slots to canonical
-        (triangle, position) addresses.  Triangles are numbered in discovery
-        order; a triangle discovered through a slot gets the rotation that
-        puts that slot at position 0.  The form lists, for each canonical
-        slot, the canonical address of its partner (or (-1,-1)), so equal
-        forms mean isomorphic labelled-free complexes.
+        A root (t, r) numbers the triangles in breadth-first discovery
+        order from triangle t read from side r; a triangle discovered
+        through a slot gets the rotation that puts that slot at position 0.
+        Its form lists, for each canonical slot in turn, the canonical
+        address (triangle, position) of the partner slot, or (-1, -1) on
+        a boundary side, so equal forms mean isomorphic complexes.  All 3T
+        roots advance together, one address at a time, and a root is
+        dropped as soon as its address is larger than the least one read
+        at that position; the survivors are the roots of the least form.
+
+        With `weights` (a per-edge-label mapping) each address also
+        carries the weight of its slot, so the form separates different
+        normal-coordinate decorations of the same complex.
         """
-        order = [start]
-        rots = {start: rot}
-        newid = {start: 0}
-        k = 0
-        tokens = []
-        while k < len(order):
-            t = order[k]
-            r = rots[t]
-            for pos in range(3):
-                s = (t, (r + pos) % 3)
-                p = self._gluing.get(s)
+        table = None
+        if weights is not None:
+            table = [[weights[lab] for lab in t] for t in self._triangles]
+        return (self._ideal, self._min_form_maps(table)[0])
+
+    def _min_form_maps(self, side_weights=None):
+        """(least form, [slot map of each root reaching it]), the roots in
+        (t, r) order.  A slot map sends each slot to its canonical address.
+        `side_weights[t][i]`, if given, decorates slot (t, i).
+
+        Each live root is (order, at): the triangles in discovery order,
+        and per triangle 3 * canonical number + rotation once reached, -1
+        before.  A root whose address is larger than the least one at its
+        position is dropped, so the rest of its form is never built."""
+        n = len(self._triangles)
+        partner = [self._gluing.get((t, i)) for t in range(n)
+                   for i in range(3)]
+        live = []
+        for t in range(n):
+            for r in range(3):
+                at = [-1] * n
+                at[t] = r
+                live.append(([t], at))
+        form = []
+        for x in range(3 * n):
+            k, pos = divmod(x, 3)
+            least, keep = None, []
+            for root in live:
+                order, at = root
+                if k == len(order):
+                    raise TopologyError(
+                        "disconnected complex in canonical form")
+                t = order[k]
+                i = (at[t] + pos) % 3
+                p = partner[3 * t + i]
                 if p is None:
                     tok = (-1, -1)
                 else:
                     pt, pi = p
-                    if pt not in newid:
-                        newid[pt] = len(order)
-                        rots[pt] = pi
+                    c = at[pt]
+                    if c < 0:
+                        c = at[pt] = 3 * len(order) + pi
                         order.append(pt)
-                    tok = (newid[pt], (pi - rots[pt]) % 3)
-                if slot_weight is not None:
-                    tok = tok + (slot_weight(s),)
-                tokens.append(tok)
-            k += 1
-        if len(order) != self.num_triangles:
-            raise TopologyError("disconnected complex in canonical form")
-        slot_map = {}
-        for t, r in rots.items():
-            for pos in range(3):
-                slot_map[(t, (r + pos) % 3)] = (newid[t], pos)
-        return tuple(tokens), slot_map
-
-    def canonical_form(self, weights=None):
-        """Lexicographically least BFS form over all rooted corners.
-
-        With `weights` (a per-edge-label mapping) the form also separates
-        different normal-coordinate decorations of the same complex.
-        """
-        sw = None
-        if weights is not None:
-            sw = lambda s: weights[self.edge_at(s)]
-        return (self._ideal, self._min_form_maps(sw)[0])
-
-    def _min_form_maps(self, slot_weight=None):
-        best = None
+                    tok = (c // 3, (pi - c) % 3)
+                if side_weights is not None:
+                    tok += (side_weights[t][i],)
+                if least is None or tok < least:
+                    least, keep = tok, [root]
+                elif tok == least:
+                    keep.append(root)
+            form.append(least)
+            live = keep
         maps = []
-        for t in range(self.num_triangles):
-            for r in range(3):
-                form, m = self._bfs_form(t, r, slot_weight)
-                if best is None or form < best:
-                    best = form
-                    maps = [m]
-                elif form == best:
-                    maps.append(m)
-        return best, maps
+        for order, at in live:
+            m = {}
+            for t in order:
+                j, r = divmod(at[t], 3)
+                for pos in range(3):
+                    m[(t, (r + pos) % 3)] = (j, pos)
+            maps.append(m)
+        return tuple(form), maps
 
 
 class Relabeling:

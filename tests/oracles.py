@@ -251,9 +251,10 @@ def reference_greedy_shorten(coords):
 # The package reads every flip quadrilateral through Triangulation.quad and
 # finds every isomorphism through surface.isomorphisms.  The references
 # below are the formulas those two replaced: slot arithmetic on a scan of
-# the triangles, slot propagation from one root, and the canonical-form
-# witness and automorphism list composed directly from the least-form roots
-# (which fix the order the package promises).
+# the triangles, slot propagation from one root, the least BFS form found
+# by building every rooted form in full, and the canonical-form witness and
+# automorphism list composed directly from its least-form roots (which fix
+# the order the package promises).
 
 def reference_quad(tri, label):
     """(t1, i1, t2, i2, a, b, c, d) by scanning for the edge's slots, or
@@ -305,13 +306,70 @@ def reference_relabelings(src, dst, edge_map=None):
     return sols
 
 
+def _reference_bfs_form(tri, start, rot, slot_weight=None):
+    """The BFS form grown from one rooted corner, built in full: triangles
+    numbered in discovery order, a triangle discovered through a slot
+    rotated to put that slot at position 0, and per canonical slot the
+    canonical address of its partner, or (-1, -1), plus its weight when
+    `slot_weight` is given.  Returns (form, slot map to addresses)."""
+    order = [start]
+    rots = {start: rot}
+    newid = {start: 0}
+    k = 0
+    tokens = []
+    while k < len(order):
+        t = order[k]
+        r = rots[t]
+        for pos in range(3):
+            s = (t, (r + pos) % 3)
+            p = tri.glued(s)
+            if p is None:
+                tok = (-1, -1)
+            else:
+                pt, pi = p
+                if pt not in newid:
+                    newid[pt] = len(order)
+                    rots[pt] = pi
+                    order.append(pt)
+                tok = (newid[pt], (pi - rots[pt]) % 3)
+            if slot_weight is not None:
+                tok = tok + (slot_weight(s),)
+            tokens.append(tok)
+        k += 1
+    slot_map = {}
+    for t, r in rots.items():
+        for pos in range(3):
+            slot_map[(t, (r + pos) % 3)] = (newid[t], pos)
+    return tuple(tokens), slot_map
+
+
+def reference_min_form_maps(tri, weights=None):
+    """The least BFS form over all 3T rooted corners, each form built in
+    full, and the slot maps of the roots reaching it in (t, r) order;
+    `weights` (per edge label), if given, decorates each slot."""
+    sw = None
+    if weights is not None:
+        sw = lambda s: weights[tri.edge_at(s)]
+    best = None
+    maps = []
+    for t in range(tri.num_triangles):
+        for r in range(3):
+            form, m = _reference_bfs_form(tri, t, r, sw)
+            if best is None or form < best:
+                best = form
+                maps = [m]
+            elif form == best:
+                maps.append(m)
+    return best, maps
+
+
 def reference_isomorphism(tri1, tri2):
     """The witness composed from the first least-form root on each side."""
     from curvetwist import Relabeling
     if tri1.ideal != tri2.ideal:
         return None
-    f1, m1 = tri1._min_form_maps()
-    f2, m2 = tri2._min_form_maps()
+    f1, m1 = reference_min_form_maps(tri1)
+    f2, m2 = reference_min_form_maps(tri2)
     if f1 != f2:
         return None
     b_inv = {v: k for k, v in m2[0].items()}
@@ -322,7 +380,7 @@ def reference_automorphisms(tri):
     """Each least-form root composed with the inverse of the first, with
     repeats dropped, in root order."""
     from curvetwist import Relabeling
-    _, maps = tri._min_form_maps()
+    _, maps = reference_min_form_maps(tri)
     base_inv = {v: k for k, v in maps[0].items()}
     out = []
     seen = set()
@@ -333,6 +391,97 @@ def reference_automorphisms(tri):
             seen.add(key)
             out.append(Relabeling(tri, tri, slot_map))
     return out
+
+
+# -- strand tracing, arc by arc ----------------------------------------------
+#
+# The package numbers arcs and crossing points by integers and traces them
+# in one list-based union-find (curves._Strands).  The reference below is
+# the tracer that replaced: tuple-keyed arcs (t, j, k) and points
+# (slot, q), a dict of the arcs through each point, and a union-find over
+# the arcs.
+
+def reference_trace(tri, weights):
+    """(components, arc_component) of a weight vector: the sorted component
+    vectors and, per arc (t, j, k), the index of its component.  Raises
+    InvalidCurveError with the package's messages."""
+    from curvetwist import InvalidCurveError
+    for t in range(tri.num_triangles):
+        for i in range(3):
+            if tri.glued((t, i)) is None:
+                raise InvalidCurveError(
+                    "host has boundary slots; normal curves need a fully "
+                    "glued triangulation")
+
+    def slot_weight(slot):
+        return weights[tri.edge_index[tri.edge_at(slot)]]
+
+    counts = {}
+    for t in range(tri.num_triangles):
+        w = [slot_weight((t, i)) for i in range(3)]
+        if sum(w) % 2 != 0:
+            raise InvalidCurveError(
+                "triangle %d has odd weight sum %r" % (t, tuple(w)))
+        for j in range(3):
+            n = (w[j] + w[(j + 1) % 3] - w[(j + 2) % 3]) // 2
+            if n < 0:
+                raise InvalidCurveError(
+                    "triangle %d violates the triangle inequality at corner "
+                    "%d: %r" % (t, j, tuple(w)))
+            counts[(t, j)] = n
+    min_slot = {}
+    for s, p in tri.gluing_pairs():
+        min_slot[s] = min_slot[p] = s
+
+    def point(slot, q):
+        # glued sides run in opposite directions: q on one is w-1-q on the
+        # other
+        base = min_slot[slot]
+        return (base, q) if base == slot else (base, slot_weight(slot) - 1 - q)
+
+    def arc_points(arc):
+        # an arc at corner j meets side j near the corner and side j+1 at
+        # position k
+        t, j, k = arc
+        s1, s2 = (t, j), (t, (j + 1) % 3)
+        return point(s1, slot_weight(s1) - 1 - k), point(s2, k)
+
+    arcs = [(t, j, k) for (t, j), n in counts.items() for k in range(n)]
+    parent = {a: a for a in arcs}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    by_point = {}
+    for a in arcs:
+        for pt in arc_points(a):
+            by_point.setdefault(pt, []).append(a)
+    for pt, pair in by_point.items():
+        if len(pair) != 2:
+            raise InvalidCurveError("point %r met by %d arcs"
+                                    % (pt, len(pair)))
+        ra, rb = find(pair[0]), find(pair[1])
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for a in arcs:
+        groups.setdefault(find(a), []).append(a)
+    vectors = []
+    for root, members in groups.items():
+        vec = [0] * tri.num_edges
+        for a in members:
+            for base, _ in arc_points(a):
+                vec[tri.edge_index[tri.edge_at(base)]] += 1
+        if any(x % 2 for x in vec):
+            raise InvalidCurveError("inconsistent strand trace")
+        vectors.append((tuple(x // 2 for x in vec), root))
+    vectors.sort()
+    index_of_root = {root: i for i, (_, root) in enumerate(vectors)}
+    return (tuple(v for v, _ in vectors),
+            {a: index_of_root[find(a)] for a in arcs})
 
 
 # -- curve-system questions, each answered from validate alone -----------------

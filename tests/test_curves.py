@@ -24,6 +24,8 @@ Frozen values and their independent derivations:
 """
 
 import pytest
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from curvetwist import (InvalidCurveError, MulticurveCoords, validate,
                         component_count, is_single_curve, is_essential,
@@ -31,8 +33,10 @@ from curvetwist import (InvalidCurveError, MulticurveCoords, validate,
                         disjoint_union_matches, cut_along,
                         enumerate_single_curves, standard_curves,
                         coords_to_jsonable, coords_from_jsonable,
-                        build_surface, flip, automorphisms)
-from oracles import flip_square_relabeling
+                        build_surface, flip, automorphisms, twist,
+                        Triangulation)
+from curvetwist.curves import _Strands
+from oracles import flip_square_relabeling, reference_trace
 
 
 # -- validation ---------------------------------------------------------------
@@ -264,3 +268,81 @@ def test_standard_curve_names(s11, s20):
     assert named["a"].weights == (0, 1, 1)
     assert named["b"].weights == (1, 0, 1)
     assert standard_curves(s20)
+
+
+# -- the integer tracer against the arc-level reference ---------------------
+
+TRACE_MODELS = [build_surface(*gh) for gh in
+                [(1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)]]
+TRACE_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+def _traced(tri, weights):
+    """(components, partition) of the package's tracer, or the message of
+    its InvalidCurveError.  The partition is the multiset of (vector, arc
+    set) pairs, arcs named (t, j, k): it does not see the order of equal
+    parallel components."""
+    try:
+        strands = _Strands(tri, weights)
+        comps, arc_component = strands.trace()
+    except InvalidCurveError as e:
+        return str(e)
+    arcs = [(t, j, k) for t in range(tri.num_triangles) for j in range(3)
+            for k in range(strands.counts[3 * t + j])]
+    return comps, _partition(comps, zip(arcs, arc_component))
+
+
+def _reference_traced(tri, weights):
+    try:
+        comps, arc_component = reference_trace(tri, weights)
+    except InvalidCurveError as e:
+        return str(e)
+    return comps, _partition(comps, arc_component.items())
+
+
+def _partition(comps, arc_comp_pairs):
+    members = [[] for _ in comps]
+    for arc, comp in arc_comp_pairs:
+        members[comp].append(arc)
+    return sorted((v, sorted(m)) for v, m in zip(comps, members))
+
+
+@st.composite
+def curve_sums(draw):
+    """A model and the sum of 1-3 of its curves of weight <= 8, or a
+    random vector of small weights (mostly not realizable)."""
+    tri = draw(st.sampled_from(TRACE_MODELS))
+    if draw(st.booleans()):
+        singles = enumerate_single_curves(tri, 8)
+        parts = draw(st.lists(st.sampled_from(singles), min_size=1,
+                              max_size=3))
+        return tri, tuple(map(sum, zip(*parts)))
+    return tri, tuple(draw(st.lists(st.integers(0, 6), min_size=tri.num_edges,
+                                    max_size=tri.num_edges)))
+
+
+@TRACE_SETTINGS
+@given(curve_sums())
+def test_tracer_matches_the_arc_level_reference(case):
+    tri, weights = case
+    assert _traced(tri, weights) == _reference_traced(tri, weights)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 4))
+@example(10 ** 4)
+def test_tracer_matches_the_reference_on_heavy_twists(n):
+    """T_a^n(b) on S(1,1) is one strand of about 2n arcs."""
+    named = standard_curves(TRACE_MODELS[0])
+    weights = twist(named["a"], n).act(named["b"]).weights
+    got = _traced(TRACE_MODELS[0], weights)
+    assert got == _reference_traced(TRACE_MODELS[0], weights)
+    assert got[0] == (weights,)
+
+
+def test_tracer_rejects_hosts_with_boundary_like_the_reference():
+    tri = Triangulation([(0, 1, 2), (0, 3, 4)],
+                        {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
+    assert _traced(tri, (0,) * 5) == _reference_traced(tri, (0,) * 5)

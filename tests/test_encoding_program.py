@@ -115,6 +115,37 @@ def test_word_is_the_concatenation_of_its_twists(case):
 
 @SETTINGS
 @given(word_pairs())
+def test_word_program_equals_the_left_fold_of_its_twists(case):
+    tri, factors, _ = case
+    fold = Encoding.identity(tri)
+    for name, k in factors:
+        fold = fold * twist(CURVES[tri][name], k)
+    assert build(tri, factors)._program == fold._program
+
+
+def test_long_word_joins_its_factors_once(monkeypatch):
+    """A 3,200-factor word makes one _chain call besides its twists (whose
+    encodings are looked up here), so parsing is linear in its length."""
+    from curvetwist import mapping
+    units = {(n, k): twist(CURVES[S11][n], k) for n in "ab" for k in (1, -1)}
+    monkeypatch.setattr(mapping, "twist", lambda c, k: units[
+        ("a" if c == CURVES[S11]["a"] else "b", k)])
+    calls = []
+    chain = mapping._chain
+
+    def counted(programs):
+        calls.append(len(programs))
+        return chain(programs)
+
+    monkeypatch.setattr(mapping, "_chain", counted)
+    f = build(S11, [("a", 1), ("b", -1)] * 1600)
+    assert calls == [3200]
+    assert len(f._program[0]) == 1600 * (len(units["a", 1]._program[0])
+                                         + len(units["b", -1]._program[0]))
+
+
+@SETTINGS
+@given(word_pairs())
 def test_compose_matches_replay(case):
     tri, factors, other = case
     f, g = build(tri, factors), build(tri, other)

@@ -174,6 +174,25 @@ def test_greedy_shortening_reads_each_quad_once(s11, monkeypatch):
     assert (list(moves), short) == want
 
 
+def test_plateau_search_reads_each_quad_once_per_state(s20, monkeypatch):
+    """A plateau state's greedy scan also lists its level flips, so no
+    quad is read twice: T_x^3(sep) on S(2,0) shortens with 279 reads (396
+    when the level flips were a second scan of 117 reads)."""
+    sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
+    x = MulticurveCoords(s20, (0, 1, 0, 1, 2, 1, 1, 1, 1))
+    c = twist(x, 3).act(sep)
+    reads = []
+    quad = Triangulation.quad
+
+    def counted(tri, label):
+        reads.append(label)
+        return quad(tri, label)
+
+    monkeypatch.setattr(Triangulation, "quad", counted)
+    shorten(c)
+    assert c.total_weight == 54 and len(reads) <= 279
+
+
 def test_shorten_is_stationary_on_short_curves(ab):
     a, _ = ab
     moves, short = shorten(a)

@@ -18,7 +18,7 @@ from curvetwist import (TopologyError, Triangulation, MulticurveCoords,
                         triangulation_to_json, triangulation_from_json)
 from oracles import (flip_square_relabeling, reference_quad,
                      reference_relabelings, reference_isomorphism,
-                     reference_automorphisms)
+                     reference_automorphisms, reference_min_form_maps)
 
 
 MODEL_STATS = {
@@ -233,3 +233,39 @@ def test_twist_block_closes_with_the_least_swap_relabeling(tri):
         refs = reference_relabelings(flip(tri, p), tri, swap)
         least = min(refs, key=lambda rel: sorted(rel.slot_map.items()))
         assert mv_rel.relabeling.slot_map == least.slot_map
+
+
+# -- canonical forms against the full BFS of every root ---------------------
+
+FORM_MODELS = LADDER + [build_surface(0, 4)]
+
+
+@st.composite
+def decorated_models(draw):
+    """A model after up to 10 random flips, with edge weights 0..3 or
+    none."""
+    tri = draw(st.sampled_from(FORM_MODELS))
+    for _ in range(draw(st.integers(0, 10))):
+        tri = flip(tri, draw(st.sampled_from(_flippable(tri))))
+    weights = draw(st.none() | st.fixed_dictionaries(
+        {lab: st.integers(0, 3) for lab in tri.edge_labels}))
+    return tri, weights
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(decorated_models())
+def test_least_form_and_its_roots_match_the_full_bfs(case):
+    """Advancing all roots together and dropping the losing ones finds the
+    same least form and the slot maps of the same tied roots, in (t, r)
+    order, as building every rooted form in full."""
+    tri, weights = case
+    table = None
+    if weights is not None:
+        table = [[weights[lab] for lab in t] for t in tri.triangles]
+    form, maps = tri._min_form_maps(table)
+    ref_form, ref_maps = reference_min_form_maps(tri, weights)
+    assert form == ref_form
+    assert [list(m.items()) for m in maps] == \
+        [list(m.items()) for m in ref_maps]
+    assert tri.canonical_form(weights) == (tri.ideal, ref_form)

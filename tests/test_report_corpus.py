@@ -7,11 +7,12 @@ The digests pin `map compose` (whose reports embed the normal form of an
 encoding: its flips, then one closing relabeling written as a slot map and
 the source complex), `map act`, `map classify`, `gamma build`, `gamma
 orbit`, `gamma chains`, `construct maximalize` (whose report embeds the
-completed map's encoding) and `construct search` on the punctured-torus
-flagship, on a torus whose map fixes its system, and on a genus-two
-workspace.  A change to how encodings are stored or serialized may change
-the digests of the reports that embed one, and only those; every other
-report must stay byte-identical.
+completed map's encoding), `construct search` and `curve cut` (whose
+report lists the pieces of a cut in order) on the punctured-torus
+flagship, on a torus whose map fixes its system, and on two genus-two
+workspaces, one with a separating system.  A change to how encodings are
+stored or serialized may change the digests of the reports that embed one,
+and only those; every other report must stay byte-identical.
 
     python3 tests/test_report_corpus.py     # print the current digests
 
@@ -68,8 +69,12 @@ GENUS_TWO = {
 TORUS_ORBIT = dict(TORUS, maps={"ta": {"word": "T(a)^2"}},
                    system={"components": ["a"], "map": "ta"})
 
+# a separating system: its cut has two pieces, and `construct maximalize`
+# completes the first non-pants one, so the report pins the piece order
+GENUS_TWO_SEP = dict(GENUS_TWO, system={"components": ["sep"], "map": "f"})
+
 WORKSPACES = {"torus": TORUS, "genus2": GENUS_TWO,
-              "torus_orbit": TORUS_ORBIT}
+              "torus_orbit": TORUS_ORBIT, "genus2_sep": GENUS_TWO_SEP}
 
 # (workspace, argv after the workspace path)
 CASES = [
@@ -103,6 +108,10 @@ CASES = [
     ("torus_orbit", ["gamma", "build"]),
     ("torus_orbit", ["gamma", "orbit"]),
     ("torus_orbit", ["gamma", "chains"]),
+    ("torus", ["curve", "cut", "a"]),
+    ("genus2", ["curve", "cut", "sep"]),
+    ("genus2", ["curve", "cut", "x"]),
+    ("genus2_sep", ["construct", "maximalize"]),
 ]
 
 GOLDEN = {
@@ -136,6 +145,10 @@ GOLDEN = {
     'torus_orbit:gamma build': '0:b4a646046ee31de1c4233151c9cbafe7a34132a74c21d8fc896d9527d64a3bcf',
     'torus_orbit:gamma orbit': '2:3912e4da5154462b76cbb1f6e3cdfce0218eb5f3094d755ed6fddc4c2a1e01f4',
     'torus_orbit:gamma chains': '2:da6bbff3f25cca3f70a07566b30b27e66cc1914fcb1090ee2e57c9265cdf2441',
+    'torus:curve cut a': '0:84916532f41cab579b36bd8d6dbf7c63d8e187951a333a4a065a013e505ce5a2',
+    'genus2:curve cut sep': '0:66960bf664661a73537c9f6a0a02cfa0b1ec14310891f004572bb177f9897693',
+    'genus2:curve cut x': '0:aacb8343e12c8a327fca3c4fc1e992605e68645e23c75e59ec16968dc9daa3e5',
+    'genus2_sep:construct maximalize': '0:a3c868f7eafcf59762e52600e4598578d83c31b2fd17cd306cb533c12a980383',
 }
 
 

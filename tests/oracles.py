@@ -484,6 +484,127 @@ def reference_trace(tri, weights):
             {a: index_of_root[find(a)] for a in arcs})
 
 
+# -- cutting along a multicurve --------------------------------------------------
+#
+# CutResult numbers the cells of a cut like the arcs.  The reference below is
+# the cut that replaced: tuple-keyed cells ('c', t, j, k), between arcs k-1
+# and k at corner j of triangle t (k = 0 holds the corner), and ('z', t), the
+# centre of triangle t, joined across every segment of every glued edge in a
+# dict union-find.  Pieces are listed by their union-find root, least first;
+# the package must list them in the same order.
+
+def _cut_counts(tri, weights):
+    """The arcs cutting off each corner (t, j)."""
+    counts = {}
+    for t in range(tri.num_triangles):
+        w = [weights[tri.edge_index[tri.edge_at((t, i))]] for i in range(3)]
+        for j in range(3):
+            counts[(t, j)] = (w[j] + w[(j + 1) % 3] - w[(j + 2) % 3]) // 2
+    return counts
+
+
+def reference_cut(coords):
+    """(pieces, cell_piece): the CutPieces of the cut along `coords` in
+    order, and the index of the piece holding each cell."""
+    from curvetwist import CutPiece
+    tri, weights = coords.host, coords.weights
+    arc_component = reference_trace(tri, weights)[1]
+    counts = _cut_counts(tri, weights)
+    parent = {}
+    for t in range(tri.num_triangles):
+        parent[("z", t)] = ("z", t)
+        for j in range(3):
+            for k in range(counts[(t, j)]):
+                parent[("c", t, j, k)] = ("c", t, j, k)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def segment_cell(slot, q):
+        # segment q of a side spans points q-1..q; q ranges 0..w
+        t, i = slot
+        w = weights[tri.edge_index[tri.edge_at(slot)]]
+        if q < counts[(t, (i - 1) % 3)]:
+            return ("c", t, (i - 1) % 3, q)
+        if w - q < counts[(t, i)]:
+            return ("c", t, i, w - q)
+        return ("z", t)
+
+    segments = []
+    for s, p in tri.gluing_pairs():
+        w = weights[tri.edge_index[tri.edge_at(s)]]
+        for q in range(w + 1):
+            c1, c2 = segment_cell(s, q), segment_cell(p, w - q)
+            r1, r2 = find(c1), find(c2)
+            if r1 != r2:
+                parent[r1] = r2
+            segments.append(c1)
+    roots = sorted({find(cell) for cell in parent})
+    cell_piece = {cell: roots.index(find(cell)) for cell in parent}
+
+    def corner_cell(t, j):
+        return ("c", t, j, 0) if counts[(t, j)] else ("z", t)
+
+    n = len(roots)
+    cells_in, segs_in = [0] * n, [0] * n
+    verts_in, punct_in, circles = [0] * n, [0] * n, [0] * n
+    for cell in parent:
+        cells_in[cell_piece[cell]] += 1
+    for cell in segments:
+        segs_in[cell_piece[cell]] += 1
+    for orbit in tri.vertex_orbits:
+        r = cell_piece[corner_cell(*orbit[0])]
+        if tri.ideal:
+            punct_in[r] += 1
+        else:
+            verts_in[r] += 1
+    # each component is a boundary circle of the pieces on its two sides,
+    # read at its least arc
+    seen = set()
+    for (t, j, k), comp in sorted(arc_component.items()):
+        if comp in seen:
+            continue
+        seen.add(comp)
+        outer = ("c", t, j, k + 1) if k + 1 < counts[(t, j)] else ("z", t)
+        circles[cell_piece[("c", t, j, k)]] += 1
+        circles[cell_piece[outer]] += 1
+    pieces = tuple(CutPiece(cells_in[r] - segs_in[r] + verts_in[r],
+                            circles[r], punct_in[r], verts_in[r] > 0)
+                   for r in range(n))
+    return pieces, cell_piece
+
+
+def reference_cell_of(coords, d):
+    """The cell of the reference cut along the system `coords` that holds
+    the curve `d` (CutResult.piece_containing): trace the union of the two,
+    and read the cell below the least arc of d's component, which has only
+    system arcs below it at its corner.  Raises InvalidCurveError with the
+    package's messages."""
+    from curvetwist import InvalidCurveError, validate
+    tri = coords.host
+    system = tuple(vec for vec, mult in validate(coords) for _ in range(mult))
+    d_comps = [vec for vec, mult in validate(d) for _ in range(mult)]
+    total = [x + y for x, y in zip(coords.weights, d.weights)]
+    try:
+        comps, arc_component = reference_trace(tri, total)
+    except InvalidCurveError:
+        comps = None
+    if comps is None or list(comps) != sorted(system + tuple(d_comps)):
+        raise InvalidCurveError("curve is not disjoint from the system")
+    if len(d_comps) != 1:
+        raise InvalidCurveError("piece location expects a single curve")
+    if d_comps[0] in system:
+        raise InvalidCurveError("curve is parallel to a system component")
+    t, j, k = min(arc for arc, comp in arc_component.items()
+                  if comps[comp] == d_comps[0])
+    if k < _cut_counts(tri, coords.weights)[(t, j)]:
+        return ("c", t, j, k)
+    return ("z", t)
+
+
 # -- curve-system questions, each answered from validate alone -----------------
 #
 # The package answers "is this family a disjoint multicurve?" and "which
@@ -515,11 +636,11 @@ def reference_disjoint(tri, parts):
 def reference_curves_in_piece(joint, piece, cap):
     """The completion's candidate filter: enumerated essential curves that
     are parallel to no component of `joint`, disjoint from it, and placed
-    in `piece` by piece_containing, in enumeration order."""
-    from curvetwist import (MulticurveCoords, cut_along,
-                            enumerate_single_curves, validate)
+    in `piece` by the reference cut, in enumeration order."""
+    from curvetwist import (MulticurveCoords, enumerate_single_curves,
+                            validate)
     tri = joint.host
-    cut = cut_along(joint)
+    cell_piece = reference_cut(joint)[1]
     existing = {vec for vec, _ in validate(joint)}
     out = []
     for vec in enumerate_single_curves(tri, cap):
@@ -528,7 +649,7 @@ def reference_curves_in_piece(joint, piece, cap):
         c = MulticurveCoords(tri, vec)
         if not reference_disjoint(tri, [joint, c]):
             continue
-        if cut.piece_containing(c) != piece:
+        if cell_piece[reference_cell_of(joint, c)] != piece:
             continue
         out.append(c)
     return out

@@ -2,18 +2,21 @@
 Differential tests of the two curve-system questions against the filters
 they replaced (tests/oracles.py): which enumerated curves lie in a piece of
 a cut (CutResult.curves_in_piece), and whether a family is an independent
-multicurve (check_independent, also behind invariant_multicurve_search).
+multicurve (check_independent, also behind invariant_multicurve_search);
+and of the cut itself (pieces in order, piece_containing) against the
+tuple-keyed cut it replaced (reference_cut).
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from curvetwist import (MulticurveCoords, CurveSystem, Encoding, Relabel,
-                        automorphisms, build_surface, check_independent,
-                        cut_along, disjoint_union_matches,
-                        enumerate_single_curves, invariant_multicurve_search,
-                        twist)
+from curvetwist import (MulticurveCoords, CurveSystem, Encoding,
+                        InvalidCurveError, Relabel, automorphisms,
+                        build_surface, check_independent, cut_along,
+                        disjoint_union_matches, enumerate_single_curves,
+                        invariant_multicurve_search, standard_curves, twist)
 
-from oracles import (reference_check_independent, reference_curves_in_piece,
+from oracles import (reference_cell_of, reference_check_independent,
+                     reference_curves_in_piece, reference_cut,
                      reference_invariant_multicurve_search)
 
 
@@ -50,6 +53,60 @@ def test_curves_in_piece_matches_the_reference_filter(system, cap):
     for piece in range(len(cut.pieces)):
         assert cut.curves_in_piece(piece, cap) == \
             reference_curves_in_piece(joint, piece, cap)
+
+
+@st.composite
+def cut_systems(draw):
+    """A multicurve to cut along: the sum of one to three enumerated curves
+    (always realizable, though its components need not be the summands),
+    sometimes moved by a random twist word."""
+    tri = draw(st.sampled_from(MODELS))
+    curves = _curves(tri)
+    parts = draw(st.lists(st.sampled_from(curves), min_size=1, max_size=3))
+    coords = MulticurveCoords(tri, map(sum, zip(*(c.weights for c in parts))))
+    for _ in range(draw(st.integers(0, 2))):
+        coords = twist(draw(st.sampled_from(curves)),
+                       draw(st.sampled_from([-1, 1]))).act(coords)
+    return coords
+
+
+def _located(locate, d):
+    try:
+        return locate(d)
+    except InvalidCurveError as e:
+        return str(e)
+
+
+def _assert_cut_matches_the_reference(coords, cap, located=40):
+    """Pieces in order, the piece of each of the first `located` enumerated
+    curves (or the fault it names), and every piece's candidates."""
+    cut = cut_along(coords)
+    pieces, cell_piece = reference_cut(coords)
+    assert cut.pieces == pieces
+    for d in _curves(coords.host, 8)[:located]:
+        assert _located(cut.piece_containing, d) == _located(
+            lambda d: cell_piece[reference_cell_of(coords, d)], d)
+    for piece in range(len(pieces)):
+        assert cut.curves_in_piece(piece, cap) == \
+            reference_curves_in_piece(coords, piece, cap)
+
+
+@SETTINGS
+@given(cut_systems(), st.integers(4, 8))
+def test_cut_matches_the_tuple_keyed_reference(coords, cap):
+    _assert_cut_matches_the_reference(coords, cap)
+
+
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 4))
+@example(10 ** 4)
+def test_cut_matches_the_reference_on_heavy_twists(n):
+    """T_a^n(b) on S(1,1), one strand of about 2n arcs, cut into a pants;
+    each curve located costs two arc-level traces of that weight."""
+    named = standard_curves(MODELS[0])
+    _assert_cut_matches_the_reference(twist(named["a"], n).act(named["b"]),
+                                      4, located=6)
 
 
 @st.composite

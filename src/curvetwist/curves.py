@@ -341,7 +341,10 @@ class CutResult:
     """The decomposition of the host along a multicurve.
 
     Exposes the pieces plus enough cell bookkeeping to locate a disjoint
-    curve inside one of the pieces.
+    curve inside one of the pieces.  The cells of the cut are numbered like
+    the arcs (see _Strands): cell first[c] + k lies between arcs k-1 and k
+    of corner c (k = 0 holds the corner), and cell first[-1] + t is the
+    centre of triangle t.  Pieces are listed by their least union-find root.
     """
 
     def __init__(self, coords):
@@ -349,99 +352,73 @@ class CutResult:
         self._tri = tri
         self._coords = coords
         strands = _Strands(tri, coords.weights)
+        comps, arc_component = strands.trace()
+        self._components = comps
+        self._placed = {}       # see curves_in_piece
+        self._first = first = strands.first
         counts = strands.counts
-        self._counts = counts
-        first = strands.first
+        z = first[-1]
 
-        # cells: ('c', t, j, k) between arcs k-1 and k at corner j (k=0 holds
-        # the corner itself); ('z', t) is the central cell of triangle t.
-        parent = {}
-        for t in range(tri.num_triangles):
-            parent[("z", t)] = ("z", t)
-            for j in range(3):
-                for k in range(counts[3 * t + j]):
-                    parent[("c", t, j, k)] = ("c", t, j, k)
+        # segment q of side s (q = 0..w) spans its points q-1..q: the cells
+        # at the corner where s starts, the centre, then those at its end;
+        # the partner side p reads the same segments from its far end
+        near, far = [], []
+        for (t, i), (u, l) in tri.gluing_pairs():
+            s, p = 3 * t + i, 3 * u + l
+            a, b = s - i + (i - 1) % 3, p - l + (l - 1) % 3
+            near += range(first[a], first[a] + counts[a])
+            near.append(z + t)
+            near += range(first[s] + counts[s] - 1, first[s] - 1, -1)
+            far += range(first[p], first[p] + counts[p])
+            far.append(z + u)
+            far += range(first[b] + counts[b] - 1, first[b] - 1, -1)
+        parent = list(range(z + tri.num_triangles))
+        for x, y in zip(near, far):
+            _union(parent, x, y)
+        roots = [_find(parent, x) for x in range(len(parent))]
+        ids = {r: k for k, r in enumerate(sorted(set(roots)))}
+        self._region = region = list(map(ids.__getitem__, roots))
+        nregions = len(ids)
 
-        def segment_cell(slot, q):
-            # segment q of a side spans points q-1..q; q ranges 0..w
-            t, i = slot
-            w = strands.side[3 * t + i]
-            n_start = counts[3 * t + (i - 1) % 3]
-            n_end = counts[3 * t + i]
-            if q < n_start:
-                return ("c", t, (i - 1) % 3, q)
-            if w - q < n_end:
-                return ("c", t, i, w - q)
-            return ("z", t)
-
-        seg_pairs = []
-        for s, p in tri.gluing_pairs():
-            w = strands.side[3 * s[0] + s[1]]
-            for q in range(w + 1):
-                c1 = segment_cell(s, q)
-                c2 = segment_cell(p, w - q)
-                _union(parent, c1, c2)
-                seg_pairs.append((c1, q, s))
-
-        def corner_cell(t, j):
-            if counts[3 * t + j] > 0:
-                return ("c", t, j, 0)
-            return ("z", t)
-
-        root = {cell: _find(parent, cell) for cell in parent}
-        region_ids = {r: i for i, r in enumerate(sorted(set(root.values())))}
-        self._cell_region = {cell: region_ids[root[cell]] for cell in parent}
-        nregions = len(region_ids)
-
-        cells_in = [0] * nregions
-        for cell in parent:
-            cells_in[self._cell_region[cell]] += 1
-        segs_in = [0] * nregions
-        for c1, _, _ in seg_pairs:
-            segs_in[self._cell_region[c1]] += 1
-
+        cells_in = Counter(region)
+        segs_in = Counter(map(region.__getitem__, near))
         verts_in = [0] * nregions
         punct_in = [0] * nregions
         for orbit in tri.vertex_orbits:
             t, j = orbit[0]
-            r = self._cell_region[corner_cell(t, j)]
+            r = region[self._cell(3 * t + j, 0)]
             if tri.ideal:
                 punct_in[r] += 1
             else:
                 verts_in[r] += 1
 
-        comps, arc_component = strands.trace()
-        self._components = comps
-        self._placed = {}       # see curves_in_piece
         circles = [0] * nregions
         # the least arc of each component, from either side of which a
-        # cell of each adjacent piece is read
+        # cell of each adjacent piece is read: arc a has cell a on its
+        # corner side
         least = dict(zip(reversed(arc_component),
                          range(len(arc_component) - 1, -1, -1)))
         for a in least.values():
             c = bisect_right(first, a) - 1
-            t, j = divmod(c, 3)
-            k = a - first[c]
-            inner = ("c", t, j, k)
-            outer = ("c", t, j, k + 1) if k + 1 < counts[c] else ("z", t)
-            circles[self._cell_region[inner]] += 1
-            circles[self._cell_region[outer]] += 1
+            circles[region[a]] += 1
+            circles[region[self._cell(c, a - first[c] + 1)]] += 1
 
-        pieces = []
-        for r in range(nregions):
-            # punctures are ideal vertices and never enter the cell count,
-            # which is exactly the compactly supported convention
-            chi = cells_in[r] - segs_in[r] + verts_in[r]
-            pieces.append(CutPiece(chi, circles[r], punct_in[r],
-                                   verts_in[r] > 0))
-        self._pieces = tuple(pieces)
+        # punctures are ideal vertices and never enter the cell count, which
+        # is exactly the compactly supported convention
+        self._pieces = tuple(
+            CutPiece(cells_in[r] - segs_in[r] + verts_in[r], circles[r],
+                     punct_in[r], verts_in[r] > 0) for r in range(nregions))
+
+    def _cell(self, c, k):
+        """The cell between arcs k-1 and k of corner c, k <= its arcs."""
+        first = self._first
+        if first[c] + k < first[c + 1]:
+            return first[c] + k
+        return first[-1] + c // 3
 
     @property
     def pieces(self):
         return self._pieces
-
-    def piece_of_cell(self, cell):
-        return self._cell_region[cell]
 
     def piece_containing(self, d_coords):
         """The piece index holding a single curve disjoint from the cut
@@ -469,15 +446,12 @@ class CutResult:
 
     def _piece_of(self, d_vec, first, comps, arc_component):
         """The cut piece holding the component d_vec, parallel to no system
-        component, of a traced union: the first d-arc (t, j, k) has only
-        system arcs below it at its corner, so it lies in the cut cell
-        between the system's arcs k-1 and k there."""
+        component, of a traced union: the first d-arc, k-th at its corner c,
+        has only system arcs below it there, so it lies in the cut cell
+        between the system's arcs k-1 and k at c."""
         a = arc_component.index(comps.index(d_vec))
         c = bisect_right(first, a) - 1
-        t, j = divmod(c, 3)
-        k = a - first[c]
-        cell = ("c", t, j, k) if k < self._counts[c] else ("z", t)
-        return self._cell_region[cell]
+        return self._region[self._cell(c, a - first[c])]
 
     def curves_in_piece(self, piece, max_total):
         """The essential single curves of weight <= max_total lying in piece

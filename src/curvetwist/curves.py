@@ -71,9 +71,6 @@ class MulticurveCoords:
     def total_weight(self):
         return sum(self.weights)
 
-    def is_empty(self):
-        return all(x == 0 for x in self.weights)
-
     def __eq__(self, other):
         return (isinstance(other, MulticurveCoords)
                 and self.host == other.host

@@ -615,6 +615,8 @@ def parse_twist_word(word, curves):
     the identity.  The factors' programs are joined by one _chain, so the
     cost is linear in the length of the word.
     """
+    if not isinstance(word, str):
+        raise EncodingError("twist word %r is not a string" % (word,))
     tokens = [t for t in word.replace("*", " ").split() if t]
     if not curves:
         raise EncodingError("no named curves available for twist words")

@@ -41,10 +41,6 @@ class TopologyError(ValueError):
     """Raised for invalid gluing data or an inapplicable move."""
 
 
-def _other(pair, x):
-    return pair[1] if pair[0] == x else pair[0]
-
-
 def _find(parent, x):
     """The root of x in the union-find forest `parent`, halving the path."""
     while parent[x] != x:

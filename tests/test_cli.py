@@ -383,3 +383,11 @@ def test_word_exponents_must_be_integers(tmp_path, word):
     path = _workspace(tmp_path, maps={"f": {"word": word}})
     proc = run_cli("map", "act", path, "f", "a")
     assert_one_line_error(proc, "map 'f': bad exponent in %r" % word)
+
+
+@pytest.mark.parametrize("word", [7, ["T(a)", "T(b)"]], ids=["int", "list"])
+def test_a_twist_word_must_be_a_string(tmp_path, word):
+    path = _workspace(tmp_path, maps={"f": {"word": word}})
+    proc = run_cli("surface", "info", path)
+    assert_one_line_error(proc, "map 'f': twist word %r is not a string"
+                          % (word,))

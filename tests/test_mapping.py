@@ -14,6 +14,7 @@ the standard two-twist pseudo-Anosov pair.
 """
 
 import json
+import re
 
 import pytest
 
@@ -321,6 +322,14 @@ def test_parse_rejects_unknown_names_and_bad_exponents(ab):
         parse_twist_word("T(zz)", curves)
     with pytest.raises(EncodingError):
         parse_twist_word("T(a)^x", curves)
+
+
+@pytest.mark.parametrize("word", [7, ["T(a)"], None])
+def test_parse_rejects_a_word_that_is_not_a_string(ab, word):
+    a, b = ab
+    with pytest.raises(EncodingError, match="twist word %s is not a string"
+                       % re.escape(repr(word))):
+        parse_twist_word(word, {"a": a, "b": b})
 
 
 def test_empty_word_is_identity(ab):

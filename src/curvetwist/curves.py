@@ -341,7 +341,7 @@ class CutResult:
     curve inside one of the pieces.  The cells of the cut are numbered like
     the arcs (see _Strands): cell first[c] + k lies between arcs k-1 and k
     of corner c (k = 0 holds the corner), and cell first[-1] + t is the
-    centre of triangle t.  Pieces are listed by their least union-find root.
+    centre of triangle t.  Pieces are listed in the order of their roots.
     """
 
     def __init__(self, coords):
@@ -369,6 +369,8 @@ class CutResult:
             far += range(first[p], first[p] + counts[p])
             far.append(z + u)
             far += range(first[b] + counts[b] - 1, first[b] - 1, -1)
+        # the pieces are listed by root, so the roots must not depend on
+        # anything but these unions, in this order, near root under far
         parent = list(range(z + tri.num_triangles))
         for x, y in zip(near, far):
             _union(parent, x, y)

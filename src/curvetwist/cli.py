@@ -100,8 +100,11 @@ def load_workspace(path):
     except (TopologyError, ValueError) as e:
         raise WorkspaceError("unsupported surface: %s" % e)
 
+    for field in ("curves", "maps"):
+        if not isinstance(doc.get(field, {}), dict):
+            raise WorkspaceError('"%s" must be an object' % field)
     curves = {}
-    for name, cdoc in (doc.get("curves") or {}).items():
+    for name, cdoc in doc.get("curves", {}).items():
         if not isinstance(cdoc, dict) or "weights" not in cdoc:
             raise WorkspaceError('curve %r needs a "weights" list' % name)
         try:
@@ -110,7 +113,7 @@ def load_workspace(path):
             raise WorkspaceError("curve %r: %s" % (name, e))
 
     maps = {}
-    for name, mdoc in (doc.get("maps") or {}).items():
+    for name, mdoc in doc.get("maps", {}).items():
         if not isinstance(mdoc, dict):
             raise WorkspaceError("map %r must be an object" % name)
         try:
@@ -134,10 +137,12 @@ def load_workspace(path):
             raise WorkspaceError(
                 'system needs "components" (a list of curve names) and '
                 '"map" (a map name)')
-        for n in system["components"]:
+        for k, n in enumerate(system["components"]):
             if n not in curves:
                 raise WorkspaceError("system component %r is not a curve"
                                      % n)
+            if n in system["components"][:k]:
+                raise WorkspaceError("system component %r is repeated" % n)
         if system["map"] not in maps:
             raise WorkspaceError("system map %r is not a map"
                                  % system["map"])

@@ -93,20 +93,13 @@ class _Strands:
     """
 
     def __init__(self, tri, weights):
-        n = tri.num_triangles
-        # a gluing is an involution on its domain, so 3T glued slots is
-        # every slot
-        if len(tri._gluing) != 3 * n:
-            raise InvalidCurveError(
-                "host has boundary slots; normal curves need a fully "
-                "glued triangulation")
         self.tri = tri
         self.weights = tuple(weights)
         idx = tri.edge_index
         self.side = side = [self.weights[idx[lab]]
                             for sides in tri.triangles for lab in sides]
         self.counts = counts = []
-        for t in range(n):
+        for t in range(tri.num_triangles):
             w = tuple(side[3 * t:3 * t + 3])
             half, odd = divmod(w[0] + w[1] + w[2], 2)
             if odd:
@@ -135,18 +128,14 @@ class _Strands:
         """
         tri, first, counts = self.tri, self.first, self.counts
         near, far = [], []
-        for (t, i), (u, l) in tri._gluing.items():
-            s, p = 3 * t + i, 3 * u + l
+        for s, p in enumerate(tri._glue):
             if s > p:
                 continue
-            a, b = s - i + (i - 1) % 3, p - l + (l - 1) % 3
-            # each of the edge's w points is met by one arc from each side
-            ends = (counts[a] + counts[s], counts[b] + counts[p])
-            if ends != (self.side[s],) * 2:
-                q = min(ends)
-                raise InvalidCurveError("point %r met by %d arcs" % (
-                    ((t, i), q), sum(q < e for e in ends)))
-            # point q of side s, and the same point w-1-q of side p
+            a, b = s - s % 3 + (s - 1) % 3, p - p % 3 + (p - 1) % 3
+            # point q of side s, and the same point w-1-q of side p: the
+            # counts of the corners at either end of a side add up to its
+            # weight, so each of the w points is met by one arc from each
+            # side
             near += range(first[a], first[a] + counts[a])
             near += range(first[s] + counts[s] - 1, first[s] - 1, -1)
             far += range(first[p], first[p] + counts[p])
@@ -217,7 +206,7 @@ def is_single_curve(coords):
 def _flipped_weight(coords, label, quad):
     """The weight of edge `label` after flipping it, given its quad."""
     w, idx = coords.weights, coords.host.edge_index
-    wa, wb, wc, wd = [w[idx[lab]] for lab in quad[4:]]
+    wa, wb, wc, wd = [w[idx[lab]] for lab in quad[2:]]
     return max(wa + wc, wb + wd) - w[idx[label]]
 
 
@@ -360,14 +349,15 @@ class CutResult:
         # at the corner where s starts, the centre, then those at its end;
         # the partner side p reads the same segments from its far end
         near, far = [], []
-        for (t, i), (u, l) in tri.gluing_pairs():
-            s, p = 3 * t + i, 3 * u + l
-            a, b = s - i + (i - 1) % 3, p - l + (l - 1) % 3
+        for s, p in enumerate(tri._glue):
+            if s > p:
+                continue
+            a, b = s - s % 3 + (s - 1) % 3, p - p % 3 + (p - 1) % 3
             near += range(first[a], first[a] + counts[a])
-            near.append(z + t)
+            near.append(z + s // 3)
             near += range(first[s] + counts[s] - 1, first[s] - 1, -1)
             far += range(first[p], first[p] + counts[p])
-            far.append(z + u)
+            far.append(z + p // 3)
             far += range(first[b] + counts[b] - 1, first[b] - 1, -1)
         # the pieces are listed by root, so the roots must not depend on
         # anything but these unions, in this order, near root under far
@@ -383,9 +373,11 @@ class CutResult:
         segs_in = Counter(map(region.__getitem__, near))
         verts_in = [0] * nregions
         punct_in = [0] * nregions
-        for orbit in tri.vertex_orbits:
-            t, j = orbit[0]
-            r = region[self._cell(3 * t + j, 0)]
+        # the end segments of each side join the corners across it, so
+        # all the corners of a vertex lie in one piece
+        vertex_region = {v: region[self._cell(c, 0)]
+                         for c, v in enumerate(tri._corner_vertex)}
+        for r in vertex_region.values():
             if tri.ideal:
                 punct_in[r] += 1
             else:
@@ -612,4 +604,8 @@ def coords_from_jsonable(tri, data):
         i = ints.index(None)
         raise InvalidCurveError("weight %d: %r is not an integer"
                                 % (i, weights[i]))
-    return MulticurveCoords(tri, ints, data.get("components"))
+    names = data.get("components")
+    if names is not None and not (isinstance(names, list) and all(
+            isinstance(x, str) for x in names)):
+        raise InvalidCurveError('"components" must be a list of names')
+    return MulticurveCoords(tri, ints, names)

@@ -137,9 +137,9 @@ def _compile(path, moves):
         if isinstance(mv, Flip):
             key = (cur, mv.label)
             if key not in quads:
-                t1, i1, t2, i2, *sides = cur.quad(mv.label)
+                s1, s2, *sides = cur.quad(mv.label)
                 quads[key] = ([idx[lab] for lab in [mv.label] + sides],
-                              (3 * t1 + i1, 3 * t2 + i2))
+                              (s1, s2))
             labs, (x, y) = quads[key]
             flips.append(tuple([pos[i] for i in labs]))
             anchors.append((at[x], at[y]))
@@ -150,8 +150,8 @@ def _compile(path, moves):
                 new[idx[img]] = pos[idx[lab]]
             pos = new
             new = at[:]
-            for (t, i), (u, j) in rel.slot_map.items():
-                new[3 * u + j] = at[3 * t + i]
+            for s, x in enumerate(rel._to):
+                new[x] = at[s]
             at = new
     return tuple(flips), tuple(anchors), tuple(pos), tuple(at)
 
@@ -462,7 +462,8 @@ def _twist_block(short_coords):
             if rl.edge_map == swap]
     if not sols:
         raise EncodingError("no closing relabel for the twist block")
-    sols.sort(key=lambda rl: sorted(rl.slot_map.items()))
+    # the least slot map, read slot by slot
+    sols.sort(key=lambda rl: rl._to)
     return Encoding(tri, [Flip(p), Relabel(sols[0])])
 
 

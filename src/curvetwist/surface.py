@@ -4,14 +4,16 @@ Triangulated oriented surfaces as gluings of labelled triangles.
 A triangulation is a list of triangles, each a triple of *slots*.  The slot
 (t, i) is side i of triangle t, with sides listed in counterclockwise order,
 so the cyclic order of the triple is the orientation.  Two slots glued to one
-another form an edge; the gluing is a fixed-point-free involution on the set
-of glued slots.  Because gluing two ccw sides automatically identifies them
-with opposite boundary orientations, every complex this class can represent
-is an oriented surface - orientability is structural, not checked.
+another form an edge; the gluing is a fixed-point-free involution on all
+slots, since every side is glued: a complex with an unglued slot is refused.
+Because gluing two ccw sides automatically identifies them with opposite
+boundary orientations, every complex this class can represent is an
+oriented surface - orientability is structural, not checked.  Inside the
+package slot (t, i) is numbered 3t + i, and the gluing is one tuple of 3T
+integers; (t, i) pairs appear only in the public accessors and the JSON.
 
 Each edge carries a stable integer label shared by its two slots; weights of
-normal curves live on these labels.  Slots left unglued are boundary sides.
-The standard models built here are always fully glued:
+normal curves live on these labels.  The standard models built here are:
 
 * closed genus g >= 2: a one-vertex triangulation of the 4g-gon with the
   classical side word, triangulated pi-symmetrically (one long diagonal and
@@ -34,7 +36,9 @@ flip geometry and finds relabelings through them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cached_property
+from itertools import chain
 
 
 class TopologyError(ValueError):
@@ -59,25 +63,28 @@ class Triangulation:
     """An oriented surface glued from labelled triangles.
 
     triangles: sequence of (e, e, e) edge labels, sides in ccw order.
-    gluing: mapping slot -> slot pairing the two sides of each edge;
-            an involution without fixed points on its domain.
+    gluing: mapping slot -> slot pairing the two sides of each edge; an
+            involution without fixed points on all 3T slots, since every
+            side is glued.
     ideal: True when every vertex is a puncture (an ideal triangulation).
+
+    Inside, slot (t, i) is numbered 3t + i and the gluing is one tuple
+    `_glue` of 3T integers: `_glue[s]` is the slot glued to slot s.
     """
 
     def __init__(self, triangles, gluing, ideal=False):
         self._triangles = tuple(tuple(t) for t in triangles)
-        self._gluing = dict(gluing)
         self._ideal = bool(ideal)
-        self._check()
+        self._check(dict(gluing))
 
     @classmethod
-    def _unchecked(cls, triangles, gluing, like):
+    def _unchecked(cls, triangles, glue, like):
         """A triangulation the package derived from a valid one (`like`)
         without changing its edge labels: skips _check and reuses the
         label tables."""
         tri = cls.__new__(cls)
         tri._triangles = triangles
-        tri._gluing = gluing
+        tri._glue = glue
         tri._ideal = like._ideal
         tri.edge_labels = like.edge_labels
         tri.edge_index = like.edge_index
@@ -85,7 +92,8 @@ class Triangulation:
 
     # -- construction-time validation ------------------------------------
 
-    def _check(self):
+    def _check(self, gluing):
+        """Validate the complex and store `gluing` as `_glue`."""
         n = len(self._triangles)
         if n == 0:
             raise TopologyError("empty triangulation")
@@ -95,32 +103,29 @@ class Triangulation:
             for e in t:
                 if not isinstance(e, int) or e < 0:
                     raise TopologyError("edge labels must be non-negative ints")
-        slots = {(t, i) for t in range(n) for i in range(3)}
-        seen_labels = {}
-        for s, p in self._gluing.items():
-            if s not in slots or p not in slots:
-                raise TopologyError("gluing mentions unknown slot")
+        slots = [(t, i) for t in range(n) for i in range(3)]
+        if not set(gluing).union(gluing.values()) <= set(slots):
+            raise TopologyError("gluing mentions unknown slot")
+        for s in slots:
+            if s not in gluing:
+                raise TopologyError("slot %r is unglued; every side must be "
+                                    "glued" % (s,))
+        self._glue = glue = tuple(3 * t + i for t, i in map(gluing.get, slots))
+        side = list(chain.from_iterable(self._triangles))
+        for s, p in enumerate(glue):
             if s == p:
                 raise TopologyError("slot glued to itself")
-            if self._gluing.get(p) != s:
+            if glue[p] != s:
                 raise TopologyError("gluing is not an involution")
-            if self.edge_at(s) != self.edge_at(p):
+            if side[s] != side[p]:
                 raise TopologyError(
-                    "glued slots %r and %r carry different edge labels" % (s, p))
-        # each label is carried by exactly one slot pair (or one boundary slot)
-        for s in slots:
-            lab = self.edge_at(s)
-            seen_labels.setdefault(lab, []).append(s)
-        for lab, carrier in seen_labels.items():
-            if len(carrier) == 2:
-                a, b = carrier
-                if self._gluing.get(a) != b:
-                    raise TopologyError("label %d used by unglued slot pair" % lab)
-            elif len(carrier) == 1:
-                if carrier[0] in self._gluing:
-                    raise TopologyError("label %d glued to a third slot" % lab)
-            else:
-                raise TopologyError("label %d carried by %d slots" % (lab, len(carrier)))
+                    "glued slots %r and %r carry different edge labels"
+                    % (slots[s], slots[p]))
+        # glued slots share a label, so a label on exactly two slots is on
+        # one glued pair
+        for lab, k in Counter(side).items():
+            if k != 2:
+                raise TopologyError("label %d carried by %d slots" % (lab, k))
         if not self._connected():
             raise TopologyError("triangulation is not connected")
         if self.euler_characteristic >= 0:
@@ -129,17 +134,15 @@ class Triangulation:
                 % self.euler_characteristic)
 
     def _connected(self):
-        n = len(self._triangles)
         seen = {0}
         todo = [0]
         while todo:
             t = todo.pop()
-            for i in range(3):
-                p = self._gluing.get((t, i))
-                if p is not None and p[0] not in seen:
-                    seen.add(p[0])
-                    todo.append(p[0])
-        return len(seen) == n
+            for p in self._glue[3 * t:3 * t + 3]:
+                if p // 3 not in seen:
+                    seen.add(p // 3)
+                    todo.append(p // 3)
+        return len(seen) == len(self._triangles)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -160,12 +163,14 @@ class Triangulation:
         return self._triangles[t][i]
 
     def glued(self, slot):
-        """The partner slot, or None for a boundary side."""
-        return self._gluing.get(slot)
+        """The partner slot."""
+        t, i = slot
+        return divmod(self._glue[3 * t + i], 3)
 
     def gluing_pairs(self):
-        """Sorted list of slot pairs, one per interior edge."""
-        return sorted({tuple(sorted((s, p))) for s, p in self._gluing.items()})
+        """Sorted list of slot pairs, one per edge."""
+        return [(divmod(s, 3), divmod(p, 3))
+                for s, p in enumerate(self._glue) if s < p]
 
     @cached_property
     def edge_labels(self):
@@ -183,19 +188,21 @@ class Triangulation:
         return len(self.edge_labels)
 
     def quad(self, label):
-        """(t1, i1, t2, i2, a, b, c, d): the edge's slots (t1, i1) < (t2, i2),
+        """(s1, s2, a, b, c, d): the edge's slots s1 < s2, numbered 3t + i,
         then the labels of its flip quadrilateral, read ccw from the edge in
-        triangle t1 (a, b) and t2 (c, d), as drawn in `flip`.  None when the
-        edge is a boundary side or has both sides on one triangle."""
-        slots = [(t, i) for t, sides in enumerate(self._triangles)
-                 for i in range(3) if sides[i] == label]
-        if not slots:
+        the triangle of s1 (a, b) and of s2 (c, d), as drawn in `flip`.
+        None when the edge has both sides on one triangle."""
+        for s1, lab in enumerate(chain.from_iterable(self._triangles)):
+            if lab == label:
+                break
+        else:
             raise TopologyError("no edge labelled %r" % (label,))
-        if len(slots) != 2 or slots[0][0] == slots[1][0]:
+        s2 = self._glue[s1]
+        if s1 // 3 == s2 // 3:
             return None
-        (t1, i1), (t2, i2) = slots
+        (t1, i1), (t2, i2) = divmod(s1, 3), divmod(s2, 3)
         x, y = self._triangles[t1], self._triangles[t2]
-        return (t1, i1, t2, i2, x[(i1 + 1) % 3], x[(i1 + 2) % 3],
+        return (s1, s2, x[(i1 + 1) % 3], x[(i1 + 2) % 3],
                 y[(i2 + 1) % 3], y[(i2 + 2) % 3])
 
     def is_flippable(self, label):
@@ -204,34 +211,36 @@ class Triangulation:
     # -- vertices ----------------------------------------------------------
 
     @cached_property
-    def vertex_orbits(self):
-        """Corners grouped by the vertex they sit at.
+    def _corner_vertex(self):
+        """Per corner 3t + j, the number of the vertex it sits at, the
+        vertices numbered in the order of their least corners.
 
-        Corner (t, j) lies between sides j and j+1 of triangle t (side i runs
-        from corner i-1 to corner i).  Crossing a glued side identifies the
-        corner at its start with the corner at the far side's end, which is
-        what the two unions below encode.
+        Corner 3t + j lies between sides j and j+1 of triangle t (side i
+        runs from corner i-1 to corner i, so corner s ends slot s).  Slot s
+        and its partner run in opposite directions, so the corner where s
+        starts is the corner where its partner ends; one union per slot
+        identifies every corner of a vertex.
         """
-        n = self.num_triangles
-        parent = {(t, j): (t, j) for t in range(n) for j in range(3)}
-        for t in range(n):
-            for j in range(3):
-                p = self._gluing.get((t, (j + 1) % 3))
-                if p is not None:
-                    pt, pi = p
-                    _union(parent, (t, j), (pt, pi))
-                p = self._gluing.get((t, j))
-                if p is not None:
-                    pt, pi = p
-                    _union(parent, (t, j), (pt, (pi - 1) % 3))
-        groups = {}
-        for c in parent:
-            groups.setdefault(_find(parent, c), []).append(c)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        glue = self._glue
+        parent = list(range(len(glue)))
+        for s, p in enumerate(glue):
+            _union(parent, s - s % 3 + (s - 1) % 3, p)
+        ids = {}
+        return tuple([ids.setdefault(_find(parent, c), len(ids))
+                      for c in range(len(glue))])
+
+    @property
+    def vertex_orbits(self):
+        """Corners (t, j) grouped by the vertex they sit at, each orbit
+        sorted and the orbits in the order of their least corners."""
+        orbits = [[] for _ in range(self.num_vertices)]
+        for c, v in enumerate(self._corner_vertex):
+            orbits[v].append(divmod(c, 3))
+        return tuple(map(tuple, orbits))
 
     @property
     def num_vertices(self):
-        return len(self.vertex_orbits)
+        return max(self._corner_vertex) + 1
 
     @cached_property
     def euler_characteristic(self):
@@ -255,28 +264,13 @@ class Triangulation:
         curve.  These are exactly the inessential normal curves on the
         standard models.
         """
-        ends = {lab: [] for lab in self.edge_labels}
-        corner_vertex = {}
-        for k, orbit in enumerate(self.vertex_orbits):
-            for c in orbit:
-                corner_vertex[c] = k
-        for s, p in self._gluing.items():
-            if s < p:
-                t, i = s
-                lab = self.edge_at(s)
-                # side i runs corner i-1 -> corner i
-                ends[lab].append(corner_vertex[(t, (i - 1) % 3)])
-                ends[lab].append(corner_vertex[(t, i)])
-        for t in range(self.num_triangles):
-            for i in range(3):
-                if (t, i) not in self._gluing:
-                    lab = self.edge_at((t, i))
-                    ends[lab].append(corner_vertex[(t, (i - 1) % 3)])
-                    ends[lab].append(corner_vertex[(t, i)])
-        links = []
-        for k in range(self.num_vertices):
-            links.append(tuple(ends[lab].count(k) for lab in self.edge_labels))
-        return tuple(links)
+        idx = self.edge_index
+        links = [[0] * self.num_edges for _ in range(self.num_vertices)]
+        # the two ends of an edge are the corners where its two slots end
+        for v, lab in zip(self._corner_vertex,
+                          chain.from_iterable(self._triangles)):
+            links[v][idx[lab]] += 1
+        return tuple(map(tuple, links))
 
     # -- equality / hashing -------------------------------------------------
 
@@ -286,12 +280,11 @@ class Triangulation:
         return (isinstance(other, Triangulation)
                 and self._ideal == other._ideal
                 and self._triangles == other._triangles
-                and self._gluing == other._gluing)
+                and self._glue == other._glue)
 
     @cached_property
     def _hash(self):
-        return hash((self._ideal, self._triangles,
-                     frozenset(self._gluing.items())))
+        return hash((self._ideal, self._triangles, self._glue))
 
     def __hash__(self):
         return self._hash
@@ -311,8 +304,8 @@ class Triangulation:
         order from triangle t read from side r; a triangle discovered
         through a slot gets the rotation that puts that slot at position 0.
         Its form lists, for each canonical slot in turn, the canonical
-        address (triangle, position) of the partner slot, or (-1, -1) on
-        a boundary side, so equal forms mean isomorphic complexes.  All 3T
+        address (triangle, position) of the partner slot (every slot is
+        glued), so equal forms mean isomorphic complexes.  All 3T
         roots advance together, one address at a time, and a root is
         dropped as soon as its address is larger than the least one read
         at that position; the survivors are the roots of the least form.
@@ -335,9 +328,7 @@ class Triangulation:
         and per triangle 3 * canonical number + rotation once reached, -1
         before.  A root whose address is larger than the least one at its
         position is dropped, so the rest of its form is never built."""
-        n = len(self._triangles)
-        partner = [self._gluing.get((t, i)) for t in range(n)
-                   for i in range(3)]
+        n, glue = len(self._triangles), self._glue
         live = []
         for t in range(n):
             for r in range(3):
@@ -350,21 +341,15 @@ class Triangulation:
             least, keep = None, []
             for root in live:
                 order, at = root
-                if k == len(order):
-                    raise TopologyError(
-                        "disconnected complex in canonical form")
+                # the complex is connected, so order reaches every triangle
                 t = order[k]
                 i = (at[t] + pos) % 3
-                p = partner[3 * t + i]
-                if p is None:
-                    tok = (-1, -1)
-                else:
-                    pt, pi = p
-                    c = at[pt]
-                    if c < 0:
-                        c = at[pt] = 3 * len(order) + pi
-                        order.append(pt)
-                    tok = (c // 3, (pi - c) % 3)
+                pt, pi = divmod(glue[3 * t + i], 3)
+                c = at[pt]
+                if c < 0:
+                    c = at[pt] = 3 * len(order) + pi
+                    order.append(pt)
+                tok = (c // 3, (pi - c) % 3)
                 if side_weights is not None:
                     tok += (side_weights[t][i],)
                 if least is None or tok < least:
@@ -387,54 +372,53 @@ class Triangulation:
 class Relabeling:
     """An orientation-preserving isomorphism between two triangulations.
 
-    Stored as a slot bijection; the induced edge bijection is derived and
-    checked for consistency.  Composition is (f * g)(x) = f(g(x)).
+    Stored as a slot bijection, `_to[s]` the image of slot s, both numbered
+    3t + i; `slot_map` is the same bijection on (t, i) pairs.  The induced
+    edge bijection is derived and checked for consistency.  Composition is
+    (f * g)(x) = f(g(x)).
     """
 
     def __init__(self, source, target, slot_map):
         self.source = source
         self.target = target
-        self.slot_map = dict(slot_map)
         if (source.num_triangles != target.num_triangles
                 or source.ideal != target.ideal):
             raise TopologyError("relabeling between incompatible complexes")
-        # checked before edge_at reads any slot, so a slot outside the
-        # complex, such as (-1, 0), is rejected instead of looked up
-        slots = {(t, i) for t in range(source.num_triangles) for i in range(3)}
-        if set(self.slot_map) != slots or set(self.slot_map.values()) != slots:
+        # checked before any slot is read, so a slot outside the complex,
+        # such as (-1, 0), is rejected instead of looked up
+        slot_map = dict(slot_map)
+        slots = [(t, i) for t in range(source.num_triangles) for i in range(3)]
+        if set(slot_map) != set(slots) or set(slot_map.values()) != set(slots):
             raise TopologyError("slot map is not a bijection on slots")
+        self._to = to = tuple(3 * u + j for u, j in map(slot_map.get, slots))
         self.edge_map = {}
-        for s, img in self.slot_map.items():
-            a = source.edge_at(s)
-            b = target.edge_at(img)
-            if self.edge_map.setdefault(a, b) != b:
+        dst = list(chain.from_iterable(target.triangles))
+        for a, x in zip(chain.from_iterable(source.triangles), to):
+            if self.edge_map.setdefault(a, dst[x]) != dst[x]:
                 raise TopologyError("slot map induces no edge bijection")
         if len(set(self.edge_map.values())) != len(self.edge_map):
             raise TopologyError("edge map is not injective")
-        for t in range(source.num_triangles):
+        for s in range(0, len(to), 3):
             # ccw order must be preserved: positions shift by a rotation
-            imgs = [self.slot_map[(t, i)] for i in range(3)]
-            if len({im[0] for im in imgs}) != 1:
+            if not to[s] // 3 == to[s + 1] // 3 == to[s + 2] // 3:
                 raise TopologyError("triangle split by slot map")
-            if [imgs[(k + 1) % 3][1] for k in range(3)] != [(imgs[k][1] + 1) % 3 for k in range(3)]:
+            if (to[s + 1] - to[s]) % 3 != 1 or (to[s + 2] - to[s]) % 3 != 2:
                 raise TopologyError("slot map reverses orientation")
-        for s in slots:
-            p = source.glued(s)
-            q = target.glued(self.slot_map[s])
-            if (p is None) != (q is None):
-                raise TopologyError("slot map breaks boundary structure")
-            if p is not None and self.slot_map[p] != q:
-                raise TopologyError("slot map does not commute with the gluing")
+        if any(to[p] != target._glue[x] for x, p in zip(to, source._glue)):
+            raise TopologyError("slot map does not commute with the gluing")
+
+    @property
+    def slot_map(self):
+        return {divmod(s, 3): divmod(x, 3) for s, x in enumerate(self._to)}
 
     def __eq__(self, other):
         return (isinstance(other, Relabeling)
                 and self.source == other.source
                 and self.target == other.target
-                and self.slot_map == other.slot_map)
+                and self._to == other._to)
 
     def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted(self.slot_map.items()))))
+        return hash((self.source, self.target, self._to))
 
     def inverse(self):
         return Relabeling(self.target, self.source,
@@ -486,8 +470,8 @@ def flip(tri, label):
     r"""Flip an interior edge: exchange the diagonal of its quadrilateral.
 
     The edge must have its two sides in distinct triangles (an edge inside a
-    once-glued cone has no quadrilateral and is rejected, as are boundary
-    sides).  With the quad drawn as below, the flipped edge keeps its label:
+    once-glued cone has no quadrilateral and is rejected).  With the quad
+    drawn as below, the flipped edge keeps its label:
 
         +--------a--------+          +--------a--------+
         |               / |          | \               |
@@ -508,7 +492,8 @@ def flip(tri, label):
 
 def _flip(tri, label, quad):
     """flip(tri, label), given tri.quad(label) (not None)."""
-    t1, i1, t2, i2, ea, eb, ec, ed = quad
+    s1, s2, ea, eb, ec, ed = quad
+    (t1, i1), (t2, i2) = divmod(s1, 3), divmod(s2, 3)
 
     # the two new faces keep the diagonal at sides i1 and i2
     new_triangles = list(tri.triangles)
@@ -516,16 +501,18 @@ def _flip(tri, label, quad):
     new_triangles[t2] = tuple((label, ed, ea)[(j - i2) % 3] for j in range(3))
 
     # each old side slot of the quad moves to the slot its ccw successor
-    # a -> d -> c -> b -> a held
-    sa, sb = (t1, (i1 + 1) % 3), (t1, (i1 + 2) % 3)
-    sc, sd = (t2, (i2 + 1) % 3), (t2, (i2 + 2) % 3)
+    # a -> d -> c -> b -> a held, and takes its partner along
+    sa, sb = s1 - i1 + (i1 + 1) % 3, s1 - i1 + (i1 + 2) % 3
+    sc, sd = s2 - i2 + (i2 + 1) % 3, s2 - i2 + (i2 + 2) % 3
     move = {sa: sd, sb: sa, sc: sb, sd: sc}
-    new_gluing = {}
-    for s, p in tri._gluing.items():
-        new_gluing[move.get(s, s)] = move.get(p, p)
+    glue = list(tri._glue)
+    for s, x in move.items():
+        p = tri._glue[s]
+        glue[x] = move.get(p, p)
+        glue[glue[x]] = x
     # flipping a flippable edge of a valid triangulation gives a valid one
     # with the same labels, so the result needs no re-check
-    return Triangulation._unchecked(tuple(new_triangles), new_gluing, tri)
+    return Triangulation._unchecked(tuple(new_triangles), tuple(glue), tri)
 
 
 # -- standard models ---------------------------------------------------------
@@ -608,8 +595,9 @@ def _subdivide(tri, t=0):
     faces = (t, f1, f2)
     move = {(t, 1): (f1, 0), (t, 2): (f2, 0)}
     gluing = {}
-    for s, p in tri._gluing.items():
+    for s, p in tri.gluing_pairs():
         gluing[move.get(s, s)] = move.get(p, p)
+        gluing[move.get(p, p)] = move.get(s, s)
     for i in range(3):
         a = (faces[i], 1)
         b = (faces[(i + 1) % 3], 2)

@@ -257,14 +257,14 @@ def reference_greedy_shorten(coords):
 # the order the package promises).
 
 def reference_quad(tri, label):
-    """(t1, i1, t2, i2, a, b, c, d) by scanning for the edge's slots, or
-    None when it is a boundary side or lies twice on one triangle."""
+    """(s1, s2, a, b, c, d) by scanning for the edge's slots, numbered
+    s = 3t + i, or None when the edge lies twice on one triangle."""
     slots = sorted((t, i) for t in range(tri.num_triangles) for i in range(3)
                    if tri.edge_at((t, i)) == label)
-    if len(slots) != 2 or slots[0][0] == slots[1][0]:
-        return None
     (t1, i1), (t2, i2) = slots
-    return (t1, i1, t2, i2,
+    if t1 == t2:
+        return None
+    return (3 * t1 + i1, 3 * t2 + i2,
             tri.edge_at((t1, (i1 + 1) % 3)), tri.edge_at((t1, (i1 + 2) % 3)),
             tri.edge_at((t2, (i2 + 1) % 3)), tri.edge_at((t2, (i2 + 2) % 3)))
 
@@ -295,12 +295,7 @@ def reference_relabelings(src, dst, edge_map=None):
                             edge_map.get(src.edge_at(sa)) != dst.edge_at(sb):
                         ok = False
                         break
-                    pa, pb = src.glued(sa), dst.glued(sb)
-                    if (pa is None) != (pb is None):
-                        ok = False
-                        break
-                    if pa is not None:
-                        stack.append((pa, pb))
+                    stack.append((src.glued(sa), dst.glued(sb)))
             if ok and len(m) == total and len(set(m.values())) == total:
                 sols.append(Relabeling(src, dst, m))
     return sols
@@ -310,8 +305,8 @@ def _reference_bfs_form(tri, start, rot, slot_weight=None):
     """The BFS form grown from one rooted corner, built in full: triangles
     numbered in discovery order, a triangle discovered through a slot
     rotated to put that slot at position 0, and per canonical slot the
-    canonical address of its partner, or (-1, -1), plus its weight when
-    `slot_weight` is given.  Returns (form, slot map to addresses)."""
+    canonical address of its partner, plus its weight when `slot_weight`
+    is given.  Returns (form, slot map to addresses)."""
     order = [start]
     rots = {start: rot}
     newid = {start: 0}
@@ -322,16 +317,12 @@ def _reference_bfs_form(tri, start, rot, slot_weight=None):
         r = rots[t]
         for pos in range(3):
             s = (t, (r + pos) % 3)
-            p = tri.glued(s)
-            if p is None:
-                tok = (-1, -1)
-            else:
-                pt, pi = p
-                if pt not in newid:
-                    newid[pt] = len(order)
-                    rots[pt] = pi
-                    order.append(pt)
-                tok = (newid[pt], (pi - rots[pt]) % 3)
+            pt, pi = tri.glued(s)
+            if pt not in newid:
+                newid[pt] = len(order)
+                rots[pt] = pi
+                order.append(pt)
+            tok = (newid[pt], (pi - rots[pt]) % 3)
             if slot_weight is not None:
                 tok = tok + (slot_weight(s),)
             tokens.append(tok)
@@ -393,6 +384,51 @@ def reference_automorphisms(tri):
     return out
 
 
+# -- vertices, corner by corner ------------------------------------------------
+#
+# The package numbers corners like slots and keeps one vertex number per
+# corner (Triangulation._corner_vertex).  The references below are the
+# tuple-keyed versions that replaced: corners (t, j), both identifications
+# across each side spelled out, and a dict union-find.
+
+def reference_vertex_orbits(tri):
+    """Corners (t, j) grouped by vertex, each orbit sorted, the orbits in
+    order.  Corner (t, j) lies between sides j and j+1 of triangle t (side
+    i runs from corner i-1 to corner i); crossing a side identifies the
+    corner at its start with the corner at the far side's end, and the
+    corner at its end with the corner at the far side's start."""
+    parent = {(t, j): (t, j) for t in range(tri.num_triangles)
+              for j in range(3)}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for t, j in list(parent):
+        pt, pi = tri.glued((t, (j + 1) % 3))
+        parent[find((t, j))] = find((pt, pi))
+        pt, pi = tri.glued((t, j))
+        parent[find((pt, (pi - 1) % 3))] = find((t, j))
+    groups = {}
+    for c in parent:
+        groups.setdefault(find(c), []).append(c)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+
+
+def reference_vertex_links(tri):
+    """Per vertex of reference_vertex_orbits, the number of ends of each
+    edge (in edge label order) at it."""
+    orbits = reference_vertex_orbits(tri)
+    vertex_of = {c: k for k, orbit in enumerate(orbits) for c in orbit}
+    ends = {lab: [] for lab in tri.edge_labels}
+    for (t, i), _ in tri.gluing_pairs():
+        ends[tri.edge_at((t, i))] += [vertex_of[(t, (i - 1) % 3)],
+                                     vertex_of[(t, i)]]
+    return tuple(tuple(ends[lab].count(k) for lab in tri.edge_labels)
+                 for k in range(len(orbits)))
+
+
 # -- strand tracing, arc by arc ----------------------------------------------
 #
 # The package numbers arcs and crossing points by integers and traces them
@@ -406,12 +442,6 @@ def reference_trace(tri, weights):
     vectors and, per arc (t, j, k), the index of its component.  Raises
     InvalidCurveError with the package's messages."""
     from curvetwist import InvalidCurveError
-    for t in range(tri.num_triangles):
-        for i in range(3):
-            if tri.glued((t, i)) is None:
-                raise InvalidCurveError(
-                    "host has boundary slots; normal curves need a fully "
-                    "glued triangulation")
 
     def slot_weight(slot):
         return weights[tri.edge_index[tri.edge_at(slot)]]
@@ -555,7 +585,7 @@ def reference_cut(coords):
         cells_in[cell_piece[cell]] += 1
     for cell in segments:
         segs_in[cell_piece[cell]] += 1
-    for orbit in tri.vertex_orbits:
+    for orbit in reference_vertex_orbits(tri):
         r = cell_piece[corner_cell(*orbit[0])]
         if tri.ideal:
             punct_in[r] += 1

@@ -290,6 +290,42 @@ def test_system_components_must_be_a_list_of_names(tmp_path, system):
     assert_one_line_error(run_cli("construct", "search", path), "system")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("curves", ["a"]), ("curves", []), ("curves", "a"), ("curves", None),
+    ("maps", ["f"]), ("maps", []), ("maps", 7),
+], ids=["curves-list", "curves-empty-list", "curves-string", "curves-null",
+        "maps-list", "maps-empty-list", "maps-int"])
+def test_curves_and_maps_must_be_objects(tmp_path, field, value):
+    path = _workspace(tmp_path, **{field: value})
+    assert_one_line_error(run_cli("surface", "info", path),
+                          '"%s" must be an object' % field)
+
+
+def test_a_repeated_system_component_is_refused(tmp_path):
+    path = _workspace(tmp_path, system={"components": ["a", "a"],
+                                        "map": "f"})
+    assert_one_line_error(run_cli("gamma", "build", path),
+                          "system component 'a' is repeated")
+
+
+@pytest.mark.parametrize("names", ["xy", [["x"]], [1], {"x": 1}],
+                         ids=["string", "nested-list", "int", "object"])
+def test_curve_component_names_must_be_a_list_of_names(tmp_path, names):
+    curves = dict(PUNCTURED_TORUS_WS["curves"],
+                  a={"weights": ["0", "1", "1"], "components": names})
+    path = _workspace(tmp_path, curves=curves)
+    assert_one_line_error(run_cli("construct", "maximalize", path),
+                          """curve 'a': "components" must be a list of names""")
+
+
+def test_curve_component_names_are_echoed(tmp_path):
+    curves = dict(PUNCTURED_TORUS_WS["curves"],
+                  a={"weights": ["0", "1", "1"], "components": ["x"]})
+    path = _workspace(tmp_path, curves=curves)
+    out = run_json("construct", "maximalize", path)
+    assert out["system"]["a"]["components"] == ["x"]
+
+
 def _serialized_twist():
     """The move list of T(a) on the punctured torus: one flip, then one
     relabeling."""
@@ -391,3 +427,13 @@ def test_a_twist_word_must_be_a_string(tmp_path, word):
     proc = run_cli("surface", "info", path)
     assert_one_line_error(proc, "map 'f': twist word %r is not a string"
                           % (word,))
+
+
+def test_a_relabel_target_with_an_unglued_slot_is_refused(tmp_path):
+    doc = _serialized_twist()
+    target = doc["moves"][1]["target"]
+    (a, _), *target["gluing"] = target["gluing"]
+    path = _workspace(tmp_path, maps={"f": doc})
+    proc = run_cli("map", "compose", path, "f")
+    assert_one_line_error(proc, 'map \'f\': move 1: "target": slot (%d, %d) '
+                                'is unglued' % tuple(a))

@@ -23,6 +23,8 @@ Frozen values and their independent derivations:
   holding the vertex and one vertex-free.
 """
 
+import json
+
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
@@ -34,7 +36,8 @@ from curvetwist import (InvalidCurveError, MulticurveCoords, validate,
                         enumerate_single_curves, standard_curves,
                         coords_to_jsonable, coords_from_jsonable,
                         build_surface, flip, automorphisms, twist,
-                        Triangulation)
+                        TopologyError, triangulation_to_json,
+                        triangulation_from_json)
 from curvetwist.curves import _Strands
 from oracles import flip_square_relabeling, reference_trace
 
@@ -342,7 +345,11 @@ def test_tracer_matches_the_reference_on_heavy_twists(n):
     assert got[0] == (weights,)
 
 
-def test_tracer_rejects_hosts_with_boundary_like_the_reference():
-    tri = Triangulation([(0, 1, 2), (0, 3, 4)],
-                        {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
-    assert _traced(tri, (0,) * 5) == _reference_traced(tri, (0,) * 5)
+def test_a_json_host_with_an_unglued_slot_is_refused(s11):
+    """The tracer reads every slot's partner, so a host with an unglued
+    slot is refused when it is read, before any curve can live on it."""
+    doc = json.loads(triangulation_to_json(s11))
+    (a, b), *doc["gluing"] = doc["gluing"]
+    with pytest.raises(TopologyError, match=r"^slot \(%d, %d\) is unglued"
+                                            % tuple(a)):
+        triangulation_from_json(json.dumps(doc))

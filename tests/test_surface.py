@@ -18,7 +18,8 @@ from curvetwist import (TopologyError, Triangulation, MulticurveCoords,
                         triangulation_to_json, triangulation_from_json)
 from oracles import (flip_square_relabeling, reference_quad,
                      reference_relabelings, reference_isomorphism,
-                     reference_automorphisms, reference_min_form_maps)
+                     reference_automorphisms, reference_min_form_maps,
+                     reference_vertex_orbits, reference_vertex_links)
 
 
 MODEL_STATS = {
@@ -166,16 +167,22 @@ def test_quad_matches_slot_arithmetic(tri):
         assert tri.is_flippable(lab) == (ref is not None)
 
 
-def test_quad_is_none_on_boundary_sides_and_rejects_unknown_labels():
-    # two ideal triangles glued along edge 0 only: edges 1..4 are boundary
-    tri = Triangulation([(0, 1, 2), (0, 3, 4)],
-                        {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
-    assert tri.quad(0) == (0, 0, 1, 0, 1, 2, 3, 4)
-    assert [tri.quad(lab) for lab in (1, 2, 3, 4)] == [None] * 4
-    with pytest.raises(TopologyError):
-        tri.quad(5)
-    with pytest.raises(TopologyError):
-        flip(tri, 1)
+def test_unglued_slots_are_refused():
+    # two ideal triangles glued along edge 0 only: the other sides of both
+    # triangles have no partner
+    with pytest.raises(TopologyError,
+                       match=r"^slot \(0, 1\) is unglued; every side must "
+                             r"be glued$"):
+        Triangulation([(0, 1, 2), (0, 3, 4)],
+                      {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
+
+
+def test_quad_rejects_unknown_labels(s11):
+    for lab in (3, -1, "a"):
+        with pytest.raises(TopologyError, match="no edge labelled"):
+            s11.quad(lab)
+        with pytest.raises(TopologyError, match="no edge labelled"):
+            flip(s11, lab)
 
 
 def test_quad_is_none_on_a_self_folded_edge():
@@ -185,6 +192,14 @@ def test_quad_is_none_on_a_self_folded_edge():
     assert tri.quad(5) is None and reference_quad(tri, 5) is None
     with pytest.raises(TopologyError):
         flip(tri, 5)
+
+
+@SETTINGS
+@given(flipped_models())
+def test_vertices_match_the_corner_by_corner_reference(tri):
+    assert tri.vertex_orbits == reference_vertex_orbits(tri)
+    assert tri.vertex_links() == reference_vertex_links(tri)
+    assert tri.num_vertices == len(reference_vertex_orbits(tri))
 
 
 @SETTINGS

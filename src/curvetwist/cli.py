@@ -100,7 +100,7 @@ def load_workspace(path):
     except (TopologyError, ValueError) as e:
         raise WorkspaceError("unsupported surface: %s" % e)
 
-    for field in ("curves", "maps"):
+    for field in ("curves", "maps", "params"):
         if not isinstance(doc.get(field, {}), dict):
             raise WorkspaceError('"%s" must be an object' % field)
     curves = {}
@@ -147,10 +147,7 @@ def load_workspace(path):
             raise WorkspaceError("system map %r is not a map"
                                  % system["map"])
 
-    params = doc.get("params") or {}
-    if not isinstance(params, dict):
-        raise WorkspaceError('"params" must be an object')
-    return Workspace(tri, curves, maps, system, params)
+    return Workspace(tri, curves, maps, system, doc.get("params", {}))
 
 
 # -- parameter resolution -----------------------------------------------------

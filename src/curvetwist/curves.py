@@ -89,15 +89,14 @@ class _Strands:
     Corner j of triangle t is numbered 3t + j, like slot (t, j), and the
     arcs corner by corner in (t, j, k) order: arc (t, j, k) is
     first[3t + j] + k, and counts[3t + j] arcs cut off that corner.
-    side[3t + i] is the weight of slot (t, i).
     """
 
     def __init__(self, tri, weights):
         self.tri = tri
         self.weights = tuple(weights)
         idx = tri.edge_index
-        self.side = side = [self.weights[idx[lab]]
-                            for sides in tri.triangles for lab in sides]
+        side = [self.weights[idx[lab]]
+                for sides in tri.triangles for lab in sides]
         self.counts = counts = []
         for t in range(tri.num_triangles):
             w = tuple(side[3 * t:3 * t + 3])

@@ -158,14 +158,21 @@ class Triangulation:
     def num_triangles(self):
         return len(self._triangles)
 
-    def edge_at(self, slot):
+    def _slot(self, slot):
+        """3t + i for the slot (t, i); TopologyError for a pair that names
+        no slot of the complex."""
         t, i = slot
-        return self._triangles[t][i]
+        if not (0 <= t < len(self._triangles) and 0 <= i < 3):
+            raise TopologyError("no slot %r" % (slot,))
+        return 3 * t + i
+
+    def edge_at(self, slot):
+        s = self._slot(slot)
+        return self._triangles[s // 3][s % 3]
 
     def glued(self, slot):
         """The partner slot."""
-        t, i = slot
-        return divmod(self._glue[3 * t + i], 3)
+        return divmod(self._glue[self._slot(slot)], 3)
 
     def gluing_pairs(self):
         """Sorted list of slot pairs, one per edge."""

@@ -293,9 +293,11 @@ def test_system_components_must_be_a_list_of_names(tmp_path, system):
 @pytest.mark.parametrize("field,value", [
     ("curves", ["a"]), ("curves", []), ("curves", "a"), ("curves", None),
     ("maps", ["f"]), ("maps", []), ("maps", 7),
+    ("params", ["k_max"]), ("params", []), ("params", None),
 ], ids=["curves-list", "curves-empty-list", "curves-string", "curves-null",
-        "maps-list", "maps-empty-list", "maps-int"])
-def test_curves_and_maps_must_be_objects(tmp_path, field, value):
+        "maps-list", "maps-empty-list", "maps-int",
+        "params-list", "params-empty-list", "params-null"])
+def test_curves_maps_and_params_must_be_objects(tmp_path, field, value):
     path = _workspace(tmp_path, **{field: value})
     assert_one_line_error(run_cli("surface", "info", path),
                           '"%s" must be an object' % field)

@@ -349,7 +349,7 @@ def test_a_json_host_with_an_unglued_slot_is_refused(s11):
     """The tracer reads every slot's partner, so a host with an unglued
     slot is refused when it is read, before any curve can live on it."""
     doc = json.loads(triangulation_to_json(s11))
-    (a, b), *doc["gluing"] = doc["gluing"]
+    (a, _), *doc["gluing"] = doc["gluing"]
     with pytest.raises(TopologyError, match=r"^slot \(%d, %d\) is unglued"
                                             % tuple(a)):
         triangulation_from_json(json.dumps(doc))

@@ -177,6 +177,14 @@ def test_unglued_slots_are_refused():
                       {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
 
 
+@pytest.mark.parametrize("slot", [(0, 3), (0, -1), (2, 0), (-1, 0)])
+def test_slot_accessors_refuse_a_pair_outside_the_complex(s11, slot):
+    with pytest.raises(TopologyError, match="no slot"):
+        s11.glued(slot)
+    with pytest.raises(TopologyError, match="no slot"):
+        s11.edge_at(slot)
+
+
 def test_quad_rejects_unknown_labels(s11):
     for lab in (3, -1, "a"):
         with pytest.raises(TopologyError, match="no edge labelled"):

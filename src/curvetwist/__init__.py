@@ -33,9 +33,9 @@ from .classify import (decimal_string, QuadraticValue, Periodic,
                        default_order_bound, periodic_check,
                        invariant_multicurve_search, dilatation_estimate,
                        OracleVerdict, two_twist_oracle, classify)
-from .construct import (ConstructionError, TwistFamily, realize_family,
-                        maximalize, SearchSchedule, Refused, Accepted,
-                        Exhausted, search_twist_family)
+from .construct import (TwistFamily, realize_family, maximalize,
+                        SearchSchedule, Refused, Accepted, Exhausted,
+                        search_twist_family)
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,7 @@ __all__ = [
     "ClassifyParams", "default_order_bound", "periodic_check",
     "invariant_multicurve_search", "dilatation_estimate", "OracleVerdict",
     "two_twist_oracle", "classify",
-    "ConstructionError", "TwistFamily", "realize_family", "maximalize",
+    "TwistFamily", "realize_family", "maximalize",
     "SearchSchedule", "Refused", "Accepted", "Exhausted",
     "search_twist_family",
 ]

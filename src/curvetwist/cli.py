@@ -34,8 +34,8 @@ from .orbits import (SystemError_, CurveSystem, check_independent,
                      check_maximal, build_gamma, find_orbit,
                      chain_decomposition, _orbit_graph)
 from .classify import ClassifyParams, classify, default_order_bound
-from .construct import (ConstructionError, SearchSchedule, maximalize,
-                        search_twist_family, _result_jsonable)
+from .construct import (SearchSchedule, maximalize, search_twist_family,
+                        _result_jsonable)
 
 
 class WorkspaceError(ValueError):
@@ -43,8 +43,21 @@ class WorkspaceError(ValueError):
 
 
 _INPUT_ERRORS = (WorkspaceError, InvalidCurveError, TopologyError,
-                 EncodingError, ShorteningError, SystemError_,
-                 ConstructionError)
+                 EncodingError, ShorteningError, SystemError_)
+
+# each run setting is a key of "params" and a flag of the commands reading it
+_SETTINGS = {
+    "tolerance": {"help": "residual tolerance for dilatation agreement, "
+                          "as a decimal string"},
+    "order_bound": {"type": int, "help": "periodicity bound (0 uses the "
+                                         "per-model default)"},
+    "weight_cap": {"type": int, "help": "weight cap of the classifier's "
+                                        "invariant-multicurve seeds"},
+    "k_max": {"type": int, "help": "largest twist exponent in the sweep"},
+    "independent": {"action": "store_true", "help": "sweep exponents "
+                    "independently per representative instead of on the "
+                    "diagonal"},
+}
 
 
 # -- workspace loading --------------------------------------------------------
@@ -103,6 +116,10 @@ def load_workspace(path):
     for field in ("curves", "maps", "params"):
         if not isinstance(doc.get(field, {}), dict):
             raise WorkspaceError('"%s" must be an object' % field)
+    for key in doc.get("params", {}):
+        if key not in _SETTINGS:
+            raise WorkspaceError("unknown params key %r; the keys are %s"
+                                 % (key, ", ".join(_SETTINGS)))
     curves = {}
     for name, cdoc in doc.get("curves", {}).items():
         if not isinstance(cdoc, dict) or "weights" not in cdoc:
@@ -152,17 +169,15 @@ def load_workspace(path):
 
 # -- parameter resolution -----------------------------------------------------
 
-def _setting(args, ws, key, default):
-    """Flag wins over workspace params, which win over the default."""
+def _setting(args, ws, key):
+    """Flag wins over workspace params; None when neither sets `key`."""
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return ws.params.get(key.replace("_", "-"), ws.params.get(key, default))
+    return ws.params.get(key) if val is None else val
 
 
 def _int_setting(args, ws, key, least):
     """An integer setting no smaller than `least`, or None when unset."""
-    val = _setting(args, ws, key, None)
+    val = _setting(args, ws, key)
     if val is None:
         return None
     n = _strict_int(val)
@@ -175,7 +190,7 @@ def _int_setting(args, ws, key, least):
 
 
 def classify_params(args, ws):
-    tol = _setting(args, ws, "tolerance", None)
+    tol = _setting(args, ws, "tolerance")
     kw = {}
     order_bound = _int_setting(args, ws, "order_bound", 0)
     if order_bound is not None:
@@ -199,10 +214,7 @@ def search_schedule(args, ws):
     k_max = _int_setting(args, ws, "k_max", 1)
     if k_max is not None:
         kw["k_max"] = k_max
-    weight_cap = _int_setting(args, ws, "weight_cap", 0)
-    if weight_cap is not None:
-        kw["weight_cap"] = weight_cap
-    independent = _setting(args, ws, "independent", None)
+    independent = _setting(args, ws, "independent")
     if independent is not None:
         if not isinstance(independent, bool):
             raise WorkspaceError("independent must be true or false, not %r"
@@ -360,8 +372,6 @@ def cmd_gamma_chains(args, ws):
 
 def cmd_construct_maximalize(args, ws):
     sys_, f = ws.curve_system()
-    weight_cap = _int_setting(args, ws, "weight_cap", 0)
-    kw = {} if weight_cap is None else {"weight_cap": weight_cap}
     orbit = find_orbit(build_gamma(sys_.with_images(f)))
     if orbit is not None:
         return {
@@ -369,7 +379,7 @@ def cmd_construct_maximalize(args, ws):
             "orbit": list(orbit),
             "period": len(orbit),
         }, 2
-    full, fp = maximalize(sys_, f, **kw)
+    full, fp = maximalize(sys_, f)
     added = [n for n in full.names if n not in sys_.components]
     return {
         "status": "completed",
@@ -393,26 +403,18 @@ def cmd_construct_search(args, ws):
 
 # -- driver ---------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, *settings):
+    """The workspace argument, --seed, --timing and one flag per setting."""
     p.add_argument("workspace", help="path to the workspace JSON document")
     p.add_argument("--seed", type=int, default=None,
                    help="seed recorded in the report (all algorithms are "
                         "deterministic; the seed pins the report bytes)")
-    p.add_argument("--k-max", type=int, default=None, dest="k_max",
-                   help="largest twist exponent in the sweep")
-    p.add_argument("--tolerance", default=None,
-                   help="residual tolerance for dilatation agreement, as a "
-                        "decimal string")
-    p.add_argument("--order-bound", type=int, default=None, dest="order_bound",
-                   help="periodicity bound (0 uses the per-model default)")
-    p.add_argument("--weight-cap", type=int, default=None, dest="weight_cap",
-                   help="weight cap for curve enumeration")
-    p.add_argument("--independent", action="store_true", default=None,
-                   help="sweep exponents independently per representative "
-                        "instead of on the diagonal")
     p.add_argument("--timing", action="store_true",
                    help="include wall clock seconds in the report (breaks "
                         "byte-for-byte reproducibility)")
+    for key in settings:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                       **_SETTINGS[key])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -458,7 +460,7 @@ def build_parser():
     p.add_argument("map", nargs="+")
     p = map_.add_parser("classify",
                         help="periodic / reducible / pseudo-Anosov evidence")
-    _add_common(p)
+    _add_common(p, "tolerance", "order_bound", "weight_cap")
     p.add_argument("map")
 
     gamma = groups.add_parser("gamma").add_subparsers(
@@ -474,7 +476,8 @@ def build_parser():
     _add_common(construct.add_parser(
         "maximalize", help="complete the system preserving the action"))
     _add_common(construct.add_parser(
-        "search", help="sweep twist exponents for pseudo-Anosov evidence"))
+        "search", help="sweep twist exponents for pseudo-Anosov evidence"),
+        *_SETTINGS)
     return top
 
 

@@ -7,9 +7,9 @@ Given disjoint curves 𝒞 with images under f, the decisive question is
 whether the orbit graph has a cycle.  If it does, no map agreeing with f on
 𝒞 can be pseudo-Anosov: the cycle gives a subfamily permuted up to isotopy,
 hence an invariant multicurve for every candidate, and the search refuses.
-If not, the system is completed curve by curve: inside each non-pants
-complementary piece an intersecting pair c', c'' is found, c' joins the
-system, and f is post-composed with the least twist power about c'' that
+If not, the system is completed curve by curve: c', the lightest curve of
+a non-pants piece, joins the system, and f is post-composed with the least
+twist power about c'', the lightest curve of the piece crossing c', that
 makes the image of c' non-parallel to everything retained.  Twists about
 curves disjoint from the old system leave the old images untouched, so the
 prescribed action survives verbatim and no new cycle can close.
@@ -27,15 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .curves import cut_along, disjoint_union_matches
-from .mapping import Encoding, twist, intersects
+from .curves import cut_along, disjoint_union_matches, _crossing
+from .mapping import Encoding, twist
 from .orbits import (CurveSystem, require_independent, _orbit_graph,
                      find_orbit, chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
-
-
-class ConstructionError(RuntimeError):
-    """Raised when candidate generation runs out of budget."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +66,16 @@ def _realize(f, curves, exponents):
     return enc
 
 
-def maximalize(sys, f, weight_cap=12):
+def maximalize(sys, f):
     """Complete the system to a maximal one without disturbing f's action.
 
     Returns (completed system with images under the adjusted map, adjusted
-    encoding).  Requires an independent, orbit-free input; adds one curve
-    per non-pants piece iteration, post-composing f with the least twist
-    power that keeps the new curve's image off every retained class.
+    encoding).  Requires an independent, orbit-free input.  Each step adds
+    c', the lightest curve of the first non-pants piece, and post-composes
+    f with the least power of the twist about c'', the lightest curve of
+    the piece crossing c', that keeps the image of c' off every retained
+    class: both curves exist (see _completion_pair), and a power up to the
+    grown system's size plus one does (see the comment on k).
     """
     require_independent(sys)
     host = sys.host
@@ -84,42 +83,21 @@ def maximalize(sys, f, weight_cap=12):
         raise ValueError("input system already contains an orbit")
     comps = dict(sys.components)
     fp = f
-    bound = 3 * host.genus + host.num_punctures - 3
     fresh = itertools.count(1)
-    for _ in range(bound - len(comps) + 1):
-        joint = CurveSystem(host, comps).joint_coords()
-        cut = cut_along(joint)
-        bad = [i for i, p in enumerate(cut.pieces) if not p.is_pants]
-        if not bad:
-            break
-        piece = bad[0]
-        pair = None
-        for cap in (weight_cap, weight_cap + 4, weight_cap + 8):
-            cands = cut.curves_in_piece(piece, cap)
-            for i in range(len(cands)):
-                for j in range(i + 1, len(cands)):
-                    if intersects(cands[i], cands[j]):
-                        pair = (cands[i], cands[j])
-                        break
-                if pair:
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise ConstructionError(
-                "no intersecting curve pair found in piece %d under weight "
-                "cap %d" % (piece, weight_cap + 8))
-        c_new, c_aux = pair
+    # with fewer than 3g + h - 3 curves, some piece is not a pair of pants
+    for _ in range(3 * host.genus + host.num_punctures - 3 - len(comps)):
+        cut = cut_along(CurveSystem(host, comps).joint_coords())
+        piece = next(i for i, p in enumerate(cut.pieces) if not p.is_pants)
+        c_new, c_aux = _completion_pair(host, cut, piece)
         name = "d%d" % next(fresh)
         while name in comps:
             name = "d%d" % next(fresh)
         taken = {c.weights for c in comps.values()} | {c_new.weights}
-        for k in range(1, len(comps) + 3):
-            image = fp.act(twist(c_aux, k).act(c_new))
-            if image.weights not in taken:
-                break
-        else:
-            raise ConstructionError("twist power search exceeded its bound")
+        # c_aux crosses c_new, so the classes T_{c_aux}^k(c_new), k >= 1,
+        # are pairwise distinct, and fp is a bijection on classes: one of
+        # the first len(taken) + 1 powers keeps the image off `taken`
+        k = next(k for k in range(1, len(taken) + 2)
+                 if fp.act(twist(c_aux, k).act(c_new)).weights not in taken)
         comps[name] = c_new
         fp = fp * twist(c_aux, k)
     done = CurveSystem.from_encoding(host, comps, fp)
@@ -132,18 +110,32 @@ def maximalize(sys, f, weight_cap=12):
     return done, fp
 
 
+def _completion_pair(host, cut, piece):
+    """(c', c''): the lightest candidate of a non-pants piece and the
+    lightest candidate crossing it, in curves_in_piece order.  In a piece
+    that is not a pair of pants, another curve crosses every non-peripheral
+    curve (Farb-Margalit, A Primer on Mapping Class Groups), so a growing
+    cap finds both; each cap's candidates are a prefix of the next cap's,
+    so the caps tried set only the cost, not the pair."""
+    seen = 1
+    for cap in itertools.count(4, 4):
+        cands = cut.curves_in_piece(piece, cap)
+        for c in cands[seen:]:
+            if _crossing(host, cands[0].weights, c.weights):
+                return cands[0], c
+        seen = max(seen, len(cands))
+
+
 # -- the exponent sweep -------------------------------------------------------
 
 @dataclass(frozen=True)
 class SearchSchedule:
     k_max: int = 10
     independent: bool = False
-    weight_cap: int = 12
     classify_params: ClassifyParams = field(default_factory=ClassifyParams)
 
     def jsonable(self):
         return {"k_max": self.k_max, "independent": self.independent,
-                "weight_cap": self.weight_cap,
                 "classify": self.classify_params.jsonable()}
 
 
@@ -232,7 +224,7 @@ def search_twist_family(sys, f, schedule=None):
                            "power fixes each of them" % len(orbit),
         }
         return Refused(orbit, len(orbit), witness)
-    full, fp = maximalize(sys, f, schedule.weight_cap)
+    full, fp = maximalize(sys, f)
     chains = chain_decomposition(_orbit_graph(full))
     reps = [ch.representative for ch in chains]
     curves = tuple(full.components.items())

@@ -297,6 +297,12 @@ def _traces_to(tri, weights, expected):
     return strands.first, comps, arc_component
 
 
+def _crossing(tri, v, w):
+    """True when the known single curves v and w (weight vectors) cross:
+    their sum traces to both iff they are disjoint.  One trace, no checks."""
+    return _traces_to(tri, [x + y for x, y in zip(v, w)], (v, w)) is None
+
+
 # -- cutting along a multicurve ------------------------------------------------
 
 @dataclass(frozen=True)

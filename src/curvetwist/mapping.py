@@ -62,7 +62,7 @@ from .surface import (TopologyError, Relabeling, flip, isomorphisms,
                       _is_slot_pair)
 from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
                      disjoint_union_matches, enumerate_single_curves,
-                     _flipped_weight, _transported, _traces_to, _context,
+                     _flipped_weight, _transported, _crossing, _context,
                      _strict_int)
 
 
@@ -324,9 +324,7 @@ def spanning_probes(tri):
         curves = enumerate_single_curves(tri, 12)
         need = 0
         for w in curves:
-            # single curves are disjoint iff their sum traces to both
-            meeting = (sum(pr) for pr in curves if _traces_to(
-                tri, [x + y for x, y in zip(w, pr)], (w, pr)) is None)
+            meeting = (sum(pr) for pr in curves if _crossing(tri, w, pr))
             need = max(need, next(meeting, 13))
         cap = next((c for c in (4, 6, 8, 10) if c >= need), 12)
         ctx.probes = tuple(MulticurveCoords(tri, v)
@@ -508,7 +506,7 @@ def _isolating_block(short_coords):
             return False
         for pr in probes:
             fixed = enc.act_on_weights(pr.weights) == pr.weights
-            if fixed != (not intersects(pr, short_coords)):
+            if fixed == _crossing(tri, pr.weights, short_coords.weights):
                 return False
         return True
 
@@ -522,7 +520,7 @@ def _isolating_block(short_coords):
         def meets(ci, cj):
             key = frozenset((ci.weights, cj.weights))
             if key not in meet_memo:
-                meet_memo[key] = intersects(ci, cj)
+                meet_memo[key] = _crossing(tri, ci.weights, cj.weights)
             return meet_memo[key]
 
         def braided(ci, cj):

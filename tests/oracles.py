@@ -834,3 +834,24 @@ def reference_spanning_probes(tri):
             break
     return tuple(MulticurveCoords(tri, v)
                  for v in reference_single_curves(tri, cap))
+
+
+# -- the completion's pair search ---------------------------------------------
+#
+# maximalize completes a piece with its lightest candidate and the lightest
+# candidate crossing it, growing the enumeration cap until both are there.
+# The reference below is the search that replaced: the first crossing pair
+# in candidate order under a weight cap, then the cap plus 4, then plus 8.
+
+def reference_completion_pair(cut, piece, weight_cap=12):
+    """The first pair (c_i, c_j), i < j, of crossing candidates of the piece
+    in CutResult.curves_in_piece order, at caps weight_cap, weight_cap + 4
+    and weight_cap + 8 in turn, or None when no cap holds one."""
+    from curvetwist import intersects
+    for cap in (weight_cap, weight_cap + 4, weight_cap + 8):
+        cands = cut.curves_in_piece(piece, cap)
+        for i in range(len(cands)):
+            for j in range(i + 1, len(cands)):
+                if intersects(cands[i], cands[j]):
+                    return cands[i], cands[j]
+    return None

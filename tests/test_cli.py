@@ -215,7 +215,6 @@ def assert_one_line_error(proc, field):
     (("construct", "search"), {"k_max": "abc"}, "k_max"),
     (("construct", "search"), {"k_max": 2.5}, "k_max"),
     (("construct", "search"), {"weight_cap": [8]}, "weight_cap"),
-    (("construct", "maximalize"), {"weight_cap": "lots"}, "weight_cap"),
     (("map", "classify", "g"), {"order_bound": "abc"}, "order_bound"),
     (("map", "classify", "g"), {"weight_cap": "x"}, "weight_cap"),
     (("map", "classify", "g"), {"order_bound": -1}, "order_bound"),
@@ -228,6 +227,74 @@ def test_bad_integer_params_exit_one_naming_the_field(tmp_path, command,
     path = _workspace(tmp_path, params=params)
     argv = list(command[:2]) + [path] + list(command[2:])
     assert_one_line_error(run_cli(*argv), field)
+
+
+def assert_flag_refused(proc, flag):
+    assert proc.returncode == 1
+    assert "error: unrecognized arguments: %s" % flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_maximalize_takes_no_weight_cap(ws_path):
+    # the completion picks its curves by an exact rule, with no cap
+    assert_flag_refused(
+        run_cli("construct", "maximalize", ws_path, "--weight-cap", "4"),
+        "--weight-cap")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("map", "act", "{ws}", "f", "a", "--tolerance=-1"), "--tolerance=-1"),
+    (("map", "act", "{ws}", "f", "a", "--k-max", "0"), "--k-max"),
+    (("map", "act", "{ws}", "f", "a", "--order-bound", "-5"),
+     "--order-bound"),
+    (("map", "classify", "{ws}", "g", "--k-max", "3"), "--k-max"),
+    (("map", "classify", "{ws}", "g", "--independent"), "--independent"),
+    (("surface", "info", "{ws}", "--weight-cap", "4"), "--weight-cap"),
+    (("curve", "cut", "{ws}", "a", "--independent"), "--independent"),
+    (("gamma", "orbit", "{ws}", "--k-max", "3"), "--k-max"),
+    (("construct", "maximalize", "{ws}", "--tolerance", "0"), "--tolerance"),
+], ids=["act-tolerance", "act-k-max", "act-order-bound", "classify-k-max",
+        "classify-independent", "info-weight-cap", "cut-independent",
+        "orbit-k-max", "maximalize-tolerance"])
+def test_a_flag_the_command_does_not_read_is_refused(ws_path, argv, flag):
+    argv = [ws_path if a == "{ws}" else a for a in argv]
+    assert_flag_refused(run_cli(*argv), flag)
+
+
+def test_every_command_takes_seed_and_timing(ws_path):
+    for argv in (("surface", "info", ws_path), ("curve", "cut", ws_path, "a"),
+                 ("map", "act", ws_path, "f", "a"),
+                 ("gamma", "chains", ws_path),
+                 ("construct", "maximalize", ws_path)):
+        doc = run_json(*argv, "--seed", "7", "--timing")
+        assert doc["seed"] == 7 and "timing_seconds" in doc
+
+
+def test_classify_and_search_read_their_flags(ws_path):
+    doc = run_json("map", "classify", ws_path, "g", "--tolerance", "0.5",
+                   "--order-bound", "4", "--weight-cap", "6")
+    assert (doc["params"]["order_bound"], doc["params"]["weight_cap"]) \
+        == (4, 6)
+    doc = run_json("construct", "search", ws_path, "--k-max", "2",
+                   "--independent", "--weight-cap", "6", expect=3)
+    assert doc["schedule"]["k_max"] == 2
+    assert doc["schedule"]["independent"] is True
+    assert doc["schedule"]["classify"]["weight_cap"] == 6
+
+
+@pytest.mark.parametrize("key", ["k-max", "order-bound", "weight-cap",
+                                 "kmax", "depth", "seed"])
+def test_unknown_params_keys_are_refused(tmp_path, key):
+    path = _workspace(tmp_path, params={key: 3})
+    assert_one_line_error(run_cli("surface", "info", path),
+                          "unknown params key %r" % key)
+
+
+def test_a_hyphen_alias_does_not_shadow_its_param(tmp_path):
+    # "k-max" was once read before "k_max"; now it is refused at load
+    path = _workspace(tmp_path, params={"k-max": 2, "k_max": 9})
+    assert_one_line_error(run_cli("construct", "search", path),
+                          "unknown params key 'k-max'")
 
 
 def test_integer_params_may_be_decimal_strings(tmp_path):

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
                         equal_on, spanning_probes, decimal_string,
                         standard_curves, check_maximal, build_gamma,
@@ -22,10 +24,12 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
                         SearchSchedule, Refused, Accepted, Exhausted,
                         search_twist_family, ClassifyParams,
                         PseudoAnosovEvidence, build_surface,
-                        enumerate_single_curves, intersects)
-from curvetwist.construct import _exponent_vectors, _result_jsonable
+                        enumerate_single_curves, intersects, cut_along,
+                        disjoint_union_matches)
+from curvetwist.construct import (_completion_pair, _exponent_vectors,
+                                  _result_jsonable)
 
-from oracles import spectral_radius
+from oracles import reference_completion_pair, spectral_radius
 
 
 # -- families -------------------------------------------------------------------
@@ -120,6 +124,69 @@ def test_maximalize_twice_punctured_torus(s12):
 def test_maximalize_four_punctured_sphere_from_empty(s04):
     named = standard_curves(s04)
     check_completion(s04, {}, twist(named["c0"], 1), 1)
+
+
+LADDER = [build_surface(*gh)
+          for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0))]
+
+
+@st.composite
+def partial_systems(draw):
+    """Disjoint, pairwise non-parallel curves on a ladder model: from a
+    random list of curves of weight <= 6, each one disjoint from those kept
+    before it is kept; sometimes all are moved by one twist."""
+    tri = draw(st.sampled_from(LADDER))
+    curves = [MulticurveCoords(tri, v)
+              for v in enumerate_single_curves(tri, 6)]
+    kept = []
+    for c in draw(st.lists(st.sampled_from(curves), max_size=4)):
+        if c not in kept and disjoint_union_matches(tri, kept + [c]):
+            kept.append(c)
+    if draw(st.booleans()):
+        t = twist(draw(st.sampled_from(curves)),
+                  draw(st.sampled_from([-1, 1])))
+        kept = [t.act(c) for c in kept]
+    return CurveSystem(tri, {"c%d" % i: c for i, c in enumerate(kept)})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(partial_systems())
+def test_completion_pair_is_the_cap_ladder_pair(system):
+    """In each non-pants piece: the lightest candidate and the lightest
+    candidate crossing it.  The cap ladder took the first candidate with a
+    crossing partner under its cap, so the two pairs agree exactly when the
+    lightest candidate has one there.  They need not: on S(2,0), cut along
+    two disjoint non-separating curves, the lightest candidate is the
+    separating curve of weight 8, whose lightest crossing partner weighs
+    18, and the ladder stopped at cap 16 with a pair of weights 8 and 14."""
+    joint = system.joint_coords()
+    cut = cut_along(joint)
+    for piece, p in enumerate(cut.pieces):
+        if p.is_pants:
+            continue
+        first, partner = _completion_pair(joint.host, cut, piece)
+        assert intersects(first, partner)
+        assert first == cut.curves_in_piece(piece, first.total_weight)[0]
+        ref = reference_completion_pair(cut, piece)
+        if ref is not None and ref[0] == first:
+            assert ref[1] == partner
+        else:
+            last = 20 if ref is None else next(
+                cap for cap in (12, 16, 20) if cap >= ref[1].total_weight)
+            assert partner.total_weight > last
+
+
+def test_completion_pair_can_differ_from_the_cap_ladder(s20):
+    c = MulticurveCoords(s20, (0, 0, 3, 4, 0, 0, 0, 1, 4))
+    d = MulticurveCoords(s20, (1, 0, 0, 0, 0, 1, 0, 0, 0))
+    joint = CurveSystem(s20, {"c": c, "d": d}).joint_coords()
+    cut = cut_along(joint)
+    assert [p.is_pants for p in cut.pieces] == [False]
+    assert [c.weights for c in _completion_pair(s20, cut, 0)] == [
+        (0, 0, 2, 2, 0, 0, 0, 2, 2), (1, 0, 3, 4, 2, 1, 2, 1, 4)]
+    assert [c.weights for c in reference_completion_pair(cut, 0)] == [
+        (2, 2, 0, 0, 0, 2, 2, 0, 0), (1, 0, 2, 2, 2, 1, 2, 2, 2)]
 
 
 def test_maximalize_refuses_orbit(ab):

@@ -3,8 +3,9 @@ Differential tests of the two curve-system questions against the filters
 they replaced (tests/oracles.py): which enumerated curves lie in a piece of
 a cut (CutResult.curves_in_piece), and whether a family is an independent
 multicurve (check_independent, also behind invariant_multicurve_search);
-and of the cut itself (pieces in order, piece_containing) against the
-tuple-keyed cut it replaced (reference_cut).
+of the cut itself (pieces in order, piece_containing) against the
+tuple-keyed cut it replaced (reference_cut); and of the one-trace crossing
+test of two single curves (curves._crossing) against intersects.
 """
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -13,7 +14,9 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding,
                         InvalidCurveError, Relabel, automorphisms,
                         build_surface, check_independent, cut_along,
                         disjoint_union_matches, enumerate_single_curves,
-                        invariant_multicurve_search, standard_curves, twist)
+                        intersects, invariant_multicurve_search,
+                        standard_curves, twist)
+from curvetwist.curves import _crossing
 
 from oracles import (reference_cell_of, reference_check_independent,
                      reference_curves_in_piece, reference_cut,
@@ -193,3 +196,34 @@ def test_invariant_multicurve_search_matches_on_finite_orbits(ab, s20):
         assert got == reference_invariant_multicurve_search(g, weight_cap=cap)
         assert invariant_multicurve_search(h, weight_cap=cap) is None
         assert reference_invariant_multicurve_search(h, weight_cap=cap) is None
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves of weight <= 8 on one model (the same curve, disjoint or
+    crossing), both moved by one random twist word of up to three factors."""
+    tri = draw(st.sampled_from(MODELS))
+    curves = _curves(tri, 8)
+    v, w = draw(st.sampled_from(curves)), draw(st.sampled_from(curves))
+    enc = Encoding.identity(tri)
+    for _ in range(draw(st.integers(0, 3))):
+        enc = enc * twist(draw(st.sampled_from(_curves(tri))),
+                          draw(st.sampled_from([-2, -1, 1, 2])))
+    return enc.act(v), enc.act(w)
+
+
+@SETTINGS
+@given(curve_pairs())
+def test_crossing_matches_intersects(pair):
+    v, w = pair
+    assert _crossing(v.host, v.weights, w.weights) == intersects(v, w)
+    assert _crossing(v.host, w.weights, v.weights) == intersects(v, w)
+
+
+def test_crossing_sees_both_answers(ab, s20):
+    a, b = ab
+    assert _crossing(a.host, a.weights, b.weights)
+    assert not _crossing(a.host, a.weights, a.weights)
+    c, d = (0, 0, 1, 0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1, 0, 0, 0)
+    assert not _crossing(s20, c, d)
+    assert _crossing(s20, c, (0, 1, 0, 1, 2, 1, 1, 1, 1))

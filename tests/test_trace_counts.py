@@ -128,8 +128,9 @@ def test_ladder_rung_search_trace_budget(counts):
     traces, _, status, _ = counts["search"]
     assert status == "accepted"
     # 2,399 before the curve filter and the independence check traced each
-    # curve once per question; 1,061 before the surface context
-    assert traces <= 871
+    # curve once per question; 1,061 before the surface context; 867 before
+    # the lightest-pair completion and the one-trace crossing test
+    assert traces <= 699
 
 
 def test_ladder_rung_search_shortens_each_curve_once(counts):

@@ -126,8 +126,8 @@ GOLDEN = {
     'torus:map classify h': '0:f2b5e881881dae52751c5a3c02ab9efddaa17025c74ba7f86307360a03a6f69f',
     'torus:map classify p': '0:a7ffa545742232e0ce5a28c37004a9c43bfd7d380df5644e994b8c366076ee5d',
     'torus:construct maximalize': '0:d2483a8f2cc5412667ccdaac2fe334cb31909c6dc1a3896f2aba3e7f47344b90',
-    'torus:construct search': '0:a333e38dd452f68352c8b7a10033b05c6b2939ba9add2e73c226b59ef730f322',
-    'torus:construct search --k-max 3': '3:6cbcfc9b494fba382b19d880230ef8ece63cbd3e8cb97a6265efb50793507e14',
+    'torus:construct search': '0:a6a1d09bbfbc6d8265675f0bbbf5c1a28bf5abad24fa72be596c00a3ea7cb226',
+    'torus:construct search --k-max 3': '3:e12c7d03f9d63fc852542b572699b08fea2c1345f1547b5249c8cace2cb535b2',
     'genus2:map compose pen': '0:5700e334a7450fc84a2d86ec8421c3dffdf376e3fcc4e7d9863a6378579dc596',
     'genus2:map compose neg f': '0:e72a6c115e95efe2303f4d248b5c962c1a0d475da5ff08eebbf5748891eba780',
     'genus2:map act neg c': '0:21807d089abcab2dfb47640ceef7f28dbd2f9860645ed081cd159ab6e3e3233c',
@@ -135,7 +135,7 @@ GOLDEN = {
     'genus2:map classify pen': '0:21e16e0f2eac4c86a8f7a1d6303cf2abcbabb5a868db769049a6916b88392423',
     'genus2:map classify mt': '0:63cc826c957105d674cc641e5737ed44cafa6b8fb8bc233708b18a9137e5ca85',
     'genus2:construct maximalize': '0:e681130a655a46693ef01f2de72298dbee615d30279ec733173b162858af6bf0',
-    'genus2:construct search': '0:1e663e9464f1c2ec60a20c6402bfc399189121b116f8e569ba3ef3e9f660d1ba',
+    'genus2:construct search': '0:67a36443a387f2897b8392a56f46f1a69fe30704ffea40220da655086c798d46',
     'torus:gamma build': '0:a8206a1d868fda54d60ccb9c6b196d223e38650fe4000e6756157ecabbff97b4',
     'torus:gamma orbit': '0:bd677d98cabcacd054386a0ea5a8173cc974540fe8b81e7f1034271acc066d62',
     'torus:gamma chains': '0:2e088c9d14a174cacbc8af7288d53ade176550fccf88d9da5c0962e80a241e15',

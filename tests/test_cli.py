@@ -215,6 +215,7 @@ def assert_one_line_error(proc, field):
     (("construct", "search"), {"k_max": "abc"}, "k_max"),
     (("construct", "search"), {"k_max": 2.5}, "k_max"),
     (("construct", "search"), {"weight_cap": [8]}, "weight_cap"),
+    (("construct", "search"), {"weight_cap": "lots"}, "weight_cap"),
     (("map", "classify", "g"), {"order_bound": "abc"}, "order_bound"),
     (("map", "classify", "g"), {"weight_cap": "x"}, "weight_cap"),
     (("map", "classify", "g"), {"order_bound": -1}, "order_bound"),

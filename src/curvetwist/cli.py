@@ -25,15 +25,15 @@ import time
 from fractions import Fraction
 
 from .surface import (TopologyError, build_surface, triangulation_to_json)
-from .curves import (InvalidCurveError, MulticurveCoords, validate,
-                     is_single_curve, is_essential, cut_along,
-                     coords_to_jsonable, coords_from_jsonable, _strict_int)
+from .curves import (InvalidCurveError, validate, is_single_curve,
+                     is_essential, cut_along, coords_to_jsonable,
+                     coords_from_jsonable, _strict_int)
 from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
 from .orbits import (SystemError_, CurveSystem, check_independent,
                      check_maximal, build_gamma, find_orbit,
                      chain_decomposition, _orbit_graph)
-from .classify import ClassifyParams, classify, default_order_bound
+from .classify import ClassifyParams, classify
 from .construct import (SearchSchedule, maximalize, search_twist_family,
                         _result_jsonable)
 
@@ -45,18 +45,49 @@ class WorkspaceError(ValueError):
 _INPUT_ERRORS = (WorkspaceError, InvalidCurveError, TopologyError,
                  EncodingError, ShorteningError, SystemError_)
 
-# each run setting is a key of "params" and a flag of the commands reading it
+
+def _integer(least):
+    """The rule of an integer setting no smaller than `least`."""
+    def rule(key, val):
+        n = _strict_int(val)
+        if n is None or n < least:
+            raise WorkspaceError("%s must be an integer >= %d, not %r"
+                                 % (key, least, val))
+        return n
+    return rule
+
+
+def _decimal(key, val):
+    try:
+        x = Fraction(str(val))
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or x < 0:
+        raise WorkspaceError("%s must be a non-negative decimal, not %r"
+                             % (key, val))
+    return x
+
+
+def _boolean(key, val):
+    if not isinstance(val, bool):
+        raise WorkspaceError("%s must be true or false, not %r" % (key, val))
+    return val
+
+
+# each run setting is a key of "params" and a flag of the commands reading
+# it: its rule checks and reads a value from either, and the rest are the
+# flag's argparse options
 _SETTINGS = {
-    "tolerance": {"help": "residual tolerance for dilatation agreement, "
-                          "as a decimal string"},
-    "order_bound": {"type": int, "help": "periodicity bound (0 uses the "
-                                         "per-model default)"},
-    "weight_cap": {"type": int, "help": "weight cap of the classifier's "
-                                        "invariant-multicurve seeds"},
-    "k_max": {"type": int, "help": "largest twist exponent in the sweep"},
-    "independent": {"action": "store_true", "help": "sweep exponents "
-                    "independently per representative instead of on the "
-                    "diagonal"},
+    "tolerance": (_decimal, {"help": "residual tolerance for dilatation "
+                                     "agreement, as a decimal string"}),
+    "order_bound": (_integer(0), {"help": "periodicity bound (0 uses the "
+                                          "per-model default)"}),
+    "weight_cap": (_integer(0), {"help": "weight cap of the classifier's "
+                                         "invariant-multicurve seeds"}),
+    "k_max": (_integer(1), {"help": "largest twist exponent in the sweep"}),
+    "independent": (_boolean, {"action": "store_true", "help": "sweep "
+                               "exponents independently per representative "
+                               "instead of on the diagonal"}),
 }
 
 
@@ -116,10 +147,11 @@ def load_workspace(path):
     for field in ("curves", "maps", "params"):
         if not isinstance(doc.get(field, {}), dict):
             raise WorkspaceError('"%s" must be an object' % field)
-    for key in doc.get("params", {}):
+    for key, val in doc.get("params", {}).items():
         if key not in _SETTINGS:
             raise WorkspaceError("unknown params key %r; the keys are %s"
                                  % (key, ", ".join(_SETTINGS)))
+        _SETTINGS[key][0](key, val)
     curves = {}
     for name, cdoc in doc.get("curves", {}).items():
         if not isinstance(cdoc, dict) or "weights" not in cdoc:
@@ -169,58 +201,29 @@ def load_workspace(path):
 
 # -- parameter resolution -----------------------------------------------------
 
-def _setting(args, ws, key):
-    """Flag wins over workspace params; None when neither sets `key`."""
-    val = getattr(args, key, None)
-    return ws.params.get(key) if val is None else val
-
-
-def _int_setting(args, ws, key, least):
-    """An integer setting no smaller than `least`, or None when unset."""
-    val = _setting(args, ws, key)
-    if val is None:
-        return None
-    n = _strict_int(val)
-    if n is None:
-        raise WorkspaceError("%s must be an integer, not %r" % (key, val))
-    if n < least:
-        raise WorkspaceError("%s must be at least %d, not %d"
-                             % (key, least, n))
-    return n
+def _settings(args, ws, **fields):
+    """{field: value} for each `field=key` whose setting is set, the flag
+    winning over workspace params, the value read by the key's rule."""
+    kw = {}
+    for field, key in fields.items():
+        val = getattr(args, key, None)
+        if val is None:
+            val = ws.params.get(key)
+        if val is not None:
+            kw[field] = _SETTINGS[key][0](key, val)
+    return kw
 
 
 def classify_params(args, ws):
-    tol = _setting(args, ws, "tolerance")
-    kw = {}
-    order_bound = _int_setting(args, ws, "order_bound", 0)
-    if order_bound is not None:
-        kw["order_bound"] = order_bound
-    weight_cap = _int_setting(args, ws, "weight_cap", 0)
-    if weight_cap is not None:
-        kw["weight_cap"] = weight_cap
-    if tol is not None:
-        try:
-            kw["residual_tol"] = Fraction(str(tol))
-        except (ValueError, ZeroDivisionError):
-            raise WorkspaceError("bad tolerance %r" % tol)
-        if kw["residual_tol"] < 0:
-            raise WorkspaceError(
-                "tolerance must be a non-negative decimal, not %r" % tol)
-    return ClassifyParams(**kw)
+    return ClassifyParams(**_settings(
+        args, ws, order_bound="order_bound", weight_cap="weight_cap",
+        residual_tol="tolerance"))
 
 
 def search_schedule(args, ws):
-    kw = {"classify_params": classify_params(args, ws)}
-    k_max = _int_setting(args, ws, "k_max", 1)
-    if k_max is not None:
-        kw["k_max"] = k_max
-    independent = _setting(args, ws, "independent")
-    if independent is not None:
-        if not isinstance(independent, bool):
-            raise WorkspaceError("independent must be true or false, not %r"
-                                 % (independent,))
-        kw["independent"] = independent
-    return SearchSchedule(**kw)
+    return SearchSchedule(classify_params=classify_params(args, ws),
+                          **_settings(args, ws, k_max="k_max",
+                                      independent="independent"))
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -414,15 +417,15 @@ def _add_common(p, *settings):
                         "byte-for-byte reproducibility)")
     for key in settings:
         p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                       **_SETTINGS[key])
+                       **_SETTINGS[key][1])
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are input errors: exit 1, not argparse's default 2,
-    which this tool reserves for refused constructions."""
+    """Argument errors are input errors: one line and exit 1, not
+    argparse's usage and default 2, which this tool reserves for refused
+    constructions."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print("error: %s" % message, file=sys.stderr)
         raise SystemExit(1)
 

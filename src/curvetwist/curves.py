@@ -41,9 +41,9 @@ class InvalidCurveError(ValueError):
 class MulticurveCoords:
     """A weight vector on the edges of a host triangulation.
 
-    Weights are stored as a tuple aligned with host.edge_labels (sorted
-    labels).  Values are immutable; `labels`, if given, names the traced
-    components in decomposition order.
+    Weights are stored as a tuple indexed by edge number: weights[e] is the
+    weight of the edge labelled e.  Values are immutable; `labels`, if
+    given, names the traced components in decomposition order.
     """
 
     __slots__ = ("host", "weights", "labels")
@@ -65,7 +65,7 @@ class MulticurveCoords:
         raise AttributeError("MulticurveCoords is immutable")
 
     def weight_of(self, label):
-        return self.weights[self.host.edge_index[label]]
+        return self.weights[label]
 
     @property
     def total_weight(self):
@@ -94,9 +94,8 @@ class _Strands:
     def __init__(self, tri, weights):
         self.tri = tri
         self.weights = tuple(weights)
-        idx = tri.edge_index
-        side = [self.weights[idx[lab]]
-                for sides in tri.triangles for lab in sides]
+        side = [self.weights[lab]
+                for lab in chain.from_iterable(tri.triangles)]
         self.counts = counts = []
         for t in range(tri.num_triangles):
             w = tuple(side[3 * t:3 * t + 3])
@@ -153,7 +152,6 @@ class _Strands:
             parent[x] = parent[parent[x]]
         # an arc at corner j crosses sides j and j+1, so each component
         # meets each point of its edges twice
-        idx = tri.edge_index
         corner = list(chain.from_iterable(map(repeat, range(len(counts)),
                                               counts)))
         vecs = {}
@@ -162,8 +160,8 @@ class _Strands:
             if vec is None:
                 vec = vecs[root] = [0] * tri.num_edges
             sides = tri.triangles[c // 3]
-            vec[idx[sides[c % 3]]] += m
-            vec[idx[sides[(c + 1) % 3]]] += m
+            vec[sides[c % 3]] += m
+            vec[sides[(c + 1) % 3]] += m
         vectors = []
         for root, vec in vecs.items():
             if any(x % 2 for x in vec):
@@ -204,9 +202,9 @@ def is_single_curve(coords):
 
 def _flipped_weight(coords, label, quad):
     """The weight of edge `label` after flipping it, given its quad."""
-    w, idx = coords.weights, coords.host.edge_index
-    wa, wb, wc, wd = [w[idx[lab]] for lab in quad[2:]]
-    return max(wa + wc, wb + wd) - w[idx[label]]
+    w = coords.weights
+    _, _, a, b, c, d = quad
+    return max(w[a] + w[c], w[b] + w[d]) - w[label]
 
 
 def transform_under_flip(coords, label):
@@ -226,8 +224,8 @@ def transform_under_flip(coords, label):
 def _transported(coords, label, quad):
     """transform_under_flip(coords, label), given the edge's quad."""
     new_w = list(coords.weights)
-    # edge labels (and hence the sorted label order) are preserved by a flip
-    new_w[coords.host.edge_index[label]] = _flipped_weight(coords, label, quad)
+    # a flip keeps every edge label, so the weights stay aligned
+    new_w[label] = _flipped_weight(coords, label, quad)
     return MulticurveCoords(_flip(coords.host, label, quad), new_w)
 
 
@@ -238,7 +236,7 @@ def apply_relabeling(coords, relab):
     tgt = relab.target
     new_w = [0] * tgt.num_edges
     for lab, img in relab.edge_map.items():
-        new_w[tgt.edge_index[img]] = coords.weights[coords.host.edge_index[lab]]
+        new_w[img] = coords.weights[lab]
     return MulticurveCoords(tgt, new_w)
 
 
@@ -509,17 +507,16 @@ def _enumerate_vectors(tri, lo, hi):
     # assignment order completing triangles as early as possible
     order = []
     remaining = set(range(m))
-    tri_edges = [[tri.edge_index[lab] for lab in t] for t in tri.triangles]
     while remaining:
         def openness(e):
             return min(sum(1 for x in te if x in remaining)
-                       for te in tri_edges if e in te)
+                       for te in tri.triangles if e in te)
         nxt = min(remaining, key=lambda e: (openness(e), e))
         order.append(nxt)
         remaining.discard(nxt)
     pos_of = {e: k for k, e in enumerate(order)}
     completes = [[] for _ in range(m)]
-    for te in tri_edges:
+    for te in tri.triangles:
         last = max(te, key=lambda e: pos_of[e])
         completes[pos_of[last]].append(te)
 

@@ -114,8 +114,8 @@ def replay(source, moves):
 
 # -- compiled flip programs ---------------------------------------------------
 #
-# A program acts on a weight list w indexed like source.edge_labels and
-# stores the normal form.  It is a 4-tuple (flips, anchors, gather, slots):
+# A program acts on a weight list w indexed by the edge labels of the source
+# and stores the normal form.  It is a 4-tuple (flips, anchors, gather, slots):
 # each flip (e, a, b, c, d) sets w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e],
 # and the result is [w[i] for i in gather].  A slot (t, i) is numbered
 # 3t + i; anchors holds, per flip, the two slots carrying the flipped edge
@@ -127,8 +127,7 @@ def replay(source, moves):
 def _compile(path, moves):
     """The program of `moves`, given the triangulations `path` it visits
     (as returned by replay).  Each distinct flip is looked up once."""
-    idx = path[0].edge_index
-    pos = list(range(len(idx)))     # label index -> position in w holding it
+    pos = list(range(path[0].num_edges))    # label -> position in w holding it
     at = list(range(3 * path[0].num_triangles))  # slot -> slot sent to it
     flips, anchors = [], []
     quads = {}
@@ -138,8 +137,7 @@ def _compile(path, moves):
             key = (cur, mv.label)
             if key not in quads:
                 s1, s2, *sides = cur.quad(mv.label)
-                quads[key] = ([idx[lab] for lab in [mv.label] + sides],
-                              (s1, s2))
+                quads[key] = ([mv.label] + sides, (s1, s2))
             labs, (x, y) = quads[key]
             flips.append(tuple([pos[i] for i in labs]))
             anchors.append((at[x], at[y]))
@@ -147,7 +145,7 @@ def _compile(path, moves):
             rel = mv.relabeling
             new = pos[:]
             for lab, img in rel.edge_map.items():
-                new[idx[img]] = pos[idx[lab]]
+                new[img] = pos[lab]
             pos = new
             new = at[:]
             for s, x in enumerate(rel._to):
@@ -242,8 +240,7 @@ class Encoding:
     def moves(self):
         """The flips, then the closing relabeling unless it is the
         identity."""
-        labels = self.source.edge_labels
-        flips = tuple([Flip(labels[f[0]]) for f in self._program[0]])
+        flips = tuple([Flip(f[0]) for f in self._program[0]])
         closing = self._closing()
         if closing is None:
             return flips
@@ -364,8 +361,7 @@ def _greedy_step(coords):
 
 
 def _canonical_state(coords):
-    tri = coords.host
-    return tri.canonical_form(dict(zip(tri.edge_labels, coords.weights)))
+    return coords.host.canonical_form(coords.weights)
 
 
 def _plateau_escape(coords, max_states=20000):
@@ -484,7 +480,6 @@ def _isolating_block(short_coords):
     curve and fixes exactly the probes disjoint from it.
     """
     from .curves import cut_along
-    from itertools import permutations
 
     tri = short_coords.host
     cut = cut_along(short_coords)
@@ -533,22 +528,20 @@ def _isolating_block(short_coords):
                     braid_memo[key] = equal_on(a * b * a, b * a * b, probes)
             return braid_memo[key]
 
-        for chain in permutations(range(len(cands)), 2 * h):
-            ok = True
-            for u in range(len(chain) - 1):
-                if not braided(cands[chain[u]], cands[chain[u + 1]]):
-                    ok = False
-                    break
-            if ok:
-                for u in range(len(chain)):
-                    for v in range(u + 2, len(chain)):
-                        if meets(cands[chain[u]], cands[chain[v]]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
-                continue
+        def chains(prefix):
+            """The valid chains extending `prefix` (candidate indices), in
+            lexicographic order: curve i follows when it is braided with
+            the last curve and meets none of the earlier ones."""
+            if len(prefix) == 2 * h:
+                yield prefix
+                return
+            for i, c in enumerate(cands):
+                if i not in prefix \
+                        and (not prefix or braided(cands[prefix[-1]], c)) \
+                        and not any(meets(cands[j], c) for j in prefix[:-1]):
+                    yield from chains(prefix + [i])
+
+        for chain in chains([]):
             prod = Encoding.identity(tri)
             for u in chain:
                 prod = prod * twists[cands[u].weights]
@@ -660,9 +653,7 @@ def encoding_to_jsonable(enc):
     the closing relabeling, if any, as its slot bijection and its target
     complex (the source), which is all the reader needs to rebuild it at
     the end of the replayed flips."""
-    labels = enc.source.edge_labels
-    moves = [{"kind": "flip", "label": labels[f[0]]}
-             for f in enc._program[0]]
+    moves = [{"kind": "flip", "label": f[0]} for f in enc._program[0]]
     closing = enc._closing()
     if closing is not None:
         moves.append({
@@ -690,7 +681,7 @@ def encoding_from_jsonable(tri, data):
         kind = mv.get("kind") if isinstance(mv, dict) else None
         if kind == "flip":
             label = mv.get("label")
-            if type(label) is not int or label not in cur.edge_index \
+            if type(label) is not int or not 0 <= label < cur.num_edges \
                     or not cur.is_flippable(label):
                 raise EncodingError('move %d: "label" %r is no flippable edge'
                                     % (k, label))

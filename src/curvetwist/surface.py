@@ -12,8 +12,10 @@ oriented surface - orientability is structural, not checked.  Inside the
 package slot (t, i) is numbered 3t + i, and the gluing is one tuple of 3T
 integers; (t, i) pairs appear only in the public accessors and the JSON.
 
-Each edge carries a stable integer label shared by its two slots; weights of
-normal curves live on these labels.  The standard models built here are:
+The edges of a triangulation with T triangles are numbered 0..E-1, E = 3T/2:
+the label of an edge, shared by its two slots, is its position in every
+weight vector of a normal curve, and a flip keeps every label.  The
+standard models built here are:
 
 * closed genus g >= 2: a one-vertex triangulation of the 4g-gon with the
   classical side word, triangulated pi-symmetrically (one long diagonal and
@@ -36,7 +38,6 @@ flip geometry and finds relabelings through them.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import cached_property
 from itertools import chain
 
@@ -62,7 +63,8 @@ def _union(parent, x, y):
 class Triangulation:
     """An oriented surface glued from labelled triangles.
 
-    triangles: sequence of (e, e, e) edge labels, sides in ccw order.
+    triangles: sequence of (e, e, e) edge labels, sides in ccw order; the
+               labels are 0..E-1, each on exactly two slots.
     gluing: mapping slot -> slot pairing the two sides of each edge; an
             involution without fixed points on all 3T slots, since every
             side is glued.
@@ -80,14 +82,11 @@ class Triangulation:
     @classmethod
     def _unchecked(cls, triangles, glue, like):
         """A triangulation the package derived from a valid one (`like`)
-        without changing its edge labels: skips _check and reuses the
-        label tables."""
+        without changing its edge labels: skips _check."""
         tri = cls.__new__(cls)
         tri._triangles = triangles
         tri._glue = glue
         tri._ideal = like._ideal
-        tri.edge_labels = like.edge_labels
-        tri.edge_index = like.edge_index
         return tri
 
     # -- construction-time validation ------------------------------------
@@ -100,9 +99,6 @@ class Triangulation:
         for t in self._triangles:
             if len(t) != 3:
                 raise TopologyError("triangle without exactly 3 sides: %r" % (t,))
-            for e in t:
-                if not isinstance(e, int) or e < 0:
-                    raise TopologyError("edge labels must be non-negative ints")
         slots = [(t, i) for t in range(n) for i in range(3)]
         if not set(gluing).union(gluing.values()) <= set(slots):
             raise TopologyError("gluing mentions unknown slot")
@@ -123,9 +119,10 @@ class Triangulation:
                     % (slots[s], slots[p]))
         # glued slots share a label, so a label on exactly two slots is on
         # one glued pair
-        for lab, k in Counter(side).items():
-            if k != 2:
-                raise TopologyError("label %d carried by %d slots" % (lab, k))
+        if not (all(type(e) is int for e in side)
+                and sorted(side) == [s // 2 for s in range(len(side))]):
+            raise TopologyError("edge labels must be 0..%d, each on exactly "
+                                "two slots" % (len(side) // 2 - 1))
         if not self._connected():
             raise TopologyError("triangulation is not connected")
         if self.euler_characteristic >= 0:
@@ -179,20 +176,13 @@ class Triangulation:
         return [(divmod(s, 3), divmod(p, 3))
                 for s, p in enumerate(self._glue) if s < p]
 
-    @cached_property
+    @property
     def edge_labels(self):
-        labs = set()
-        for t in self._triangles:
-            labs.update(t)
-        return tuple(sorted(labs))
-
-    @cached_property
-    def edge_index(self):
-        return {lab: k for k, lab in enumerate(self.edge_labels)}
+        return range(self.num_edges)
 
     @property
     def num_edges(self):
-        return len(self.edge_labels)
+        return len(self._glue) // 2
 
     def quad(self, label):
         """(s1, s2, a, b, c, d): the edge's slots s1 < s2, numbered 3t + i,
@@ -271,12 +261,11 @@ class Triangulation:
         curve.  These are exactly the inessential normal curves on the
         standard models.
         """
-        idx = self.edge_index
         links = [[0] * self.num_edges for _ in range(self.num_vertices)]
         # the two ends of an edge are the corners where its two slots end
         for v, lab in zip(self._corner_vertex,
                           chain.from_iterable(self._triangles)):
-            links[v][idx[lab]] += 1
+            links[v][lab] += 1
         return tuple(map(tuple, links))
 
     # -- equality / hashing -------------------------------------------------
@@ -317,7 +306,7 @@ class Triangulation:
         dropped as soon as its address is larger than the least one read
         at that position; the survivors are the roots of the least form.
 
-        With `weights` (a per-edge-label mapping) each address also
+        With `weights` (indexed by edge label) each address also
         carries the weight of its slot, so the form separates different
         normal-coordinate decorations of the same complex.
         """
@@ -590,7 +579,7 @@ def _subdivide(tri, t=0):
     """Stellar subdivision of triangle t: a new ideal vertex inside it."""
     if not tri.ideal:
         raise TopologyError("subdivision is used for punctured models only")
-    base = max(tri.edge_labels) + 1
+    base = tri.num_edges
     n0, n1, n2 = base, base + 1, base + 2
     new = [list(x) for x in tri.triangles]
     sides = tri.triangles[t]

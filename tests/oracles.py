@@ -444,7 +444,7 @@ def reference_trace(tri, weights):
     from curvetwist import InvalidCurveError
 
     def slot_weight(slot):
-        return weights[tri.edge_index[tri.edge_at(slot)]]
+        return weights[tri.edge_at(slot)]
 
     counts = {}
     for t in range(tri.num_triangles):
@@ -504,7 +504,7 @@ def reference_trace(tri, weights):
         vec = [0] * tri.num_edges
         for a in members:
             for base, _ in arc_points(a):
-                vec[tri.edge_index[tri.edge_at(base)]] += 1
+                vec[tri.edge_at(base)] += 1
         if any(x % 2 for x in vec):
             raise InvalidCurveError("inconsistent strand trace")
         vectors.append((tuple(x // 2 for x in vec), root))
@@ -527,7 +527,7 @@ def _cut_counts(tri, weights):
     """The arcs cutting off each corner (t, j)."""
     counts = {}
     for t in range(tri.num_triangles):
-        w = [weights[tri.edge_index[tri.edge_at((t, i))]] for i in range(3)]
+        w = [weights[tri.edge_at((t, i))] for i in range(3)]
         for j in range(3):
             counts[(t, j)] = (w[j] + w[(j + 1) % 3] - w[(j + 2) % 3]) // 2
     return counts
@@ -556,7 +556,7 @@ def reference_cut(coords):
     def segment_cell(slot, q):
         # segment q of a side spans points q-1..q; q ranges 0..w
         t, i = slot
-        w = weights[tri.edge_index[tri.edge_at(slot)]]
+        w = weights[tri.edge_at(slot)]
         if q < counts[(t, (i - 1) % 3)]:
             return ("c", t, (i - 1) % 3, q)
         if w - q < counts[(t, i)]:
@@ -565,7 +565,7 @@ def reference_cut(coords):
 
     segments = []
     for s, p in tri.gluing_pairs():
-        w = weights[tri.edge_index[tri.edge_at(s)]]
+        w = weights[tri.edge_at(s)]
         for q in range(w + 1):
             c1, c2 = segment_cell(s, q), segment_cell(p, w - q)
             r1, r2 = find(c1), find(c2)
@@ -780,7 +780,7 @@ def reference_single_curves(tri, cap):
     one component of multiplicity one that is no vertex link."""
     from curvetwist import MulticurveCoords, validate
     m = tri.num_edges
-    tri_edges = [[tri.edge_index[lab] for lab in t] for t in tri.triangles]
+    tri_edges = [list(t) for t in tri.triangles]
     order = []
     remaining = set(range(m))
     while remaining:

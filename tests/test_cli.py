@@ -230,17 +230,44 @@ def test_bad_integer_params_exit_one_naming_the_field(tmp_path, command,
     assert_one_line_error(run_cli(*argv), field)
 
 
-def assert_flag_refused(proc, flag):
-    assert proc.returncode == 1
-    assert "error: unrecognized arguments: %s" % flag in proc.stderr
-    assert "Traceback" not in proc.stderr
+@pytest.mark.parametrize("argv,params,field", [
+    (("surface", "info"), {"k_max": "abc"}, "k_max"),
+    (("construct", "maximalize"), {"weight_cap": "lots"}, "weight_cap"),
+    (("map", "act", "f", "a"), {"tolerance": "x", "independent": "yes"},
+     "tolerance"),
+    (("map", "act", "f", "a"), {"independent": "yes"}, "independent"),
+    (("gamma", "build"), {"order_bound": -1}, "order_bound"),
+    (("curve", "validate", "a"), {"k_max": 0}, "k_max"),
+], ids=["info-k-max", "maximalize-weight-cap", "act-tolerance",
+        "act-independent", "build-order-bound", "validate-k-max"])
+def test_params_values_are_checked_at_load(tmp_path, argv, params, field):
+    """A command that does not read a key still refuses its bad value."""
+    path = _workspace(tmp_path, params=params)
+    argv = list(argv[:2]) + [path] + list(argv[2:])
+    assert_one_line_error(run_cli(*argv), field)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--k-max", "x"), ("--k-max", "2.5"), ("--order-bound", "-1"),
+    ("--weight-cap", "lots"), ("--tolerance", "abc"),
+])
+def test_bad_flag_values_exit_one_naming_the_field(ws_path, flag, value):
+    field = flag[2:].replace("-", "_")
+    assert_one_line_error(
+        run_cli("construct", "search", ws_path, flag, value), field)
+
+
+def test_help_still_prints_the_usage():
+    proc = run_cli("construct", "search", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: curvetwist construct search")
 
 
 def test_maximalize_takes_no_weight_cap(ws_path):
     # the completion picks its curves by an exact rule, with no cap
-    assert_flag_refused(
+    assert_one_line_error(
         run_cli("construct", "maximalize", ws_path, "--weight-cap", "4"),
-        "--weight-cap")
+        "error: unrecognized arguments: --weight-cap")
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -259,7 +286,8 @@ def test_maximalize_takes_no_weight_cap(ws_path):
         "orbit-k-max", "maximalize-tolerance"])
 def test_a_flag_the_command_does_not_read_is_refused(ws_path, argv, flag):
     argv = [ws_path if a == "{ws}" else a for a in argv]
-    assert_flag_refused(run_cli(*argv), flag)
+    assert_one_line_error(run_cli(*argv),
+                          "error: unrecognized arguments: " + flag)
 
 
 def test_every_command_takes_seed_and_timing(ws_path):
@@ -497,6 +525,17 @@ def test_a_twist_word_must_be_a_string(tmp_path, word):
     proc = run_cli("surface", "info", path)
     assert_one_line_error(proc, "map 'f': twist word %r is not a string"
                           % (word,))
+
+
+def test_a_relabel_target_with_sparse_labels_is_refused(tmp_path):
+    doc = _serialized_twist()
+    target = doc["moves"][1]["target"]
+    target["triangles"] = [[5 if lab == 2 else lab for lab in t]
+                           for t in target["triangles"]]
+    path = _workspace(tmp_path, maps={"f": doc})
+    proc = run_cli("map", "act", path, "f", "a")
+    assert_one_line_error(proc, 'map \'f\': move 1: "target": edge labels '
+                                'must be 0..2, each on exactly two slots')
 
 
 def test_a_relabel_target_with_an_unglued_slot_is_refused(tmp_path):

@@ -326,7 +326,6 @@ def assert_flip_is_valid(tri, label):
     assert out == full and full == out
     assert hash(out) == hash(full)
     assert out.edge_labels == full.edge_labels
-    assert out.edge_index == full.edge_index
     assert out.euler_characteristic == full.euler_characteristic
     assert out.vertex_orbits == full.vertex_orbits
     return out

@@ -43,7 +43,7 @@ def test_standard_model_shape(gh, stats):
             tri.euler_characteristic, tri.ideal) == stats
     assert tri.genus == g
     assert tri.num_punctures == h
-    assert len(tri.edge_labels) == tri.num_edges
+    assert tri.edge_labels == range(tri.num_edges)
     # one link per vertex, each a valid weight vector crossing each edge
     # once per endpoint at that vertex
     links = tri.vertex_links()
@@ -128,6 +128,32 @@ def test_json_rejects_tampered_labels(s11):
     doc["labels"] = [99, 98, 97]
     with pytest.raises(TopologyError):
         triangulation_from_json(json.dumps(doc))
+
+
+# the gluing of the thrice-punctured sphere model; the cases below change
+# only the labels on its two triangles
+SPHERE_GLUING = {(0, 0): (1, 0), (1, 0): (0, 0), (0, 1): (1, 2),
+                 (1, 2): (0, 1), (0, 2): (1, 1), (1, 1): (0, 2)}
+
+
+@pytest.mark.parametrize("triangles", [
+    [(0, 1, 5), (0, 5, 1)],
+    [(0, 1, 1), (0, 1, 1)],
+    [(0, 1, "2"), (0, "2", 1)],
+    [(0, 1, 2.0), (0, 2.0, 1)],
+], ids=["sparse", "repeated", "string", "float"])
+def test_labels_other_than_0_to_E_minus_1_are_refused(triangles):
+    """An edge's label is its position in every weight vector, so the
+    labels must be 0..E-1, each on one glued pair of slots."""
+    message = r"^edge labels must be 0\.\.2, each on exactly two slots$"
+    with pytest.raises(TopologyError, match=message):
+        Triangulation(triangles, SPHERE_GLUING, ideal=True)
+    doc = {"ideal": True, "triangles": [list(t) for t in triangles],
+           "gluing": [[list(a), list(b)] for a, b in SPHERE_GLUING.items()
+                      if a < b]}
+    if all(type(lab) is int for t in triangles for lab in t):
+        with pytest.raises(TopologyError, match=message):
+            triangulation_from_json(json.dumps(doc))
 
 
 # -- flip geometry and isomorphism search against the references ---------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .surface import (TopologyError, build_surface, triangulation_to_json)
 from .curves import (InvalidCurveError, validate, is_single_curve,
                      is_essential, cut_along, coords_to_jsonable,
-                     coords_from_jsonable, _strict_int)
+                     coords_from_jsonable, _strict_int, _Strands)
 from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
 from .orbits import (SystemError_, CurveSystem, check_independent,
@@ -158,6 +158,9 @@ def load_workspace(path):
             raise WorkspaceError('curve %r needs a "weights" list' % name)
         try:
             curves[name] = coords_from_jsonable(tri, cdoc)
+            # the realizability laws of validate, without its trace: the
+            # check costs one pass over the triangles, whatever the weight
+            _Strands(tri, curves[name].weights)
         except (InvalidCurveError, ValueError, TypeError) as e:
             raise WorkspaceError("curve %r: %s" % (name, e))
 
@@ -246,10 +249,7 @@ def cmd_surface_info(args, ws):
 
 def cmd_curve_validate(args, ws):
     coords = ws.curve(args.curve)
-    try:
-        comps = validate(coords)
-    except InvalidCurveError as e:
-        return {"curve": args.curve, "valid": False, "reason": str(e)}, 0
+    comps = validate(coords)
     return {
         "curve": args.curve,
         "valid": True,
@@ -500,8 +500,16 @@ _DISPATCH = {
 }
 
 
+# built by the first call of main, not at import: it holds no input-derived
+# state, and parse_args returns a fresh namespace on every call
+_PARSER = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         ws = load_workspace(args.workspace)
@@ -510,11 +518,8 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return 1
     report["command"] = "%s %s" % (args.group, args.action)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = 0
-    report["seed"] = int(seed)
-    if getattr(args, "timing", False):
+    report["seed"] = args.seed or 0
+    if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")

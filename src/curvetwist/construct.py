@@ -27,7 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .curves import cut_along, disjoint_union_matches, _crossing
+from .curves import (MulticurveCoords, cut_along, disjoint_union_matches,
+                     enumerate_single_curves, _crossing)
 from .mapping import Encoding, twist
 from .orbits import (CurveSystem, require_independent, _orbit_graph,
                      find_orbit, chain_decomposition)
@@ -114,16 +115,27 @@ def _completion_pair(host, cut, piece):
     """(c', c''): the lightest candidate of a non-pants piece and the
     lightest candidate crossing it, in curves_in_piece order.  In a piece
     that is not a pair of pants, another curve crosses every non-peripheral
-    curve (Farb-Margalit, A Primer on Mapping Class Groups), so a growing
-    cap finds both; each cap's candidates are a prefix of the next cap's,
-    so the caps tried set only the cost, not the pair."""
-    seen = 1
+    curve (Farb-Margalit, A Primer on Mapping Class Groups), so the stream
+    of candidates below yields both.  It places the enumerated curves one
+    at a time (CutResult.place) at caps 4, 8, 12, ... and stops at c'', so
+    no curve after c'' is traced; each cap's curves are a prefix of the
+    next cap's, so the caps set only the cost, not the pair."""
+    stream = _candidates(host, cut, piece)
+    first = next(stream)
+    partner = next(v for v in stream if _crossing(host, first, v))
+    return MulticurveCoords(host, first), MulticurveCoords(host, partner)
+
+
+def _candidates(host, cut, piece):
+    """The weight vectors of the curves in the piece, in enumeration order,
+    placed only as they are read."""
+    seen = 0
     for cap in itertools.count(4, 4):
-        cands = cut.curves_in_piece(piece, cap)
-        for c in cands[seen:]:
-            if _crossing(host, cands[0].weights, c.weights):
-                return cands[0], c
-        seen = max(seen, len(cands))
+        vecs = enumerate_single_curves(host, cap)
+        for vec in vecs[seen:]:
+            if cut.place(vec) == piece:
+                yield vec
+        seen = len(vecs)
 
 
 # -- the exponent sweep -------------------------------------------------------

@@ -343,7 +343,7 @@ class CutResult:
         strands = _Strands(tri, coords.weights)
         comps, arc_component = strands.trace()
         self._components = comps
-        self._placed = {}       # see curves_in_piece
+        self._placed = {}       # see place
         self._first = first = strands.first
         counts = strands.counts
         z = first[-1]
@@ -447,24 +447,30 @@ class CutResult:
         c = bisect_right(first, a) - 1
         return self._region[self._cell(c, a - first[c])]
 
+    def place(self, vec):
+        """The piece holding the essential single curve `vec`, or None when
+        it meets the system or is parallel to a system component.  The
+        first ask traces vec together with the system; the answer is kept
+        for the lifetime of the cut, so each vector is traced at most once
+        per cut."""
+        placed = self._placed
+        if vec not in placed:
+            placed[vec] = None
+            if vec not in self._components:
+                trace = _traces_to(self._tri, [
+                    x + y for x, y in zip(self._coords.weights, vec)
+                ], self._components + (vec,))
+                if trace is not None:
+                    placed[vec] = self._piece_of(vec, *trace)
+        return placed[vec]
+
     def curves_in_piece(self, piece, max_total):
         """The essential single curves of weight <= max_total lying in piece
-        `piece` and parallel to no system component, in enumeration order.
-        Each candidate is traced once, together with the system, and its
-        piece (None if none) is kept for the lifetime of the cut."""
-        out = []
-        for vec in enumerate_single_curves(self._tri, max_total):
-            if vec not in self._placed:
-                self._placed[vec] = None
-                if vec not in self._components:
-                    trace = _traces_to(self._tri, [
-                        x + y for x, y in zip(self._coords.weights, vec)
-                    ], self._components + (vec,))
-                    if trace is not None:
-                        self._placed[vec] = self._piece_of(vec, *trace)
-            if self._placed[vec] == piece:
-                out.append(MulticurveCoords(self._tri, vec))
-        return out
+        `piece` and parallel to no system component, in enumeration order:
+        every enumerated curve up to the cap is placed (see place)."""
+        return [MulticurveCoords(self._tri, vec)
+                for vec in enumerate_single_curves(self._tri, max_total)
+                if self.place(vec) == piece]
 
 
 def cut_along(coords):

@@ -839,9 +839,11 @@ def reference_spanning_probes(tri):
 # -- the completion's pair search ---------------------------------------------
 #
 # maximalize completes a piece with its lightest candidate and the lightest
-# candidate crossing it, growing the enumeration cap until both are there.
-# The reference below is the search that replaced: the first crossing pair
-# in candidate order under a weight cap, then the cap plus 4, then plus 8.
+# candidate crossing it, placing candidates one at a time until both are
+# there.  reference_completion_pair is the search that replaced: the first
+# crossing pair in candidate order under a weight cap, then the cap plus 4,
+# then plus 8.  reference_lightest_pair finds the same pair as maximalize,
+# but lists every candidate of the piece at each cap.
 
 def reference_completion_pair(cut, piece, weight_cap=12):
     """The first pair (c_i, c_j), i < j, of crossing candidates of the piece
@@ -855,3 +857,18 @@ def reference_completion_pair(cut, piece, weight_cap=12):
                 if intersects(cands[i], cands[j]):
                     return cands[i], cands[j]
     return None
+
+
+def reference_lightest_pair(host, cut, piece):
+    """(c', c''): the first candidate of the piece in
+    CutResult.curves_in_piece order and the first candidate after it that
+    crosses it, listing every candidate of the piece at caps 4, 8, 12, ...
+    in turn until both are there."""
+    from curvetwist import intersects
+    seen, cap = 1, 4
+    while True:
+        cands = cut.curves_in_piece(piece, cap)
+        for c in cands[seen:]:
+            if intersects(cands[0], c):
+                return cands[0], c
+        seen, cap = max(seen, len(cands)), cap + 4

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import curvetwist
+from curvetwist.cli import main
 
 
 PUNCTURED_TORUS_WS = {
@@ -135,6 +136,34 @@ def test_input_errors_exit_one(ws_path, tmp_path):
     bad.write_text("{not json")
     assert run_cli("surface", "info", str(bad)).returncode == 1
     assert run_cli("no-such-command").returncode == 1
+
+
+def test_curve_validate_reports_a_valid_curve(ws_path):
+    doc = run_json("curve", "validate", ws_path, "a")
+    assert doc == {"command": "curve validate", "curve": "a", "seed": 0,
+                   "valid": True, "component_count": 1, "is_single": True,
+                   "components": [{"weights": ["0", "1", "1"],
+                                   "multiplicity": 1}]}
+
+
+def test_one_process_parser_keeps_no_state(tmp_path, capsys):
+    """main builds its parser once per process: a flag given to one call
+    and a refused flag leave the next call reading the workspace."""
+    path = _workspace(tmp_path, params={"k_max": 6})
+    assert main(["construct", "search", path, "--k-max", "3"]) == 3
+    assert json.loads(capsys.readouterr().out)["schedule"]["k_max"] == 3
+    assert main(["construct", "search", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schedule"]["k_max"] == 6 and doc["exponents"] == {"a": 5}
+    assert main(["construct", "search", path, "--k-max", "x"]) == 1
+    assert capsys.readouterr().err.startswith("error: k_max must be")
+    with pytest.raises(SystemExit) as exit_:
+        main(["construct", "search", path, "--k-max"])
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err.startswith("error: argument --k-max")
+    assert main(["construct", "search", path, "--seed", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schedule"]["k_max"] == 6 and doc["seed"] == 4
 
 
 def test_reports_are_byte_identical(ws_path):
@@ -474,13 +503,33 @@ def test_malformed_moves_exit_one_naming_the_move(tmp_path, mutate, field):
 
 
 def test_invalid_curve_is_named_in_the_map_error(tmp_path):
-    curves = dict(PUNCTURED_TORUS_WS["curves"], a={"weights": ["0", "1", "2"]})
+    # two parallel copies of a: realizable, so it loads, but no twist curve
+    curves = dict(PUNCTURED_TORUS_WS["curves"], a={"weights": ["0", "2", "2"]})
     path = _workspace(tmp_path, curves=curves,
                       maps={"f": {"word": "T(b) * T(a)"}},
                       system={"components": ["b"], "map": "f"})
     proc = run_cli("map", "act", path, "f", "b")
-    assert_one_line_error(proc, "map 'f': curve 'a': triangle 0 has odd "
-                                "weight sum (0, 1, 2)")
+    assert_one_line_error(proc, "map 'f': curve 'a': essentiality test "
+                                "expects a single curve")
+
+
+@pytest.mark.parametrize("weights,reason", [
+    (["1", "1", "1"], "triangle 0 has odd weight sum (1, 1, 1)"),
+    (["0", "1", "3"], "triangle 0 violates the triangle inequality at "
+                      "corner 0: (0, 1, 3)"),
+], ids=["parity", "triangle-inequality"])
+@pytest.mark.parametrize("argv", [("surface", "info"),
+                                  ("curve", "validate", "x")],
+                         ids=["surface-info", "curve-validate"])
+def test_unrealizable_curves_are_refused_at_load(tmp_path, weights, reason,
+                                                 argv):
+    """A curve no map uses is checked too, and `curve validate` never
+    reports an invalid curve: it cannot load one."""
+    curves = dict(PUNCTURED_TORUS_WS["curves"], x={"weights": weights})
+    path = _workspace(tmp_path, curves=curves)
+    proc = run_cli(*argv[:2], path, *argv[2:])
+    assert_one_line_error(proc, "curve 'x': " + reason)
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("weights,field", [

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
                         equal_on, spanning_probes, decimal_string,
@@ -29,7 +30,8 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
 from curvetwist.construct import (_completion_pair, _exponent_vectors,
                                   _result_jsonable)
 
-from oracles import reference_completion_pair, spectral_radius
+from oracles import (reference_completion_pair, reference_lightest_pair,
+                     spectral_radius)
 
 
 # -- families -------------------------------------------------------------------
@@ -175,6 +177,24 @@ def test_completion_pair_is_the_cap_ladder_pair(system):
             last = 20 if ref is None else next(
                 cap for cap in (12, 16, 20) if cap >= ref[1].total_weight)
             assert partner.total_weight > last
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(partial_systems())
+# the separating curve of S(2,0): two non-pants pieces, which the drawn
+# systems (curves of weight <= 6) never give
+@example(CurveSystem(LADDER[1], {"sep": MulticurveCoords(
+    LADDER[1], (0, 0, 2, 2, 0, 0, 0, 2, 2))}))
+def test_completion_pair_is_the_eager_lightest_pair(system):
+    """The streamed pair is the pair found by listing every candidate of
+    the piece at each cap, in every non-pants piece."""
+    joint = system.joint_coords()
+    cut = cut_along(joint)
+    for piece, p in enumerate(cut.pieces):
+        if not p.is_pants:
+            assert _completion_pair(joint.host, cut, piece) == \
+                reference_lightest_pair(joint.host, cut_along(joint), piece)
 
 
 def test_completion_pair_can_differ_from_the_cap_ladder(s20):

@@ -129,8 +129,9 @@ def test_ladder_rung_search_trace_budget(counts):
     assert status == "accepted"
     # 2,399 before the curve filter and the independence check traced each
     # curve once per question; 1,061 before the surface context; 867 before
-    # the lightest-pair completion and the one-trace crossing test
-    assert traces <= 699
+    # the lightest-pair completion and the one-trace crossing test; 698
+    # before the completion placed its candidates one at a time
+    assert traces <= 628
 
 
 def test_ladder_rung_search_shortens_each_curve_once(counts):
@@ -143,6 +144,71 @@ def test_cleared_contexts_repeat_the_cold_counts(counts):
     # no derived fact outlives _CONTEXTS.clear(): a second run after it
     # does exactly the work of the first
     assert counts["again"] == counts["search"]
+
+
+CLI_CHILD = r"""
+import argparse
+import contextlib
+import io
+import json
+import sys
+import curvetwist as ct
+from curvetwist.cli import main
+from curvetwist.curves import _Strands
+
+calls = {"trace": 0, "parser": 0}
+trace = _Strands.trace
+parser_init = argparse.ArgumentParser.__init__
+
+
+def counted_trace(self):
+    calls["trace"] += 1
+    return trace(self)
+
+
+def counted_parser_init(self, *args, **kwargs):
+    calls["parser"] += 1
+    parser_init(self, *args, **kwargs)
+
+
+_Strands.trace = counted_trace
+argparse.ArgumentParser.__init__ = counted_parser_init
+
+# the search_ladder rung workspace on S(2,0), as in rung() above
+tri = ct.build_surface(2, 0)
+vecs = ct.enumerate_single_curves(tri, 8)
+c = ct.MulticurveCoords(tri, vecs[0])
+d = max((v for v in vecs if ct.intersects(c, ct.MulticurveCoords(tri, v))),
+        key=lambda v: (sum(v), v))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"surface": {"genus": 2, "punctures": 0},
+               "curves": {"c": {"weights": [str(x) for x in c.weights]},
+                          "d": {"weights": [str(x) for x in d]}},
+               "maps": {"f": {"word": "T(d)"}},
+               "system": {"components": ["c"], "map": "f"},
+               "params": {"k_max": 4}}, fh)
+runs = []
+for _ in range(2):
+    for key in calls:
+        calls[key] = 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["construct", "search", sys.argv[1]])
+    runs.append(dict(calls, code=code, report=out.getvalue()))
+print(json.dumps(runs))
+"""
+
+
+def test_warm_cli_search_builds_no_parser_and_places_few_curves(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", CLI_CHILD,
+                           str(tmp_path / "rung.json")], capture_output=True,
+                          text=True, timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = json.loads(proc.stdout)
+    assert cold["code"] == warm["code"] == 0
+    assert warm["report"] == cold["report"]
+    assert cold["parser"] > 0 and warm["parser"] == 0
+    # 124 before the completion placed its candidates one at a time
+    assert warm["trace"] <= 54
 
 
 GROUP_CHILD = r"""

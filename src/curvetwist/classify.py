@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .curves import MulticurveCoords
+from .curves import MulticurveCoords, enumerate_single_curves
 from .mapping import Encoding, spanning_probes, equal_on
 from .orbits import CurveSystem, check_independent
 
@@ -150,18 +150,32 @@ def default_order_bound(tri):
 # -- the three detectors --------------------------------------------------------
 
 def periodic_check(e, order_bound=None):
-    """Least p with e^p equal to the identity on the spanning probes."""
+    """Least p with e^p equal to the identity on the spanning probes.
+
+    e permutes curves, so the powers of e fixing a probe are the multiples
+    of its period, and the least p fixing every probe is the lcm of their
+    periods.  Each probe is moved only up to its first return: the check
+    ends with None at the first probe that does not return within the
+    bound, or as soon as the lcm exceeds it.
+    """
     tri = e.source
     if order_bound is None or order_bound == 0:
         order_bound = default_order_bound(tri)
-    probes = spanning_probes(tri)
-    start = [p.weights for p in probes]
-    cur = list(start)
-    for p in range(1, order_bound + 1):
-        cur = [e.act_on_weights(w) for w in cur]
-        if cur == start:
-            return p
-    return None
+    if order_bound < 1:
+        return None
+    order = 1
+    for probe in spanning_probes(tri):
+        w = e.act_on_weights(probe.weights)
+        period = 1
+        while w != probe.weights:
+            if period >= order_bound:
+                return None
+            w = e.act_on_weights(w)
+            period += 1
+        order = lcm(order, period)
+        if order > order_bound:
+            return None
+    return order
 
 
 def invariant_multicurve_search(e, depth=8, weight_cap=8, extra_seeds=()):
@@ -172,37 +186,24 @@ def invariant_multicurve_search(e, depth=8, weight_cap=8, extra_seeds=()):
     with e^p(c) = c at some p <= depth whose orbit curves pass
     check_independent, returns (orbit union, p, orbit tuple); else None.
     """
-    from .curves import enumerate_single_curves
     tri = e.source
-    seeds = []
-    seen = set()
-    for c in extra_seeds:
-        if c.weights not in seen:
-            seen.add(c.weights)
-            seeds.append(c)
-    for vec in enumerate_single_curves(tri, weight_cap):
-        if vec not in seen:
-            seen.add(vec)
-            seeds.append(MulticurveCoords(tri, vec))
+    seeds = dict.fromkeys(c.weights for c in extra_seeds)
+    seeds.update(dict.fromkeys(enumerate_single_curves(tri, weight_cap)))
     for seed in seeds:
-        orbit = [seed.weights]
-        w = seed.weights
-        period = None
-        for p in range(1, depth + 1):
-            w = e.act_on_weights(w)
-            if w == seed.weights:
-                period = p
+        orbit = [seed]
+        for _ in range(depth):
+            w = e.act_on_weights(orbit[-1])
+            if w == seed:
                 break
             orbit.append(w)
-        if period is None:
+        else:
             continue
         # the orbit curves are distinct, and a disjoint, essential,
         # non-parallel family never exceeds the size bound
         found = CurveSystem(tri, {str(i): MulticurveCoords(tri, v)
                                   for i, v in enumerate(orbit)})
-        if not check_independent(found).ok:
-            continue
-        return (found.joint_coords(), period, tuple(orbit))
+        if check_independent(found).ok:
+            return (found.joint_coords(), len(orbit), tuple(orbit))
     return None
 
 
@@ -292,6 +293,26 @@ def _doubling(weights, window):
     return True
 
 
+class _OrbitTable:
+    """e for the detectors of one classify call: the image of every vector
+    moved is kept, so each vector is moved at most once.  A probe's orbit
+    from the periodic check serves again as a seed orbit of the invariant
+    search and as the first iterates of a dilatation estimate."""
+
+    __slots__ = ("source", "_act", "_image")
+
+    def __init__(self, e):
+        self.source = e.source
+        self._act = e.act_on_weights
+        self._image = {}
+
+    def act_on_weights(self, weights):
+        image = self._image.get(weights)
+        if image is None:
+            image = self._image[weights] = self._act(weights)
+        return image
+
+
 def classify(e, params=None, extra_seeds=()):
     """Periodicity, then reducibility, then growth; first verdict wins.
 
@@ -299,9 +320,11 @@ def classify(e, params=None, extra_seeds=()):
     growth, that the estimates agree pairwise within the residual
     tolerance, that each residual clears the same bar, and that the rate
     exceeds 1 by the configured margin.  Anything else that neither closes
-    an order nor exhibits an invariant multicurve is Inconclusive.
+    an order nor exhibits an invariant multicurve is Inconclusive.  The
+    three detectors share one orbit table, dropped when the call returns.
     """
     params = params or ClassifyParams()
+    e = _OrbitTable(e)
     tri = e.source
     diag = {"params": params.jsonable()}
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -521,8 +522,17 @@ def main(argv=None):
     report["seed"] = args.seed or 0
     if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: point stdout at the null device so that the
+        # interpreter's final flush of what is left cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

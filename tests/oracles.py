@@ -721,6 +721,24 @@ def reference_check_independent(sys):
     return not problems, tuple(problems)
 
 
+def reference_periodic_check(e, order_bound=None):
+    """Least p <= order_bound with e^p equal to the identity on the
+    spanning probes, moving every probe once per power until all return
+    together (the check the probe-by-probe lcm replaced)."""
+    from curvetwist import default_order_bound, spanning_probes
+    tri = e.source
+    if order_bound is None or order_bound == 0:
+        order_bound = default_order_bound(tri)
+    probes = spanning_probes(tri)
+    start = [p.weights for p in probes]
+    cur = list(start)
+    for p in range(1, order_bound + 1):
+        cur = [e.act_on_weights(w) for w in cur]
+        if cur == start:
+            return p
+    return None
+
+
 def reference_invariant_multicurve_search(e, depth=8, weight_cap=8,
                                           extra_seeds=()):
     """The first seed with a finite orbit whose curves are valid single

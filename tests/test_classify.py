@@ -11,17 +11,22 @@ makes both sides comparable.
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from curvetwist import (MulticurveCoords, Encoding, Relabel, twist,
                         automorphisms, decimal_string, QuadraticValue,
                         Periodic, ReducibleEvidence, PseudoAnosovEvidence,
                         Inconclusive, ClassifyParams, default_order_bound,
                         periodic_check, invariant_multicurve_search,
-                        dilatation_estimate, two_twist_oracle, classify)
+                        dilatation_estimate, two_twist_oracle, classify,
+                        build_surface, spanning_probes)
+from curvetwist.classify import _OrbitTable
 
-from oracles import word_trace, spectral_radius
+from oracles import word_trace, spectral_radius, reference_periodic_check
+from test_curve_systems import SETTINGS, words
 
 
 WORDS = [
@@ -107,10 +112,53 @@ def test_involution_is_periodic_order_two(s20):
     assert report.verdict == Periodic(2)
 
 
-def test_periodic_check_respects_order_bound(ab):
+def test_periodic_check_respects_order_bound(ab, s20):
     g = encode_word(ab, [("a", 1), ("b", 1)])
     assert periodic_check(g, order_bound=2) is None
     assert periodic_check(g, order_bound=3) == 3
+    swap = next(rel for rel in automorphisms(s20)
+                if not rel.is_edge_identity())
+    # the thrice-punctured sphere has no probes at all
+    pants = Encoding.identity(build_surface(0, 3))
+    for e in (g, Encoding(s20, [Relabel(swap)]), pants):
+        for bound in range(-1, 13):
+            assert periodic_check(e, bound) == \
+                reference_periodic_check(e, bound)
+
+
+@SETTINGS
+@given(words(), st.integers(-1, 12))
+def test_periodic_check_matches_the_reference(e, bound):
+    """The probe-by-probe lcm against powers of e on all probes at once,
+    on twist words and symmetries of finite order; bound 0 is the model's
+    default and a negative bound admits no order."""
+    assert periodic_check(e, bound) == reference_periodic_check(e, bound)
+
+
+def test_periodic_check_takes_the_lcm_of_the_probe_periods(s20):
+    """Probes permuted in a 2-cycle and a 3-cycle: each returns within 5,
+    all of them together first at 6."""
+    p = [c.weights for c in spanning_probes(s20)]
+    image = {p[0]: p[1], p[1]: p[0], p[2]: p[3], p[3]: p[4], p[4]: p[2]}
+    e = SimpleNamespace(source=s20, act_on_weights=lambda w: image.get(w, w))
+    assert periodic_check(e, 5) is None
+    assert periodic_check(e, 6) == 6
+    assert reference_periodic_check(e, 5) is None
+    assert reference_periodic_check(e, 6) == 6
+
+
+@SETTINGS
+@given(words(), st.integers(-1, 12), st.integers(2, 6))
+def test_detectors_read_the_same_on_the_orbit_table(e, bound, cap):
+    """The three detectors, in classify's order on one table, return what
+    they return on the bare encoding."""
+    table = _OrbitTable(e)
+    assert periodic_check(table, bound) == periodic_check(e, bound)
+    assert invariant_multicurve_search(table, weight_cap=cap) == \
+        invariant_multicurve_search(e, weight_cap=cap)
+    for seed in spanning_probes(e.source)[:3]:
+        assert dilatation_estimate(table, seed, 12) == \
+            dilatation_estimate(e, seed, 12)
 
 
 def test_default_order_bounds():

@@ -98,6 +98,23 @@ def test_map_classify_exit_zero_for_every_verdict(ws_path):
     assert doc["report"]["lambda_hat_decimal"].startswith("2.6180339887")
 
 
+@pytest.mark.parametrize("name", ["id", "g"])
+def test_closed_stdout_exits_one_without_a_traceback(ws_path, name):
+    """The parent closes its end of the pipe before the report is written
+    (as `| head -n 3` does once it has read enough)."""
+    proc = subprocess.Popen([sys.executable, "-m", "curvetwist", "map",
+                             "classify", ws_path, name],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=CHILD_ENV)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_gamma_orbit_exit_codes(ws_path, ws_orbit_path):
     doc = run_json("gamma", "orbit", ws_orbit_path, expect=2)
     assert doc["orbit"] == ["a"]

@@ -135,13 +135,21 @@ LADDER = [build_surface(*gh)
 @st.composite
 def partial_systems(draw):
     """Disjoint, pairwise non-parallel curves on a ladder model: from a
-    random list of curves of weight <= 6, each one disjoint from those kept
-    before it is kept; sometimes all are moved by one twist."""
+    random list of curves of weight <= 6 (<= 8 on S(2,1)), each one
+    disjoint from those kept before it is kept; sometimes all are moved by
+    one twist about a curve of weight <= 6."""
     tri = draw(st.sampled_from(LADDER))
     curves = [MulticurveCoords(tri, v)
               for v in enumerate_single_curves(tri, 6)]
+    # the separating curves of S(2,1) weigh 8, and a cut along one leaves
+    # two pieces that are not pants; S(2,0) stays at 6, because its weight-8
+    # curves include two separating curves parallel across the vertex, and
+    # the completion never returns on the annulus between them (ROADMAP,
+    # Known defects)
+    pool = curves if (tri.genus, tri.num_punctures) != (2, 1) else [
+        MulticurveCoords(tri, v) for v in enumerate_single_curves(tri, 8)]
     kept = []
-    for c in draw(st.lists(st.sampled_from(curves), max_size=4)):
+    for c in draw(st.lists(st.sampled_from(pool), max_size=4)):
         if c not in kept and disjoint_union_matches(tri, kept + [c]):
             kept.append(c)
     if draw(st.booleans()):
@@ -154,6 +162,8 @@ def partial_systems(draw):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(partial_systems())
+@example(CurveSystem(LADDER[1], {"sep": MulticurveCoords(
+    LADDER[1], (0, 0, 2, 2, 0, 0, 0, 2, 2))}))
 def test_completion_pair_is_the_cap_ladder_pair(system):
     """In each non-pants piece: the lightest candidate and the lightest
     candidate crossing it.  The cap ladder took the first candidate with a
@@ -183,7 +193,7 @@ def test_completion_pair_is_the_cap_ladder_pair(system):
           suppress_health_check=[HealthCheck.too_slow])
 @given(partial_systems())
 # the separating curve of S(2,0): two non-pants pieces, which the drawn
-# systems (curves of weight <= 6) never give
+# systems give only on S(2,1)
 @example(CurveSystem(LADDER[1], {"sep": MulticurveCoords(
     LADDER[1], (0, 0, 2, 2, 0, 0, 0, 2, 2))}))
 def test_completion_pair_is_the_eager_lightest_pair(system):

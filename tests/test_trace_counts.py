@@ -1,7 +1,8 @@
 """
-Strand-trace, shortening and flip counts: each curve is traced once per
-question and shortened once per surface, and warm group operations build
-no triangulation.
+Strand-trace, shortening, flip and flip-program counts: each curve is
+traced once per question and shortened once per surface, warm group
+operations build no triangulation, and a classification moves each weight
+vector at most once.
 
 The counts come from a fresh interpreter, so the package's surface contexts
 start empty and the numbers repeat exactly.  The child wraps
@@ -264,3 +265,59 @@ def test_warm_group_operations_build_no_triangulation():
     # the cold pass shortens the curves and builds the twist blocks
     assert out["cold"]["flip"] > 0 and out["cold"]["replay"] > 0
     assert out["warm"] == {"flip": 0, "replay": 0, "Triangulation": 0}
+
+
+CLASSIFY_CHILD = r"""
+import json
+import curvetwist as ct
+from curvetwist import mapping
+
+runs = [0]
+act = mapping.Encoding.act_on_weights
+
+
+def counted_act(self, weights):
+    runs[0] += 1
+    return act(self, weights)
+
+
+mapping.Encoding.act_on_weights = counted_act
+s11, s20 = ct.build_surface(1, 1), ct.build_surface(2, 0)
+named = {s11: {"a": (0, 1, 1), "b": (1, 0, 1)},
+         s20: {"c": (0, 0, 1, 0, 0, 0, 0, 1, 0),
+               "d": (1, 0, 0, 0, 0, 1, 0, 0, 0),
+               "sep": (0, 0, 2, 2, 0, 0, 0, 2, 2),
+               "x": (0, 1, 0, 1, 2, 1, 1, 1, 1)}}
+out = {}
+for tri, word in ((s11, "T(b)^1000"), (s11, "T(a) * T(b)"),
+                  (s11, "T(a)^2 * T(b)^-1"),
+                  (s20, "T(d)^-1 * T(sep) * T(c)^-1"),
+                  (s20, "T(sep) * T(x)^-2 * T(d)^2 * T(c)")):
+    e = ct.parse_twist_word(word, {n: ct.MulticurveCoords(tri, w)
+                                   for n, w in named[tri].items()})
+    out[word] = []
+    for _ in range(2):
+        runs[0] = 0
+        kind = ct.classify(e).verdict.kind
+        out[word].append([runs[0], kind])
+print(json.dumps(out))
+"""
+
+
+def test_classify_moves_each_vector_at_most_once():
+    """Flip-program runs (Encoding.act_on_weights calls) per classify call,
+    cold and warm: the periodic check stops at the first probe that does not
+    return, and the detectors share one orbit table per call."""
+    proc = subprocess.run([sys.executable, "-c", CLASSIFY_CHILD],
+                          capture_output=True, text=True, timeout=300,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    # before the probe-by-probe check and the orbit table: 57, 18, 282,
+    # 261 and 558 runs
+    assert json.loads(proc.stdout) == {
+        "T(b)^1000": [[9, "reducible_evidence"]] * 2,
+        "T(a) * T(b)": [[12, "periodic"]] * 2,
+        "T(a)^2 * T(b)^-1": [[144, "pseudo_anosov_evidence"]] * 2,
+        "T(d)^-1 * T(sep) * T(c)^-1": [[12, "reducible_evidence"]] * 2,
+        "T(sep) * T(x)^-2 * T(d)^2 * T(c)":
+            [[260, "pseudo_anosov_evidence"]] * 2}

@@ -141,10 +141,28 @@ class ClassifyParams:
 
 
 def default_order_bound(tri):
-    """Classical-style caps on periodic orders: 4g+2 for the closed models,
-    4g+4 once punctures are present (configuration, documented)."""
-    g = tri.genus
-    return 4 * g + 2 if tri.num_punctures == 0 else 4 * g + 4
+    """The largest order of a periodic mapping class of the model: 4g + 2
+    for genus g >= 2, max(6, n) for genus 1 and n for genus 0, with n
+    punctures.
+
+    Proof.  A periodic mapping class of a surface with chi < 0 is realized
+    by a homeomorphism h of the same order (Nielsen realization;
+    Farb-Margalit, A Primer on Mapping Class Groups, 7.1-7.2), which
+    permutes the punctures and fixes the vertex of a closed model; filling
+    the punctures in, h is a periodic homeomorphism of the closed surface.
+    For g >= 2 its order is at most 4g + 2 (Wiman; Farb-Margalit, Thm 7.5).
+    For g = 1, h either has a fixed point, and then it is conjugate to a
+    linear map of the torus, of order 1, 2, 3, 4 or 6, or it acts freely,
+    so that every puncture lies in an orbit of size equal to its order m,
+    and m <= n.  For g = 0, h is conjugate to a rotation, which fixes two
+    points and moves every other in an orbit of size m; at least one of
+    the n >= 3 punctures is not fixed, so m <= n.  The order of the action
+    on curves divides the order of the class, so no periodic map exceeds
+    the bound on curves either."""
+    g, n = tri.genus, tri.num_punctures
+    if g >= 2:
+        return 4 * g + 2
+    return max(6, n) if g == 1 else n
 
 
 # -- the three detectors --------------------------------------------------------

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 from .curves import (MulticurveCoords, cut_along, disjoint_union_matches,
                      enumerate_single_curves, _crossing)
-from .mapping import Encoding, twist
-from .orbits import (CurveSystem, require_independent, _orbit_graph,
-                     find_orbit, chain_decomposition)
+from .mapping import Encoding, twist, _intersection
+from .orbits import (CurveSystem, SystemError_, require_independent,
+                     _orbit_graph, find_orbit, chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
 
 
@@ -114,26 +114,43 @@ def maximalize(sys, f):
 def _completion_pair(host, cut, piece):
     """(c', c''): the lightest candidate of a non-pants piece and the
     lightest candidate crossing it, in curves_in_piece order.  In a piece
-    that is not a pair of pants, another curve crosses every non-peripheral
-    curve (Farb-Margalit, A Primer on Mapping Class Groups), so the stream
-    of candidates below yields both.  It places the enumerated curves one
-    at a time (CutResult.place) at caps 4, 8, 12, ... and stops at c'', so
-    no curve after c'' is traced; each cap's curves are a prefix of the
-    next cap's, so the caps set only the cost, not the pair."""
+    with chi < 0 that is not a pair of pants, another curve crosses every
+    non-peripheral curve (Farb-Margalit, A Primer on Mapping Class Groups),
+    so the stream of candidates below yields both; a piece with chi >= 0
+    (an annulus between parallel curves, which an independent system does
+    not have) is refused.  It places the enumerated curves one at a time
+    at caps 4, 8, 12, ... and stops at c'', so no curve after c'' is
+    traced; each cap's curves are a prefix of the next cap's, so the caps
+    set only the cost, not the pair.  Whether a candidate crosses c' is
+    read from i(c', v) (mapping._intersection) unless c' is isolating."""
+    chi = cut.pieces[piece].euler_characteristic
+    if chi >= 0:
+        raise SystemError_("piece %d has chi %d: no two of its curves cross"
+                           % (piece, chi))
     stream = _candidates(host, cut, piece)
     first = next(stream)
-    partner = next(v for v in stream if _crossing(host, first, v))
+
+    def crosses(v):
+        i = _intersection(host, first, v)
+        return _crossing(host, first, v) if i is None else i > 0
+
+    partner = next(filter(crosses, stream))
     return MulticurveCoords(host, first), MulticurveCoords(host, partner)
 
 
 def _candidates(host, cut, piece):
     """The weight vectors of the curves in the piece, in enumeration order,
-    placed only as they are read."""
+    placed only as they are read.  A vector with i(s, vec) > 0 for a
+    non-isolating system component s (mapping._intersection; None, for an
+    isolating s, skips nothing) lies in no piece and is skipped untraced,
+    so CutResult.place traces only the vectors that meet no such s."""
+    system = cut._components
     seen = 0
     for cap in itertools.count(4, 4):
         vecs = enumerate_single_curves(host, cap)
         for vec in vecs[seen:]:
-            if cut.place(vec) == piece:
+            if not any(_intersection(host, s, vec) for s in system) \
+                    and cut.place(vec) == piece:
                 yield vec
         seen = len(vecs)
 

@@ -167,6 +167,16 @@ def _chain(programs):
     return tuple(flips), tuple(anchors), pos, at
 
 
+def _run(flips, weights):
+    """The weight list after the flips of a program, before its gather."""
+    w = list(weights)
+    for e, a, b, c, d in flips:
+        x = w[a] + w[c]
+        y = w[b] + w[d]
+        w[e] = (x if x > y else y) - w[e]
+    return w
+
+
 def _inverse_perm(perm):
     inv = [0] * len(perm)
     for i, x in enumerate(perm):
@@ -250,12 +260,7 @@ class Encoding:
         return flips + (Relabel(Relabeling(end, self.source, closing)),)
 
     def act_on_weights(self, weights):
-        w = list(weights)
-        for e, a, b, c, d in self._program[0]:
-            x = w[a] + w[c]
-            y = w[b] + w[d]
-            w[e] = (x if x > y else y) - w[e]
-        return self._pick(w)
+        return self._pick(_run(self._program[0], weights))
 
     def act(self, coords):
         if coords.host != self.source:
@@ -420,9 +425,10 @@ def shorten(coords):
 # -- the twist block --------------------------------------------------------------
 
 def _annulus_frame(coords):
-    """The two crossed edges (p, q) of the two-triangle annulus around a
-    weight-two curve, in the counterclockwise order [boundary, p, q] that
-    both annulus triangles share.
+    """(r1, r2, p, q) of the two-triangle annulus around a weight-two curve:
+    the crossed edges p and q in the counterclockwise order [r, p, q] that
+    both annulus triangles share, and the third sides r1 and r2 of the two
+    triangles, in triangle order.
     """
     tri = coords.host
     crossed = [lab for lab in tri.edge_labels if coords.weight_of(lab) == 1]
@@ -436,20 +442,20 @@ def _annulus_frame(coords):
         if len(hits) != 2:
             raise EncodingError("degenerate annulus: crossings share a side")
         (r,) = [i for i in range(3) if i not in hits]
-        frames.append((labs[(r + 1) % 3], labs[(r + 2) % 3]))
+        frames.append((labs[r], labs[(r + 1) % 3], labs[(r + 2) % 3]))
     if len(frames) != 2:
         raise EncodingError("crossed edges do not span two triangles")
-    if frames[0] != frames[1]:
+    (r1, p, q), (r2, *pq) = frames
+    if pq != [p, q]:
         raise EncodingError("annulus triangles disagree on edge order")
-    return frames[0]
+    return r1, r2, p, q
 
 
-def _twist_block(short_coords):
-    """One primitive positive twist along the core of the annulus: flip the
-    first crossed edge, then relabel swapping the two crossed edges back to
-    the starting triangulation.  Returned as an encoding on the short host."""
-    tri = short_coords.host
-    p, q = _annulus_frame(short_coords)
+def _twist_block(tri, p, q):
+    """One primitive positive twist along the core of the annulus whose
+    crossed edges are p and q (see _annulus_frame): flip p, then relabel
+    swapping p and q back to the starting triangulation.  Returned as an
+    encoding on the short host `tri`."""
     swap = {lab: lab for lab in tri.edge_labels}
     swap[p], swap[q] = q, p
     sols = [rl for rl in isomorphisms(flip(tri, p), tri)
@@ -461,13 +467,71 @@ def _twist_block(short_coords):
     return Encoding(tri, [Flip(p), Relabel(sols[0])])
 
 
-def _shortening(coords):
-    """shorten(coords), with the path as a tuple, once per curve."""
-    known = _context(coords.host).shortenings
-    if coords.weights not in known:
-        path, short = shorten(coords)
-        known[coords.weights] = (tuple(path), short)
-    return known[coords.weights]
+def _shortening(host, weights):
+    """(short, program, frame), once per curve: the curve where shorten()
+    stops, the flip program of the path there, and the annulus frame of
+    the short curve, or None for an isolating curve, which stops above
+    weight two."""
+    known = _context(host).shortenings
+    if weights not in known:
+        path, short = shorten(MulticurveCoords(host, weights))
+        frame = _annulus_frame(short) if short.total_weight == 2 else None
+        known[weights] = (short, _compile(replay(host, path), path), frame)
+    return known[weights]
+
+
+def _intersection(host, s, b):
+    r"""i(s, b) for the essential single curve s and the essential curve b
+    (weight vectors on `host`), or None when s is isolating.
+
+    b's weights are pushed through s's shortening flips to the position
+    where s has weight two: the core of the annulus A made of the triangles
+    T1 = [r1, p, q] and T2 = [r2, p, q] (see _annulus_frame), glued along p
+    and q.  With b_e the weights there,
+
+        i(s, b) = b_r1 - 2 min(z1, x2, y1)
+                = max(|b_p - b_q|, b_r1 + b_r2 - b_p - b_q),
+
+    where z1 = (b_r1 + b_p - b_q)/2, y1 = (b_q + b_r1 - b_p)/2 and
+    x2 = (b_p + b_q - b_r2)/2 count b's arcs at the corners (r1, p) and
+    (q, r1) of T1 and (p, q) of T2; the second form is the first with the
+    min written out, and is symmetric in r1 and r2.
+
+    Proof.  Let V be the vertex on r1's side of A.  Around it, A holds the
+    fan of corners (r1, p) of T1, (p, q) of T2 and (q, r1) of T1, joined
+    across p and q.  b meets A in strands between r1 and r2: say N12 cross A
+    and N11 turn back to r1, so b_r1 = 2 N11 + N12.
+    (1) A strand turning back cuts a disc D off A, with a stretch of
+    r1 + V.  D holds V, or else it is bounded by an arc of b and an arc of
+    the edge r1, which a normal curve has none of.  So p and q, which run
+    from V out of D, cross the strand, once each for the same reason: the
+    strand runs through the fan, one corner arc after another.  Arcs
+    around V nest, innermost at V, and across p (q) the k-th innermost arc
+    of one corner of the fan goes on as the k-th innermost arc of the next
+    corner when that corner has one.  So the k-th innermost arcs close up
+    to a strand turning back exactly for k < min(z1, x2, y1), and
+    N11 = min(z1, x2, y1).
+    (2) Push every strand turning back off the core, inside its disc; a
+    strand crossing A meets the core once.  Then b meets s in N12 points,
+    and no bigon is left (Farb-Margalit, A Primer on Mapping Class Groups,
+    Prop. 1.7).  The b-side of an innermost bigon leaves the core at both
+    ends towards the same side, say r1's, along two crossing strands, so
+    the bigon holds the part of A next to its s-side up to a stretch of
+    r1 + V.  It cannot hold V, so it holds an arc of r1 with both ends on
+    its b-side, which cuts off a disc bounded by arcs of b and r1 only:
+    none, as in (1).  So i(s, b) = N12 = b_r1 - 2 min(z1, x2, y1).
+    When r1 == r2 the two triangles are all of S(1,1) and have the same
+    corner counts; arcs at all three corners of T1 would put arcs at all
+    six corners around the puncture, whose innermost arcs close up to the
+    puncture's link, which b does not have.  So the min is 0 and
+    i(s, b) = b_r1 there.
+    """
+    _, (flips, _, _, _), frame = _shortening(host, s)
+    if frame is None:
+        return None
+    r1, r2, p, q = frame
+    w = _run(flips, b)
+    return max(abs(w[p] - w[q]), w[r1] + w[r2] - w[p] - w[q])
 
 
 def _isolating_block(short_coords):
@@ -507,7 +571,7 @@ def _isolating_block(short_coords):
 
     for cap in (8, 12, 16):
         cands = [c for c in cut.curves_in_piece(isolated[0], cap)
-                 if _shortening(c)[1].total_weight == 2]
+                 if _shortening(tri, c.weights)[2] is not None]
         twists = {c.weights: twist(c, 1) for c in cands}
         braid_memo = {}
         meet_memo = {}
@@ -558,10 +622,10 @@ class _TwistParts:
 
     __slots__ = ("block", "path_program", "back_program")
 
-    def __init__(self, host, path, block):
+    def __init__(self, path_program, block):
         self.block = block
-        self.path_program = _compile(replay(host, path), path)
-        self.back_program = _invert(self.path_program)
+        self.path_program = path_program
+        self.back_program = _invert(path_program)
 
 
 def _twist_parts(coords):
@@ -569,12 +633,12 @@ def _twist_parts(coords):
     if coords.weights not in known:
         if not is_essential(coords):
             raise InvalidCurveError("can only twist about an essential curve")
-        path, short = _shortening(coords)
-        if short.total_weight == 2:
-            block = _twist_block(short)
+        short, program, frame = _shortening(coords.host, coords.weights)
+        if frame is not None:
+            block = _twist_block(short.host, *frame[2:])
         else:
             block = _isolating_block(short)
-        known[coords.weights] = _TwistParts(coords.host, path, block)
+        known[coords.weights] = _TwistParts(program, block)
     return known[coords.weights]
 
 

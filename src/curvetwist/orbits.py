@@ -15,6 +15,7 @@ chains, whose source vertices are the canonical twist sites downstream.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
@@ -83,9 +84,23 @@ class CurveSystem:
         return CurveSystem.from_encoding(self.host, self.components, f)
 
 
+def _has_annulus(coords):
+    """True when the cut along `coords` has an annulus piece: chi 0 and two
+    boundary circles, with or without the vertex."""
+    return any(p.euler_characteristic == 0 and p.boundary_circles == 2
+               for p in cut_along(coords).pieces)
+
+
 def check_independent(sys):
     """Essentiality, joint disjointness, non-parallelism, and the size
-    bound, with diagnostics naming every offender."""
+    bound, with diagnostics naming every offender.
+
+    On an ideal model parallel curves have equal weights.  A closed model
+    has one vertex, and its normal curves live in the surface minus it, so
+    two disjoint curves of different weights can still be parallel in the
+    surface, on either side of the vertex: exactly when their cut has an
+    annulus piece, which then holds the vertex.  One cut of the system
+    looks for such a piece, and the pairs are cut only when it has one."""
     problems = []
     singles = {}
     links = _context(sys.host).links
@@ -109,9 +124,17 @@ def check_independent(sys):
                 problems.append("%s and %s are parallel"
                                 % (names[i], names[j]))
     if not problems and len(singles) > 1:
-        if _traces_to(sys.host, sys.joint_coords().weights,
+        joint = sys.joint_coords()
+        if _traces_to(sys.host, joint.weights,
                       [c.weights for c in singles.values()]) is None:
             problems.append("components are not jointly disjoint")
+        elif not sys.host.ideal and _has_annulus(joint):
+            problems.extend(
+                "%s and %s are parallel across the vertex" % (a, b)
+                for a, b in itertools.combinations(names, 2)
+                if _has_annulus(MulticurveCoords(sys.host, [
+                    x + y for x, y in zip(singles[a].weights,
+                                          singles[b].weights)])))
     bound = 3 * sys.host.genus + sys.host.num_punctures - 3
     if len(sys.components) > bound:
         problems.append("%d components exceed the bound %d"

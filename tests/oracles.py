@@ -687,9 +687,11 @@ def reference_curves_in_piece(joint, piece, cap):
 
 def reference_check_independent(sys):
     """(ok, problems) of the independence check: validate each component,
-    then test essentiality, parallelism, joint disjointness and the size
+    then test essentiality, parallelism, joint disjointness, on a closed
+    model an annulus piece in the reference cut of each pair, and the size
     bound one after another."""
-    from curvetwist import InvalidCurveError, is_essential, validate
+    from curvetwist import (InvalidCurveError, MulticurveCoords, is_essential,
+                            validate)
     problems = []
     singles = {}
     for name, c in sys.components.items():
@@ -714,6 +716,17 @@ def reference_check_independent(sys):
     if not problems and len(singles) > 1:
         if not reference_disjoint(sys.host, list(singles.values())):
             problems.append("components are not jointly disjoint")
+        elif not sys.host.ideal:
+            for i in range(len(names)):
+                for j in range(i + 1, len(names)):
+                    pair = MulticurveCoords(sys.host, [
+                        x + y for x, y in zip(singles[names[i]].weights,
+                                              singles[names[j]].weights)])
+                    if any(p.euler_characteristic == 0
+                           and p.boundary_circles == 2
+                           for p in reference_cut(pair)[0]):
+                        problems.append("%s and %s are parallel across the "
+                                        "vertex" % (names[i], names[j]))
     bound = 3 * sys.host.genus + sys.host.num_punctures - 3
     if len(sys.components) > bound:
         problems.append("%d components exceed the bound %d"
@@ -890,3 +903,30 @@ def reference_lightest_pair(host, cut, piece):
             if intersects(cands[0], c):
                 return cands[0], c
         seen, cap = max(seen, len(cands)), cap + 4
+
+
+# -- intersection numbers -----------------------------------------------------
+#
+# mapping._intersection reads i(s, b) off the weights of b at the position
+# where s has weight two.  The reference reads it off the growth of twists:
+# the weight of T_s^n(b) on each edge e grows by i(s, b) * s_e per twist
+# once n is large (Farb-Margalit, Prop. 3.4, whose proof applies to the
+# edges as arcs).
+
+def reference_intersection(s, b, n=5):
+    """i(s, b) as (T_s^(n+1)(b) - T_s^n(b)) / s, with n doubled until two
+    successive differences agree and are a multiple of s; checked against
+    the one-trace crossing test (0 exactly for disjoint curves)."""
+    from curvetwist import twist
+    from curvetwist.curves import _crossing
+    while True:
+        w = [twist(s, k).act(b).weights for k in (n, n + 1, n + 2)]
+        step = [y - x for x, y in zip(w[0], w[1])]
+        ratios = {d // x for d, x in zip(step, s.weights) if x}
+        if step == [y - x for x, y in zip(w[1], w[2])] and len(ratios) == 1:
+            (i,) = ratios
+            if step == [i * x for x in s.weights]:
+                break
+        n *= 2
+    assert (i > 0) == _crossing(s.host, s.weights, b.weights)
+    return i

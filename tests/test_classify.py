@@ -16,13 +16,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from curvetwist import (MulticurveCoords, Encoding, Relabel, twist,
+from curvetwist import (MulticurveCoords, Encoding, Flip, Relabel, twist,
                         automorphisms, decimal_string, QuadraticValue,
                         Periodic, ReducibleEvidence, PseudoAnosovEvidence,
                         Inconclusive, ClassifyParams, default_order_bound,
                         periodic_check, invariant_multicurve_search,
                         dilatation_estimate, two_twist_oracle, classify,
-                        build_surface, spanning_probes)
+                        build_surface, spanning_probes, flip, isomorphisms)
 from curvetwist.classify import _OrbitTable
 
 from oracles import word_trace, spectral_radius, reference_periodic_check
@@ -163,9 +163,36 @@ def test_detectors_read_the_same_on_the_orbit_table(e, bound, cap):
 
 def test_default_order_bounds():
     import curvetwist
-    assert default_order_bound(curvetwist.build_surface(1, 1)) == 8
+    assert default_order_bound(curvetwist.build_surface(1, 1)) == 6
     assert default_order_bound(curvetwist.build_surface(2, 0)) == 10
     assert default_order_bound(curvetwist.build_surface(0, 4)) == 4
+    assert default_order_bound(curvetwist.build_surface(0, 6)) == 6
+    assert default_order_bound(curvetwist.build_surface(1, 7)) == 7
+    assert default_order_bound(curvetwist.build_surface(2, 1)) == 10
+
+
+def _closings(tri, labels):
+    """The encodings "flip each of `labels`, then one closing relabeling",
+    one per isomorphism back to the model."""
+    end = tri
+    for lab in labels:
+        end = flip(end, lab)
+    return [Encoding(tri, [Flip(lab) for lab in labels] + [Relabel(rel)])
+            for rel in isomorphisms(end, tri)]
+
+
+def test_order_five_maps_of_the_spheres_are_periodic():
+    """Maps of order 5 on S(0,5) and S(0,6), above the old caps of 4g + 4:
+    two of the six closings of "flip 0, flip 4" on S(0,5) were Inconclusive,
+    and so was the one-flip map of S(0,6) below."""
+    s05, s06 = build_surface(0, 5), build_surface(0, 6)
+    kinds = sorted((r.verdict.kind, getattr(r.verdict, "order", None))
+                   for r in map(classify, _closings(s05, [0, 4])))
+    assert kinds == [("periodic", 2), ("periodic", 3), ("periodic", 5),
+                     ("periodic", 5), ("reducible_evidence", None),
+                     ("reducible_evidence", None)]
+    (e,) = [e for e in _closings(s06, [3]) if periodic_check(e, 12) == 5]
+    assert classify(e).verdict == Periodic(5)
 
 
 # -- reducibility ----------------------------------------------------------------

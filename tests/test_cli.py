@@ -612,3 +612,19 @@ def test_a_relabel_target_with_an_unglued_slot_is_refused(tmp_path):
     proc = run_cli("map", "compose", path, "f")
     assert_one_line_error(proc, 'map \'f\': move 1: "target": slot (%d, %d) '
                                 'is unglued' % tuple(a))
+
+
+@pytest.mark.parametrize("command", [("gamma", "build"),
+                                     ("construct", "search")])
+def test_curves_parallel_across_the_vertex_are_refused(tmp_path, command):
+    """On S(2,0) two separating curves on either side of the vertex are
+    parallel in the surface; the system is refused with one line naming
+    the pair."""
+    path = _workspace(
+        tmp_path, surface={"genus": 2, "punctures": 0},
+        curves={"sep": {"weights": list("002200022")},
+                "sep2": {"weights": list("220002200")}},
+        maps={"f": {"word": "T(sep)"}},
+        system={"components": ["sep", "sep2"], "map": "f"}, params={})
+    assert_one_line_error(run_cli(*command, path),
+                          "sep and sep2 are parallel across the vertex")

@@ -26,7 +26,7 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
                         search_twist_family, ClassifyParams,
                         PseudoAnosovEvidence, build_surface,
                         enumerate_single_curves, intersects, cut_along,
-                        disjoint_union_matches)
+                        check_independent, SystemError_)
 from curvetwist.construct import (_completion_pair, _exponent_vectors,
                                   _result_jsonable)
 
@@ -134,23 +134,23 @@ LADDER = [build_surface(*gh)
 
 @st.composite
 def partial_systems(draw):
-    """Disjoint, pairwise non-parallel curves on a ladder model: from a
-    random list of curves of weight <= 6 (<= 8 on S(2,1)), each one
-    disjoint from those kept before it is kept; sometimes all are moved by
-    one twist about a curve of weight <= 6."""
+    """Independent systems on a ladder model: from a random list of curves
+    of weight <= 6 (<= 8 on S(2,0) and S(2,1)), each one that keeps the
+    system independent is kept; sometimes all are moved by one twist about
+    a curve of weight <= 6."""
     tri = draw(st.sampled_from(LADDER))
     curves = [MulticurveCoords(tri, v)
               for v in enumerate_single_curves(tri, 6)]
-    # the separating curves of S(2,1) weigh 8, and a cut along one leaves
-    # two pieces that are not pants; S(2,0) stays at 6, because its weight-8
-    # curves include two separating curves parallel across the vertex, and
-    # the completion never returns on the annulus between them (ROADMAP,
-    # Known defects)
-    pool = curves if (tri.genus, tri.num_punctures) != (2, 1) else [
+    # the separating curves of genus two weigh 8, and a cut along one
+    # leaves two pieces that are not pants; on S(2,0) two of them can be
+    # parallel across the vertex, which check_independent refuses
+    pool = curves if (tri.genus, tri.num_punctures) not in (
+        (2, 0), (2, 1)) else [
         MulticurveCoords(tri, v) for v in enumerate_single_curves(tri, 8)]
     kept = []
     for c in draw(st.lists(st.sampled_from(pool), max_size=4)):
-        if c not in kept and disjoint_union_matches(tri, kept + [c]):
+        if check_independent(CurveSystem(tri, {"c%d" % i: x for i, x in
+                                               enumerate(kept + [c])})):
             kept.append(c)
     if draw(st.booleans()):
         t = twist(draw(st.sampled_from(curves)),
@@ -217,6 +217,18 @@ def test_completion_pair_can_differ_from_the_cap_ladder(s20):
         (0, 0, 2, 2, 0, 0, 0, 2, 2), (1, 0, 3, 4, 2, 1, 2, 1, 4)]
     assert [c.weights for c in reference_completion_pair(cut, 0)] == [
         (2, 2, 0, 0, 0, 2, 2, 0, 0), (1, 0, 2, 2, 2, 1, 2, 2, 2)]
+
+
+def test_completion_pair_refuses_an_annulus_piece(s20):
+    """Cut along two separating curves parallel across the vertex: the
+    annulus between them holds no two crossing curves, and the completion
+    refuses it with one line instead of streaming candidates for ever."""
+    joint = MulticurveCoords(s20, (2, 2, 2, 2, 0, 2, 2, 2, 2))
+    cut = cut_along(joint)
+    (annulus,) = [i for i, p in enumerate(cut.pieces)
+                  if p.euler_characteristic == 0]
+    with pytest.raises(SystemError_, match="chi 0"):
+        _completion_pair(s20, cut, annulus)
 
 
 def test_maximalize_refuses_orbit(ab):

@@ -145,12 +145,19 @@ def test_check_independent_reference_covers_each_problem(s11, s20):
     c = _curves(s20, 2)[0]
     doubled = MulticurveCoords(s20, [2 * x for x in c.weights])
     odd = MulticurveCoords(s20, [1] + [0] * (s20.num_edges - 1))
+    # separating curves on either side of the vertex, parallel in S(2,0)
+    sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
+    sep2 = MulticurveCoords(s20, (2, 2, 0, 0, 0, 2, 2, 0, 0))
     for host, parts in ((s11, [a, b]), (s20, [c, c]), (s20, [link]),
-                        (s20, [doubled]), (s20, [odd]), (s11, [a, a])):
+                        (s20, [doubled]), (s20, [odd]), (s11, [a, a]),
+                        (s20, [c, sep, sep2])):
         system = CurveSystem(host, {"c%d" % i: p for i, p in enumerate(parts)})
         rep = check_independent(system)
         assert not rep.ok
         assert (rep.ok, rep.problems) == reference_check_independent(system)
+    assert check_independent(CurveSystem(s20, {"sep": sep, "sep2": sep2})
+                             ).problems == (
+        "sep and sep2 are parallel across the vertex",)
 
 
 @st.composite

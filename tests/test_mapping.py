@@ -17,6 +17,7 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
                         Encoding, Flip, Relabel, replay, intersects,
@@ -25,8 +26,10 @@ from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
                         encoding_to_jsonable, encoding_from_jsonable,
                         enumerate_single_curves, is_single_curve,
                         disjoint_union_matches, cut_along, automorphisms,
-                        Triangulation)
-from oracles import reference_inverse_moves, reference_greedy_shorten
+                        Triangulation, build_surface)
+from curvetwist.mapping import _intersection
+from oracles import (reference_inverse_moves, reference_greedy_shorten,
+                     reference_intersection)
 
 
 GOLDEN_TA_OF_B = (1, 1, 2)
@@ -350,3 +353,57 @@ def test_twisted_curves_keep_cut_statistics(s20):
     after = sorted((p.euler_characteristic, p.boundary_circles)
                    for p in cut_along(image).pieces)
     assert before == after
+
+
+# -- intersection numbers at the short position -------------------------------
+
+LADDER = [build_surface(*gh)
+          for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0))]
+S20 = LADDER[1]
+
+
+def _isolating(c):
+    return any(not p.contains_puncture_or_vertex for p in cut_along(c).pieces)
+
+
+@st.composite
+def curve_pairs(draw):
+    """(s, b) on a ladder model: curves of weight <= 8, each moved by its
+    own word of up to two twist powers about curves of weight <= 6, so
+    that s reaches weight 30 or so and b more; an isolating s stays put."""
+    tri = draw(st.sampled_from(LADDER))
+    curves = [MulticurveCoords(tri, v)
+              for v in enumerate_single_curves(tri, 8)]
+    twisters = [c for c in curves if c.total_weight <= 6]
+    s, b = draw(st.sampled_from(curves)), draw(st.sampled_from(curves))
+    moved = []
+    for c in (s, b):
+        if not (c is s and _isolating(s)):
+            for _ in range(draw(st.integers(0, 2))):
+                c = twist(draw(st.sampled_from(twisters)),
+                          draw(st.sampled_from([-2, -1, 1, 2]))).act(c)
+        moved.append(c)
+    return tuple(moved)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(curve_pairs())
+# s crosses p and q of its annulus once each and sep is disjoint from it,
+# where min(b_r1, b_r2) is 2
+@example((MulticurveCoords(S20, (0, 0, 1, 0, 0, 0, 0, 1, 0)),
+          MulticurveCoords(S20, (0, 0, 2, 2, 0, 0, 0, 2, 2))))
+def test_intersection_matches_the_twist_growth(pair):
+    s, b = pair
+    i = _intersection(s.host, s.weights, b.weights)
+    if _isolating(s):
+        assert i is None
+    else:
+        assert i == reference_intersection(s, b)
+
+
+def test_intersection_of_disjoint_curves_is_zero(s20):
+    s = (0, 0, 1, 0, 0, 0, 0, 1, 0)
+    sep = (0, 0, 2, 2, 0, 0, 0, 2, 2)
+    assert _intersection(s20, s, sep) == _intersection(s20, s, s) == 0
+    assert _intersection(s20, sep, s) is None

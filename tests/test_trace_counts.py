@@ -20,6 +20,8 @@ from collections import Counter
 
 import pytest
 
+from curvetwist import build_surface
+from curvetwist.mapping import _intersection
 from test_cli import CHILD_ENV
 
 
@@ -27,12 +29,15 @@ CHILD = r"""
 import json
 import curvetwist as ct
 from curvetwist import mapping
-from curvetwist.curves import _CONTEXTS, _Strands, _enumerate_vectors
+from curvetwist.curves import (_CONTEXTS, _Strands, _enumerate_vectors,
+                               CutResult)
 
 traced = []
 shortened = []
+placed = []
 trace = _Strands.trace
 shorten = mapping.shorten
+place = CutResult.place
 
 
 def counted_trace(self):
@@ -45,8 +50,18 @@ def counted_shorten(coords):
     return shorten(coords)
 
 
+def counted_place(self, vec):
+    # each vector a placement traces, with the system it was placed against
+    before = len(traced)
+    piece = place(self, vec)
+    if len(traced) > before:
+        placed.append([list(map(list, self._components)), list(vec)])
+    return piece
+
+
 _Strands.trace = counted_trace
 mapping.shorten = counted_shorten
+CutResult.place = counted_place
 out = {"enumerate": {}, "caps": {}}
 for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)):
     tri = ct.build_surface(*gh)
@@ -76,11 +91,11 @@ for cap in (4, 8, 12, 8):
 out["filter"] = [len(traced), len(set(traced)), len(vecs) - 1]
 
 
-def rung():
-    # the search_ladder rung on S(2,0): c is the first essential curve of
-    # weight <= 8, d the heaviest such curve crossing c, f = T(d), k_max 4
+def rung(genus=2, punctures=0):
+    # a search_ladder rung: c is the first essential curve of weight <= 8,
+    # d the heaviest such curve crossing c, f = T(d), k_max 4
     _CONTEXTS.clear()
-    tri = ct.build_surface(2, 0)
+    tri = ct.build_surface(genus, punctures)
     vecs = ct.enumerate_single_curves(tri, 8)
     c = ct.MulticurveCoords(tri, vecs[0])
     d = max((v for v in vecs if ct.intersects(c, ct.MulticurveCoords(tri, v))),
@@ -88,14 +103,16 @@ def rung():
     del shortened[:]
     f = ct.twist(ct.MulticurveCoords(tri, d))
     del traced[:]
+    del placed[:]
     res = ct.search_twist_family(ct.CurveSystem(tri, {"c": c}), f,
                                  ct.SearchSchedule(k_max=4))
     return [len(traced), len(set(traced)), res.status,
-            list(map(list, shortened))]
+            list(map(list, shortened)), list(placed)]
 
 
 out["search"] = rung()
 out["again"] = rung()
+out["s30"] = rung(3, 0)
 print(json.dumps(out))
 """
 
@@ -126,13 +143,31 @@ def test_candidate_filter_traces_each_candidate_once_per_cut(counts):
 
 
 def test_ladder_rung_search_trace_budget(counts):
-    traces, _, status, _ = counts["search"]
+    traces, _, status, _, _ = counts["search"]
     assert status == "accepted"
     # 2,399 before the curve filter and the independence check traced each
     # curve once per question; 1,061 before the surface context; 867 before
     # the lightest-pair completion and the one-trace crossing test; 698
-    # before the completion placed its candidates one at a time
-    assert traces <= 628
+    # before the completion placed its candidates one at a time; 628
+    # before it skipped, untraced, the candidates with a positive
+    # intersection number with a non-isolating system curve
+    assert traces <= 585
+
+
+def test_placement_traces_only_candidates_meeting_no_short_system_curve(
+        counts):
+    """On the S(3,0) rung, CutResult.place traces only candidates whose
+    intersection number with every non-isolating system curve is 0 (the
+    rung places 43 curves disjoint from the system; 4 more meet only
+    isolating curves, which have no such number)."""
+    _, _, status, _, placed = counts["s30"]
+    assert status == "accepted"
+    # 746 before the completion read intersection numbers
+    assert len(placed) == 47
+    tri = build_surface(3, 0)
+    for system, vec in placed:
+        assert not any(_intersection(tri, tuple(s), tuple(vec))
+                       for s in system)
 
 
 def test_ladder_rung_search_shortens_each_curve_once(counts):
@@ -208,8 +243,9 @@ def test_warm_cli_search_builds_no_parser_and_places_few_curves(tmp_path):
     assert cold["code"] == warm["code"] == 0
     assert warm["report"] == cold["report"]
     assert cold["parser"] > 0 and warm["parser"] == 0
-    # 124 before the completion placed its candidates one at a time
-    assert warm["trace"] <= 54
+    # 124 before the completion placed its candidates one at a time, 54
+    # before it read intersection numbers
+    assert warm["trace"] <= 11
 
 
 GROUP_CHILD = r"""

@@ -30,6 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from operator import eq
 
 from .surface import Triangulation, TopologyError, _flip, _find, _union
 
@@ -83,6 +84,33 @@ class MulticurveCoords:
         return "MulticurveCoords(%s)" % (self.weights,)
 
 
+def _join_arcs(tri, first, counts, parent):
+    """Join the two arcs through each point of each edge in the union-find
+    `parent`, the larger root under the smaller, so each tree is rooted at
+    the least arc of its component; arcs are numbered as in _Strands."""
+    near, far = [], []
+    for s, p in enumerate(tri._glue):
+        if s > p:
+            continue
+        a, b = s - s % 3 + (s - 1) % 3, p - p % 3 + (p - 1) % 3
+        # point q of side s, and the same point w-1-q of side p: the
+        # counts of the corners at either end of a side add up to its
+        # weight, so each of the w points is met by one arc from each side
+        near += range(first[a], first[a] + counts[a])
+        near += range(first[s] + counts[s] - 1, first[s] - 1, -1)
+        far += range(first[p], first[p] + counts[p])
+        far += range(first[b] + counts[b] - 1, first[b] - 1, -1)
+    for x, y in zip(near, far):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+
+
 class _Strands:
     """The arcs of a realizable weight vector, numbered, and how they meet.
 
@@ -119,35 +147,12 @@ class _Strands:
         weight vectors in sorted order and arc_component lists, per arc
         number, its index in that tuple.
 
-        The two arcs through each point (see the module docstring) are
-        joined in a union-find that links the larger root under the
-        smaller, so one forward pass leaves every arc pointing at its root,
-        the least arc of its component.
+        The arcs are joined by _join_arcs, and one forward pass then leaves
+        every arc pointing at its root, the least arc of its component.
         """
         tri, first, counts = self.tri, self.first, self.counts
-        near, far = [], []
-        for s, p in enumerate(tri._glue):
-            if s > p:
-                continue
-            a, b = s - s % 3 + (s - 1) % 3, p - p % 3 + (p - 1) % 3
-            # point q of side s, and the same point w-1-q of side p: the
-            # counts of the corners at either end of a side add up to its
-            # weight, so each of the w points is met by one arc from each
-            # side
-            near += range(first[a], first[a] + counts[a])
-            near += range(first[s] + counts[s] - 1, first[s] - 1, -1)
-            far += range(first[p], first[p] + counts[p])
-            far += range(first[b] + counts[b] - 1, first[b] - 1, -1)
         parent = list(range(first[-1]))
-        for x, y in zip(near, far):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
+        _join_arcs(tri, first, counts, parent)
         for x in range(len(parent)):
             parent[x] = parent[parent[x]]
         # an arc at corner j crosses sides j and j+1, so each component
@@ -241,11 +246,16 @@ def apply_relabeling(coords, relab):
 
 
 def is_parallel(a, b):
-    """Isotopy test for single curves: normal coordinates are unique per
-    class, so this is exact vector equality."""
+    """Isotopy test for single curves: equal vectors, or on a closed model
+    also two disjoint curves parallel across its vertex, whose cut then has
+    an annulus piece holding the vertex."""
     if a.host != b.host:
         raise InvalidCurveError("curves live on different hosts")
-    return a.weights == b.weights
+    if a.weights == b.weights or a.host.ideal:
+        return a.weights == b.weights
+    union = MulticurveCoords(a.host, map(sum, zip(a.weights, b.weights)))
+    return not _crossing(a.host, a.weights, b.weights) \
+        and _has_annulus(union)
 
 
 def is_essential(coords):
@@ -478,6 +488,13 @@ def cut_along(coords):
     return CutResult(coords)
 
 
+def _has_annulus(coords):
+    """True when the cut along `coords` has an annulus piece: chi 0 and two
+    boundary circles, with or without the vertex."""
+    return any(p.euler_characteristic == 0 and p.boundary_circles == 2
+               for p in cut_along(coords).pieces)
+
+
 # -- the per-surface context ---------------------------------------------------
 
 class _SurfaceContext:
@@ -521,49 +538,74 @@ def _enumerate_vectors(tri, lo, hi):
         order.append(nxt)
         remaining.discard(nxt)
     pos_of = {e: k for k, e in enumerate(order)}
-    completes = [[] for _ in range(m)]
+    # per position, the other two sides of each triangle its edge
+    # completes, or the whole triangle when the edge is on two of its sides
+    pairs, repeats = [[] for _ in range(m)], [[] for _ in range(m)]
     for te in tri.triangles:
-        last = max(te, key=lambda e: pos_of[e])
-        completes[pos_of[last]].append(te)
+        k = max(map(pos_of.__getitem__, te))
+        if te.count(order[k]) == 1:
+            pairs[k].append([x for x in te if x != order[k]])
+        else:
+            repeats[k].append(te)
 
     out = []
     vec = [0] * m
 
+    def fits(te):
+        w = [vec[x] for x in te]
+        return sum(w) % 2 == 0 and 2 * max(w) <= sum(w)
+
     def dfs(k, budget):
-        if k == m:
-            if budget < hi - lo:
-                out.append(tuple(vec))
-            return
-        e = order[k]
-        for val in range(budget + 1):
+        # a triangle whose other sides are set to a and b takes |a - b| ..
+        # a + b, of the parity of a + b, on this edge; the triangles one
+        # edge completes intersect their ranges
+        low, high, step = 0, budget, 1
+        for x, y in pairs[k]:
+            a, b = vec[x], vec[y]
+            if step == 2 and (low - a - b) % 2:
+                return
+            low, high, step = max(low, abs(a - b)), min(high, a + b), 2
+        e, checks = order[k], repeats[k]
+        for val in range(low, high + 1, step):
             vec[e] = val
-            ok = True
-            for te in completes[k]:
-                a, b, c = (vec[x] for x in te)
-                if (a + b + c) % 2 or a > b + c or b > a + c or c > a + b:
-                    ok = False
-                    break
-            if ok:
+            if checks and not all(map(fits, checks)):
+                continue
+            if k + 1 < m:
                 dfs(k + 1, budget - val)
+            elif budget - val < hi - lo:
+                out.append(tuple(vec))
         vec[e] = 0
 
     dfs(0, hi)
     return out
 
 
+def _one_curve(tri, vec):
+    """True when the realizable weight vector `vec` is one curve of
+    multiplicity one, i.e. its arcs join into a single tree (one root).
+    Nothing is checked: the vector must be realizable."""
+    counts = []
+    for x, y, z in tri.triangles:
+        half = (vec[x] + vec[y] + vec[z]) // 2
+        # the arcs at corners 0, 1, 2, as _Strands counts them
+        counts += (half - vec[z], half - vec[x], half - vec[y])
+    first = list(accumulate(counts, initial=0))
+    parent = list(range(first[-1]))
+    _join_arcs(tri, first, counts, parent)
+    return sum(map(eq, parent, range(len(parent)))) == 1
+
+
 def enumerate_single_curves(tri, max_total):
     """All essential single curves (one component, multiplicity 1, no
     vertex link) up to a weight cap, sorted by (total weight, vector).
-    A cap above all earlier caps on the triangulation traces only the
-    heavier vectors; any other cap reads a prefix of the stored list."""
+    The search yields only realizable vectors, so each is kept by counting
+    its arcs' components (_one_curve), with no strand trace.  A cap above
+    all earlier caps on the triangulation searches only the heavier
+    vectors; any other cap reads a prefix of the stored list."""
     ctx = _context(tri)
     if max_total > ctx.cap:
-        new = []
-        for vec in _enumerate_vectors(tri, ctx.cap, max_total):
-            comps = validate(MulticurveCoords(tri, vec))
-            # a single curve's one component is the vector itself
-            if len(comps) == 1 and comps[0][1] == 1 and vec not in ctx.links:
-                new.append(vec)
+        new = [vec for vec in _enumerate_vectors(tri, ctx.cap, max_total)
+               if _one_curve(tri, vec) and vec not in ctx.links]
         new.sort(key=lambda v: (sum(v), v))
         ctx.singles += tuple(new)
         ctx.cap = max_total

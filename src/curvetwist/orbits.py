@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
-                     _traces_to, cut_along, _context)
+                     is_parallel, _traces_to, _has_annulus, cut_along,
+                     _context)
 
 
 class SystemError_(ValueError):
@@ -84,13 +85,6 @@ class CurveSystem:
         return CurveSystem.from_encoding(self.host, self.components, f)
 
 
-def _has_annulus(coords):
-    """True when the cut along `coords` has an annulus piece: chi 0 and two
-    boundary circles, with or without the vertex."""
-    return any(p.euler_characteristic == 0 and p.boundary_circles == 2
-               for p in cut_along(coords).pieces)
-
-
 def check_independent(sys):
     """Essentiality, joint disjointness, non-parallelism, and the size
     bound, with diagnostics naming every offender.
@@ -100,7 +94,8 @@ def check_independent(sys):
     two disjoint curves of different weights can still be parallel in the
     surface, on either side of the vertex: exactly when their cut has an
     annulus piece, which then holds the vertex.  One cut of the system
-    looks for such a piece, and the pairs are cut only when it has one."""
+    looks for such a piece, and only when it has one is each pair tested
+    with is_parallel."""
     problems = []
     singles = {}
     links = _context(sys.host).links
@@ -132,9 +127,7 @@ def check_independent(sys):
             problems.extend(
                 "%s and %s are parallel across the vertex" % (a, b)
                 for a, b in itertools.combinations(names, 2)
-                if _has_annulus(MulticurveCoords(sys.host, [
-                    x + y for x, y in zip(singles[a].weights,
-                                          singles[b].weights)])))
+                if is_parallel(singles[a], singles[b]))
     bound = 3 * sys.host.genus + sys.host.num_punctures - 3
     if len(sys.components) > bound:
         problems.append("%d components exceed the bound %d"

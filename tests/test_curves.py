@@ -37,8 +37,9 @@ from curvetwist import (InvalidCurveError, MulticurveCoords, validate,
                         coords_to_jsonable, coords_from_jsonable,
                         build_surface, flip, automorphisms, twist,
                         TopologyError, triangulation_to_json,
-                        triangulation_from_json)
-from curvetwist.curves import _Strands
+                        triangulation_from_json, CurveSystem,
+                        check_independent)
+from curvetwist.curves import _Strands, _enumerate_vectors, _one_curve
 from oracles import flip_square_relabeling, reference_trace
 
 
@@ -173,6 +174,23 @@ def test_parallel_copies_are_disjoint(s11, ab):
     a, _ = ab
     assert disjoint_union_matches(s11, [a, a])
     assert is_parallel(a, a)
+
+
+def test_curves_parallel_across_the_vertex_are_parallel(s20):
+    """On the closed genus-2 model sep and sep2 differ as vectors but are
+    parallel in the surface: their cut has an annulus holding the vertex,
+    and check_independent refuses them as parallel."""
+    sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
+    sep2 = MulticurveCoords(s20, (2, 2, 0, 0, 0, 2, 2, 0, 0))
+    c = MulticurveCoords(s20, (0, 0, 1, 0, 0, 0, 0, 1, 0))
+    x = MulticurveCoords(s20, (0, 1, 0, 1, 2, 1, 1, 1, 1))
+    assert is_parallel(sep, sep2) and is_parallel(sep2, sep)
+    assert not check_independent(CurveSystem(s20, {"sep": sep,
+                                                   "sep2": sep2}))
+    # disjoint and not parallel, crossing, and the same curve
+    assert not is_parallel(c, sep)
+    assert not is_parallel(x, sep)
+    assert is_parallel(sep, sep)
 
 
 def test_crossing_pair_fails_disjointness(ab):
@@ -343,6 +361,43 @@ def test_tracer_matches_the_reference_on_heavy_twists(n):
     got = _traced(TRACE_MODELS[0], weights)
     assert got == _reference_traced(TRACE_MODELS[0], weights)
     assert got[0] == (weights,)
+
+
+@st.composite
+def realizable_vectors(draw):
+    """A model and a realizable vector on it: one from the enumeration's
+    search, a sum of two disjoint curves, a doubled curve, a vertex link,
+    or T_a^n(b) on S(1,1) for n <= 10^3."""
+    kind = draw(st.sampled_from(["search", "sum", "double", "link", "twist"]))
+    if kind == "twist":
+        named = standard_curves(TRACE_MODELS[0])
+        n = draw(st.integers(0, 10 ** 3))
+        return TRACE_MODELS[0], twist(named["a"], n).act(named["b"]).weights
+    tri = draw(st.sampled_from(TRACE_MODELS))
+    if kind == "search":
+        return tri, draw(st.sampled_from(_enumerate_vectors(tri, 0, 8)))
+    if kind == "link":
+        return tri, draw(st.sampled_from(sorted(tri.vertex_links())))
+    singles = enumerate_single_curves(tri, 8)
+    v = draw(st.sampled_from(singles))
+    if kind == "double":
+        return tri, tuple(2 * x for x in v)
+    w = draw(st.sampled_from([w for w in singles if disjoint_union_matches(
+        tri, [MulticurveCoords(tri, v), MulticurveCoords(tri, w)])]))
+    return tri, tuple(x + y for x, y in zip(v, w))
+
+
+@TRACE_SETTINGS
+@given(realizable_vectors())
+@example((TRACE_MODELS[0], (2, 0, 2)))
+@example((TRACE_MODELS[1], (1, 0, 1, 0, 0, 1, 0, 1, 0)))
+def test_connectivity_count_agrees_with_the_tracer(case):
+    """The enumeration keeps a realizable vector when its arcs join into
+    one tree; the tracer says the same when the vector is its only
+    component, of multiplicity one."""
+    tri, weights = case
+    assert _one_curve(tri, weights) == (
+        validate(MulticurveCoords(tri, weights)) == ((weights, 1),))
 
 
 def test_a_json_host_with_an_unglued_slot_is_refused(s11):

@@ -4,7 +4,8 @@ fresh computations (tests/oracles.py): enumerated curves and the spanning
 probe family must not depend on the order in which caps were asked for.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from curvetwist import (build_surface, enumerate_single_curves, flip,
                         spanning_probes)
@@ -32,6 +33,9 @@ def hosts(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(hosts(), st.lists(st.one_of(st.integers(0, 12), st.just("probes")),
                          min_size=1, max_size=6))
+# S(1,2) flipped at edges 4 and 5 has the triangle (3, 3, 5), which the
+# enumeration completes by setting edge 3 on two of its sides at once
+@example(flip(flip(MODELS[2], 4), 5), [12])
 def test_context_answers_match_fresh_computations_in_any_order(tri, asks):
     _CONTEXTS.clear()
     for ask in asks + ["probes"]:
@@ -48,3 +52,12 @@ def test_genus_three_enumeration_extends_from_cap_8_to_12():
     for cap in (8, 12):
         assert list(enumerate_single_curves(tri, cap)) == \
             reference_single_curves(tri, cap)
+
+
+@pytest.mark.parametrize("genus, punctures", [(3, 0), (2, 1)])
+def test_enumeration_at_cap_16_matches_the_reference(genus, punctures):
+    # the cap the S(3,0) rung's completion reaches
+    tri = build_surface(genus, punctures)
+    _CONTEXTS.clear()
+    assert list(enumerate_single_curves(tri, 16)) == \
+        reference_single_curves(tri, 16)

@@ -6,7 +6,8 @@ vector at most once.
 
 The counts come from a fresh interpreter, so the package's surface contexts
 start empty and the numbers repeat exactly.  The child wraps
-curves._Strands.trace, the one place a weight vector is traced, and
+curves._Strands.trace, the one place a weight vector is traced,
+curves._one_curve, the enumeration's trace-free connectivity count, and
 mapping.shorten (or, for the group operations, every flip, replay and
 checked triangulation), and prints their counts as JSON.  Counters carry no
 timing noise, so these pins guard the trace-once property without timing
@@ -28,14 +29,16 @@ from test_cli import CHILD_ENV
 CHILD = r"""
 import json
 import curvetwist as ct
-from curvetwist import mapping
+from curvetwist import curves, mapping
 from curvetwist.curves import (_CONTEXTS, _Strands, _enumerate_vectors,
                                CutResult)
 
 traced = []
+counted = []
 shortened = []
 placed = []
 trace = _Strands.trace
+one_curve = curves._one_curve
 shorten = mapping.shorten
 place = CutResult.place
 
@@ -43,6 +46,11 @@ place = CutResult.place
 def counted_trace(self):
     traced.append(self.weights)
     return trace(self)
+
+
+def counted_one_curve(tri, vec):
+    counted.append(vec)
+    return one_curve(tri, vec)
 
 
 def counted_shorten(coords):
@@ -60,6 +68,7 @@ def counted_place(self, vec):
 
 
 _Strands.trace = counted_trace
+curves._one_curve = counted_one_curve
 mapping.shorten = counted_shorten
 CutResult.place = counted_place
 out = {"enumerate": {}, "caps": {}}
@@ -67,14 +76,15 @@ for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)):
     tri = ct.build_surface(*gh)
     model = "S(%d,%d)" % gh
     _CONTEXTS.clear()
-    del traced[:]
+    del traced[:], counted[:]
     ct.enumerate_single_curves(tri, 8)
-    out["enumerate"][model] = [len(traced), len(_enumerate_vectors(tri, 0, 8))]
+    out["enumerate"][model] = [len(traced), len(counted),
+                               len(_enumerate_vectors(tri, 0, 8))]
     _CONTEXTS.clear()
-    del traced[:]
+    del traced[:], counted[:]
     for cap in (8, 4, 12, 6):
         ct.enumerate_single_curves(tri, cap)
-    out["caps"][model] = [list(map(list, traced)),
+    out["caps"][model] = [len(traced), list(map(list, counted)),
                           list(map(list, _enumerate_vectors(tri, 0, 12)))]
 
 # the candidate filter of one cut on S(2,0), asked for every piece at caps
@@ -125,16 +135,19 @@ def counts():
     return json.loads(proc.stdout)
 
 
-def test_enumeration_traces_each_vector_once(counts):
-    for model, (traces, nonzero) in counts["enumerate"].items():
-        assert traces == nonzero, model
+def test_enumeration_counts_each_vector_once_and_traces_none(counts):
+    # each realizable vector was traced once before the enumeration counted
+    # its arcs' components without a trace
+    for model, (traces, checked, nonzero) in counts["enumerate"].items():
+        assert traces == 0 and checked == nonzero, model
 
 
-def test_enumeration_in_any_cap_order_traces_each_vector_once(counts):
-    # caps 8, 4, 12, 6: the smaller caps read the stored list and 12 traces
+def test_enumeration_in_any_cap_order_counts_each_vector_once(counts):
+    # caps 8, 4, 12, 6: the smaller caps read the stored list and 12 counts
     # only the vectors heavier than 8
-    for model, (traced, nonzero) in counts["caps"].items():
-        assert sorted(traced) == sorted(nonzero), model
+    for model, (traces, checked, nonzero) in counts["caps"].items():
+        assert traces == 0, model
+        assert sorted(checked) == sorted(nonzero), model
 
 
 def test_candidate_filter_traces_each_candidate_once_per_cut(counts):
@@ -150,8 +163,9 @@ def test_ladder_rung_search_trace_budget(counts):
     # the lightest-pair completion and the one-trace crossing test; 698
     # before the completion placed its candidates one at a time; 628
     # before it skipped, untraced, the candidates with a positive
-    # intersection number with a non-isolating system curve
-    assert traces <= 585
+    # intersection number with a non-isolating system curve; 585 before
+    # the enumeration counted components without a trace
+    assert traces <= 275
 
 
 def test_placement_traces_only_candidates_meeting_no_short_system_curve(

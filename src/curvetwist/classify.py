@@ -62,12 +62,23 @@ class QuadraticValue:
 
 @dataclass(frozen=True)
 class Periodic:
+    """e^order fixes every spanning probe: order is the lcm of the probe
+    periods, the order of the action on curves.  It can be less than the
+    order in the mapping class group (T_a T_b on S(1,1) is Periodic(3), of
+    order 6), and on a closed model it is the order in Mod(S, v)."""
     order: int
     kind = "periodic"
 
 
 @dataclass(frozen=True)
 class ReducibleEvidence:
+    """An exactly invariant multicurve, the union of one curve's orbit of
+    `period` curves, found under a weight cap.  A closed model is a
+    one-vertex triangulation, so its curves live in S minus the vertex v
+    and its verdicts are about Mod(S, v), not Mod(S).  On S(2,0),
+    T(sep) T(sep')^-1 with sep = (0,0,2,2,0,0,0,2,2) and
+    sep' = (2,2,0,0,0,2,2,0,0) pushes v around the annulus between the two
+    curves: it is the identity of Mod(S), and this verdict in Mod(S, v)."""
     multicurve: MulticurveCoords
     period: int
     orbit: tuple
@@ -76,6 +87,12 @@ class ReducibleEvidence:
 
 @dataclass(frozen=True)
 class PseudoAnosovEvidence:
+    """Exponential, seed-independent growth of curve weights: lam_hat is
+    the exact ratio of the last two weights after `iterations` steps, and
+    residual its largest recent deviation.  On a closed model the curves
+    live in S minus the vertex, so this is evidence about Mod(S, v), where
+    pushing v along a filling loop is pseudo-Anosov although it is the
+    identity of Mod(S)."""
     lam_hat: Fraction
     residual: Fraction
     iterations: int

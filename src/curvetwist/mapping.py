@@ -24,7 +24,8 @@ operations and equality tests on curves never accumulate error.
 
 Dehn twists are built by shortening the curve (greedy weight-decreasing
 flips, preferring the heaviest edge, with breadth-first search across weight
-plateaus) until it reaches one of two catalogued short positions:
+plateaus unless the stall is a certified minimum) until it reaches one of
+two catalogued short positions:
 
 1. Total weight two.  The curve is then forced to be the core of an annulus
    made of two triangles glued along both crossed edges.  One flip of a
@@ -37,7 +38,11 @@ plateaus) until it reaches one of two catalogued short positions:
 2. A monotone-minimal position of weight above two.  This happens exactly
    for isolating curves, whose complement has a piece with no vertex or
    puncture: such a curve crosses every edge an even number of times, so
-   weight two is out of reach.  The twist is synthesized by the even chain
+   weight two is out of reach.  A stall of weight 3H + 2 = 12h - 4, with H
+   the triangles whose corner-arc counts are odd, is minimal over every
+   triangulation (see _at_isolating_minimum), so shortening stops there
+   without searching the plateau; any other stall stops only once its
+   plateau has no way down.  The twist is synthesized by the even chain
    relation: inside the vertex-free piece (genus h, one boundary) a chain
    c_1, ..., c_{2h} of non-isolating curves is found whose consecutive pairs
    satisfy the braid relation (certifying single intersections) and whose
@@ -397,14 +402,51 @@ def _plateau_escape(coords, max_states=20000):
     return None
 
 
+def _at_isolating_minimum(coords):
+    r"""True when every weight is even and w = 3H + 2, where w is the total
+    weight and H counts the triangles whose corner-arc counts are odd.  The
+    curve is then isolating and no flip sequence lowers its weight.
+
+    Proof.  In a triangle with sides x, y, z the corner between x and y
+    holds (w_x + w_y - w_z)/2 arcs; two corners' counts sum to a side's
+    weight, so with even weights all three have one parity.  Colour each
+    region of a triangle by the parity of the number of arcs between it and
+    a corner.  The region by the segment of an edge with i crossings
+    between it and one end gets i, or w_e - i from the other end, so the
+    colours agree across edges: the odd regions form a subsurface Sigma
+    with boundary c and no vertex or puncture.  Sigma is built from R
+    rectangles (between two parallel arcs) and H hexagons (the centres of
+    the odd triangles).  An even edge has w_e/2 odd segments, so Sigma holds
+    k = w/2 of them, and counting their sides gives 2k = 2R + 3H.  With the
+    w crossings, the k segments and the w arcs of c as cells,
+    chi(Sigma) = R + H - k = -H/2, so H depends on c only.  If R = 0, the
+    region across each side of a hexagon is a hexagon, so every triangle
+    has one arc at each corner and c is the sum of all vertex links, of
+    weight 3H.  That is a property of c, which w = 3H + 2 rules out; so
+    R >= 1 and w = 2R + 3H >= 3H + 2 in every triangulation with these
+    vertices, which are all that flips reach.  At w = 3H + 2 no flip
+    sequence lowers w, and the plateau search would return None.  For a
+    single curve Sigma is the vertex-free side of c, of genus h with
+    chi = 1 - 2h, so w = 12h - 4.
+    """
+    w = coords.weights
+    if any(x % 2 for x in w):
+        return False
+    odd = sum((w[x] + w[y] - w[z]) // 2 % 2
+              for x, y, z in coords.host.triangles)
+    return coords.total_weight == 3 * odd + 2
+
+
 def shorten(coords):
     """Flip until the weight cannot decrease any further.
 
     Returns (moves, short_coords) at the monotone-minimal position: greedy
     strictly-decreasing flips are taken first and level plateaus are crossed
     by breadth-first search.  Curves with a vertex or puncture on both sides
-    end at total weight two; isolating curves end heavier, at the entry
-    point of the chain-relation twist block.
+    end at total weight two.  Isolating curves end heavier, at the entry
+    point of the chain-relation twist block: a stall that holds the
+    certificate of _at_isolating_minimum stops at once, and any other stall
+    searches its plateau until it finds a way down or exhausts it.
     """
     cur = coords
     moves = []
@@ -414,7 +456,7 @@ def shorten(coords):
             moves.append(Flip(step[0]))
             cur = _transported(cur, *step)
             continue
-        hop = _plateau_escape(cur)
+        hop = None if _at_isolating_minimum(cur) else _plateau_escape(cur)
         if hop is None:
             break
         steps, cur = hop

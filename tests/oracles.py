@@ -5,6 +5,7 @@ These are deliberately written against the abstract definitions, not against
 the package internals, so agreement is evidence rather than tautology.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import isqrt
 
@@ -225,6 +226,18 @@ def reference_to_jsonable(moves):
     return {"moves": out}
 
 
+def _reference_down_flip(coords):
+    """The strictly weight-decreasing flip of the heaviest edge (lowest
+    label on ties), found by trying every flip, or None."""
+    from curvetwist import transform_under_flip
+    down = [(-coords.weight_of(lab), lab)
+            for lab in coords.host.edge_labels
+            if coords.host.is_flippable(lab)
+            and transform_under_flip(coords, lab).weight_of(lab)
+            < coords.weight_of(lab)]
+    return min(down)[1] if down else None
+
+
 def reference_greedy_shorten(coords):
     """Greedy shortening by trying every flip: take the strictly
     weight-decreasing flip of the heaviest edge (lowest label on ties)
@@ -233,16 +246,60 @@ def reference_greedy_shorten(coords):
     from curvetwist import Flip, transform_under_flip
     moves = []
     while coords.total_weight > 2:
-        down = [(-coords.weight_of(lab), lab)
-                for lab in coords.host.edge_labels
-                if coords.host.is_flippable(lab)
-                and transform_under_flip(coords, lab).weight_of(lab)
-                < coords.weight_of(lab)]
-        if not down:
+        lab = _reference_down_flip(coords)
+        if lab is None:
             break
-        lab = min(down)[1]
         moves.append(Flip(lab))
         coords = transform_under_flip(coords, lab)
+    return moves, coords
+
+
+def _reference_plateau_escape(coords, max_states):
+    """Breadth-first search through weight-preserving flips (label order,
+    states keyed by their weighted canonical form) until a state has a
+    strictly decreasing flip: the flips there, ending with that one, and
+    the coordinates reached; None once the whole plateau is exhausted."""
+    from curvetwist import Flip, ShorteningError, transform_under_flip
+    seen = {coords.host.canonical_form(coords.weights)}
+    queue = deque([(coords, [])])
+    while queue:
+        cur, path = queue.popleft()
+        lab = _reference_down_flip(cur)
+        if lab is not None:
+            return path + [Flip(lab)], transform_under_flip(cur, lab)
+        for lab in cur.host.edge_labels:
+            if not cur.host.is_flippable(lab):
+                continue
+            nxt = transform_under_flip(cur, lab)
+            if nxt.weight_of(lab) != cur.weight_of(lab):
+                continue
+            key = nxt.host.canonical_form(nxt.weights)
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(seen) > max_states:
+                raise ShorteningError("plateau search exceeded %d states"
+                                      % max_states)
+            queue.append((nxt, path + [Flip(lab)]))
+    return None
+
+
+def reference_shorten(coords, max_states=20000):
+    """Greedy flips, and at every stall an exhaustive plateau search: the
+    shortening stops only where a whole weight plateau has no way down, so
+    an isolating curve's stall is proven minimal by search, state by
+    state.  Returns the flips and the coordinates reached."""
+    moves = []
+    while coords.total_weight > 2:
+        greedy, coords = reference_greedy_shorten(coords)
+        moves.extend(greedy)
+        if coords.total_weight <= 2:
+            break
+        hop = _reference_plateau_escape(coords, max_states)
+        if hop is None:
+            break
+        steps, coords = hop
+        moves.extend(steps)
     return moves, coords
 
 

@@ -195,6 +195,30 @@ def test_order_five_maps_of_the_spheres_are_periodic():
     assert classify(e).verdict == Periodic(5)
 
 
+def test_no_short_flip_loop_is_periodic_above_the_order_bound():
+    """Every automorphism of the seven trace-count models and of S(0,6),
+    and every closing of a flip sequence of length <= 2 from one of them:
+    none is periodic on curves with an order above default_order_bound,
+    looked for up to 60.  The largest order each model reaches is pinned,
+    so the loops really hold periodic maps."""
+    largest = {}
+    for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4),
+               (0, 6)):
+        tri = build_surface(*gh)
+        sequences = [[]]
+        for a in tri.edge_labels:
+            if tri.is_flippable(a):
+                mid = flip(tri, a)
+                sequences += [[a]] + [[a, b] for b in mid.edge_labels
+                                      if mid.is_flippable(b)]
+        orders = [periodic_check(e, order_bound=60)
+                  for labels in sequences for e in _closings(tri, labels)]
+        largest[gh] = max(o for o in orders if o is not None)
+        assert largest[gh] <= default_order_bound(tri), gh
+    assert largest == {(1, 1): 3, (2, 0): 2, (1, 2): 4, (0, 5): 5,
+                       (2, 1): 2, (3, 0): 1, (0, 4): 3, (0, 6): 5}
+
+
 # -- reducibility ----------------------------------------------------------------
 
 def test_single_twist_is_reducible_with_its_curve(ab):

@@ -17,7 +17,8 @@ import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
                         Encoding, Flip, Relabel, replay, intersects,
@@ -27,9 +28,10 @@ from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
                         enumerate_single_curves, is_single_curve,
                         disjoint_union_matches, cut_along, automorphisms,
                         Triangulation, build_surface)
-from curvetwist.mapping import _intersection
+from curvetwist.mapping import (_intersection, _at_isolating_minimum,
+                                _plateau_escape)
 from oracles import (reference_inverse_moves, reference_greedy_shorten,
-                     reference_intersection)
+                     reference_intersection, reference_shorten)
 
 
 GOLDEN_TA_OF_B = (1, 1, 2)
@@ -407,3 +409,84 @@ def test_intersection_of_disjoint_curves_is_zero(s20):
     sep = (0, 0, 2, 2, 0, 0, 0, 2, 2)
     assert _intersection(s20, s, sep) == _intersection(s20, s, s) == 0
     assert _intersection(s20, sep, s) is None
+
+
+# -- the certificate of an isolating minimum ----------------------------------
+
+S30 = LADDER[5]
+# greedy flips stall on this isolating S(3,0) curve at weight 10, above
+# the certificate's 3H + 2; the plateau search goes on to weight 8
+STALLS_ABOVE = MulticurveCoords(S30, (0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0,
+                                      2, 2, 2))
+
+
+def _odd_triangles(c):
+    """H: the triangles whose corner-arc counts are odd."""
+    w = c.weights
+    return sum((w[x] + w[y] - w[z]) // 2 % 2 for x, y, z in c.host.triangles)
+
+
+@st.composite
+def shortening_inputs(draw):
+    """A curve of weight <= 8 on a ladder model, isolating or not, moved by
+    up to three twist powers about curves of weight <= 6, at weight <= 300
+    in all."""
+    tri = draw(st.sampled_from(LADDER))
+    curves = [MulticurveCoords(tri, v)
+              for v in enumerate_single_curves(tri, 8)]
+    isolating = [c for c in curves if _isolating(c)]
+    twisters = [c for c in curves if c.total_weight <= 6]
+    pool = isolating if isolating and draw(st.booleans()) else curves
+    c = draw(st.sampled_from(pool))
+    for _ in range(draw(st.integers(0, 3))):
+        c = twist(draw(st.sampled_from(twisters)),
+                  draw(st.sampled_from([-2, -1, 1, 2]))).act(c)
+    assume(c.total_weight <= 300)
+    return c
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shortening_inputs())
+@example(STALLS_ABOVE)
+@example(MulticurveCoords(S20, (0, 0, 2, 2, 0, 0, 0, 2, 2)))
+def test_shorten_matches_the_exhaustive_plateau_search(c):
+    moves, short = shorten(c)
+    want_moves, want_short = reference_shorten(c)
+    assert list(moves) == want_moves
+    assert short == want_short
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shortening_inputs().filter(_isolating))
+@example(STALLS_ABOVE)
+def test_a_certified_stall_has_no_way_down(c):
+    """Where shorten stops on the certificate, the exhaustive plateau
+    search finds no way down, and w = 3H + 2 = 12h - 4 with h the genus of
+    the cut's vertex-free piece."""
+    _, short = shorten(c)
+    assert _at_isolating_minimum(short)
+    assert _plateau_escape(short) is None
+    (piece,) = [p for p in cut_along(short).pieces
+                if not p.contains_puncture_or_vertex]
+    h = (1 - piece.euler_characteristic) // 2
+    assert short.total_weight == 3 * _odd_triangles(short) + 2 == 12 * h - 4
+
+
+def test_an_isolating_stall_above_the_certificate_searches_on():
+    _, stall = reference_greedy_shorten(STALLS_ABOVE)
+    assert stall.total_weight == 10 > 3 * _odd_triangles(stall) + 2
+    assert not _at_isolating_minimum(stall)
+    assert _plateau_escape(stall) is not None
+    moves, short = shorten(STALLS_ABOVE)
+    assert short.total_weight == 8 and _at_isolating_minimum(short)
+
+
+def test_the_certificate_needs_even_weights(s20):
+    """This curve crosses edges an odd number of times, so it is not
+    isolating; halving its odd corner sums downwards would count H = 2 and
+    meet w = 3H + 2 = 8."""
+    d = MulticurveCoords(s20, (1, 1, 1, 1, 2, 0, 1, 0, 1))
+    assert d.total_weight == 3 * _odd_triangles(d) + 2
+    assert not _at_isolating_minimum(d)

@@ -7,9 +7,10 @@ vector at most once.
 The counts come from a fresh interpreter, so the package's surface contexts
 start empty and the numbers repeat exactly.  The child wraps
 curves._Strands.trace, the one place a weight vector is traced,
-curves._one_curve, the enumeration's trace-free connectivity count, and
-mapping.shorten (or, for the group operations, every flip, replay and
-checked triangulation), and prints their counts as JSON.  Counters carry no
+curves._one_curve, the enumeration's trace-free connectivity count,
+mapping.shorten and Triangulation.canonical_form, the plateau search's
+state key (or, for the group operations, every flip, replay and checked
+triangulation), and prints their counts as JSON.  Counters carry no
 timing noise, so these pins guard the trace-once property without timing
 anything.
 """
@@ -32,15 +33,18 @@ import curvetwist as ct
 from curvetwist import curves, mapping
 from curvetwist.curves import (_CONTEXTS, _Strands, _enumerate_vectors,
                                CutResult)
+from curvetwist.surface import Triangulation
 
 traced = []
 counted = []
 shortened = []
 placed = []
+forms = [0]
 trace = _Strands.trace
 one_curve = curves._one_curve
 shorten = mapping.shorten
 place = CutResult.place
+canonical_form = Triangulation.canonical_form
 
 
 def counted_trace(self):
@@ -67,10 +71,16 @@ def counted_place(self, vec):
     return piece
 
 
+def counted_canonical_form(self, weights=None):
+    forms[0] += 1
+    return canonical_form(self, weights)
+
+
 _Strands.trace = counted_trace
 curves._one_curve = counted_one_curve
 mapping.shorten = counted_shorten
 CutResult.place = counted_place
+Triangulation.canonical_form = counted_canonical_form
 out = {"enumerate": {}, "caps": {}}
 for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)):
     tri = ct.build_surface(*gh)
@@ -114,15 +124,19 @@ def rung(genus=2, punctures=0):
     f = ct.twist(ct.MulticurveCoords(tri, d))
     del traced[:]
     del placed[:]
+    forms[0] = 0
     res = ct.search_twist_family(ct.CurveSystem(tri, {"c": c}), f,
                                  ct.SearchSchedule(k_max=4))
-    return [len(traced), len(set(traced)), res.status,
-            list(map(list, shortened)), list(placed)]
+    return {"traces": len(traced), "distinct": len(set(traced)),
+            "status": res.status, "shortened": list(map(list, shortened)),
+            "placed": list(placed), "forms": forms[0]}
 
 
 out["search"] = rung()
 out["again"] = rung()
 out["s30"] = rung(3, 0)
+out["s31"] = rung(3, 1)
+out["s40"] = rung(4, 0)
 print(json.dumps(out))
 """
 
@@ -156,7 +170,7 @@ def test_candidate_filter_traces_each_candidate_once_per_cut(counts):
 
 
 def test_ladder_rung_search_trace_budget(counts):
-    traces, _, status, _, _ = counts["search"]
+    traces, status = counts["search"]["traces"], counts["search"]["status"]
     assert status == "accepted"
     # 2,399 before the curve filter and the independence check traced each
     # curve once per question; 1,061 before the surface context; 867 before
@@ -174,7 +188,7 @@ def test_placement_traces_only_candidates_meeting_no_short_system_curve(
     intersection number with every non-isolating system curve is 0 (the
     rung places 43 curves disjoint from the system; 4 more meet only
     isolating curves, which have no such number)."""
-    _, _, status, _, placed = counts["s30"]
+    status, placed = counts["s30"]["status"], counts["s30"]["placed"]
     assert status == "accepted"
     # 746 before the completion read intersection numbers
     assert len(placed) == 47
@@ -186,8 +200,22 @@ def test_placement_traces_only_candidates_meeting_no_short_system_curve(
 
 def test_ladder_rung_search_shortens_each_curve_once(counts):
     # 24 shortenings of 14 curves before the surface context
-    shortened = Counter(map(tuple, counts["search"][3]))
+    shortened = Counter(map(tuple, counts["search"]["shortened"]))
     assert shortened and set(shortened.values()) == {1}
+
+
+def test_rungs_stop_shortening_at_certified_isolating_minima(counts):
+    """Canonical forms (plateau states) and strand traces of the searches
+    on the S(3,0) rung and on the S(3,1) and S(4,0) rungs beyond the
+    ladder.  Before shorten stopped at the
+    certificate of an isolating minimum, the S(3,0) search built 1,531
+    forms and S(3,1) 3,134, and S(4,0) raised ShorteningError after 20,000
+    plateau states (217,118 forms)."""
+    got = {rung: [counts[rung][key] for key in ("status", "forms", "traces")]
+           for rung in ("s30", "s31", "s40")}
+    assert got == {"s30": ["accepted", 60, 446],
+                   "s31": ["accepted", 192, 546],
+                   "s40": ["accepted", 710, 1732]}
 
 
 def test_cleared_contexts_repeat_the_cold_counts(counts):

@@ -27,12 +27,11 @@ from .orbits import (SystemError_, IndependenceReport, CurveSystem,
                      check_independent, require_independent, check_maximal,
                      OrbitGraph, build_gamma, find_orbit, ChainComponent,
                      chain_decomposition)
-from .classify import (decimal_string, QuadraticValue, Periodic,
-                       ReducibleEvidence, PseudoAnosovEvidence,
-                       Inconclusive, ClassificationReport, ClassifyParams,
-                       default_order_bound, periodic_check,
+from .classify import (decimal_string, Periodic, ReducibleEvidence,
+                       PseudoAnosovEvidence, Inconclusive,
+                       ClassificationReport, ClassifyParams, periodic_check,
                        invariant_multicurve_search, dilatation_estimate,
-                       OracleVerdict, two_twist_oracle, classify)
+                       classify)
 from .construct import (TwistFamily, realize_family, maximalize,
                         SearchSchedule, Refused, Accepted, Exhausted,
                         search_twist_family)
@@ -57,11 +56,10 @@ __all__ = [
     "check_independent", "require_independent", "check_maximal",
     "OrbitGraph", "build_gamma", "find_orbit", "ChainComponent",
     "chain_decomposition",
-    "decimal_string", "QuadraticValue", "Periodic", "ReducibleEvidence",
+    "decimal_string", "Periodic", "ReducibleEvidence",
     "PseudoAnosovEvidence", "Inconclusive", "ClassificationReport",
-    "ClassifyParams", "default_order_bound", "periodic_check",
-    "invariant_multicurve_search", "dilatation_estimate", "OracleVerdict",
-    "two_twist_oracle", "classify",
+    "ClassifyParams", "periodic_check", "invariant_multicurve_search",
+    "dilatation_estimate", "classify",
     "TwistFamily", "realize_family", "maximalize",
     "SearchSchedule", "Refused", "Accepted", "Exhausted",
     "search_twist_family",

@@ -4,27 +4,24 @@ Evidence-grade dynamical classification of a mapping class.
 Every surface mapping class is periodic, reducible (preserves a multicurve),
 or pseudo-Anosov.  This module gathers exact evidence for one of the three:
 a periodic order is certified by probe equality of a power with the
-identity; reducibility by an explicit finite curve orbit whose union is an
+identity, up to the proven cap on the order of a periodic class of the
+model; reducibility by an explicit finite curve orbit whose union is an
 invariant multicurve; pseudo-Anosov behavior by exponential, seed-
 independent growth of curve weights under iteration, with the growth rate
-estimated as an exact rational and reported against configurable
-thresholds.  Nothing here is proof-grade (no invariant track is built): the
-verdicts are labeled as evidence, and the honest fallback is Inconclusive.
-
-The two-generator oracle is exact: for a pair of curves filling a torus
-piece and meeting i times, twists act on homology by integer 2x2 matrices,
-and the trace decides the type, with the dilatation a quadratic integer
-(|tr| + sqrt(tr^2 - 4))/2.
+estimated as an exact rational and reported against the thresholds below,
+which every report prints.  Nothing here is proof-grade (no invariant track
+is built): the verdicts are labeled as evidence, and the honest fallback is
+Inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from .curves import MulticurveCoords, enumerate_single_curves
-from .mapping import Encoding, spanning_probes, equal_on
+from .mapping import spanning_probes
 from .orbits import CurveSystem, check_independent
 
 
@@ -41,21 +38,6 @@ def decimal_string(value, digits=10):
     if digits == 0:
         return "%s%d" % (sign, whole)
     return "%s%d.%0*d" % (sign, whole, digits, frac)
-
-
-@dataclass(frozen=True)
-class QuadraticValue:
-    """(t + sqrt(d)) / 2 with integer t >= 0 and non-square d >= 0."""
-    t: int
-    d: int
-
-    def approx(self, digits=12):
-        scale = 10 ** digits
-        root = Fraction(isqrt(self.d * scale * scale), scale)
-        return (self.t + root) / 2
-
-    def decimal(self, digits=10):
-        return decimal_string(self.approx(digits + 4), digits)
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -132,32 +114,39 @@ class ClassificationReport:
         return data
 
 
+# the evidence thresholds: invariant orbits are looked for up to DEPTH
+# steps; each of the first DILATATION_SEEDS probes is iterated ITERATIONS
+# times, and its weight must double across every trailing DOUBLING_WINDOW
+# steps and its rate exceed 1 by LAM_MARGIN
+DEPTH = 8
+ITERATIONS = 30
+DILATATION_SEEDS = 3
+LAM_MARGIN = Fraction(1, 1000)
+DOUBLING_WINDOW = 8
+
+
 @dataclass(frozen=True)
 class ClassifyParams:
-    """Thresholds and budgets; these are configuration, not truth claims."""
-    order_bound: int = 0          # 0 means the per-model default
-    depth: int = 8
+    """The budgets a caller sets: the weight cap of the invariant-multicurve
+    seeds and the residual tolerance of the growth estimates.  jsonable()
+    also prints the fixed thresholds, so a report shows all that decided
+    its verdict."""
     weight_cap: int = 8
-    iterations: int = 30
-    dilatation_seeds: int = 3
     residual_tol: Fraction = Fraction(1, 10 ** 6)
-    lam_margin: Fraction = Fraction(1, 1000)
-    doubling_window: int = 8
 
     def jsonable(self):
         return {
-            "order_bound": self.order_bound,
-            "depth": self.depth,
+            "depth": DEPTH,
             "weight_cap": self.weight_cap,
-            "iterations": self.iterations,
-            "dilatation_seeds": self.dilatation_seeds,
+            "iterations": ITERATIONS,
+            "dilatation_seeds": DILATATION_SEEDS,
             "residual_tol": str(self.residual_tol),
-            "lam_margin": str(self.lam_margin),
-            "doubling_window": self.doubling_window,
+            "lam_margin": str(LAM_MARGIN),
+            "doubling_window": DOUBLING_WINDOW,
         }
 
 
-def default_order_bound(tri):
+def _order_cap(tri):
     """The largest order of a periodic mapping class of the model: 4g + 2
     for genus g >= 2, max(6, n) for genus 1 and n for genus 0, with n
     punctures.
@@ -184,31 +173,30 @@ def default_order_bound(tri):
 
 # -- the three detectors --------------------------------------------------------
 
-def periodic_check(e, order_bound=None):
-    """Least p with e^p equal to the identity on the spanning probes.
+def periodic_check(e):
+    """Least p with e^p equal to the identity on the spanning probes, or
+    None when e is not periodic.
 
     e permutes curves, so the powers of e fixing a probe are the multiples
     of its period, and the least p fixing every probe is the lcm of their
-    periods.  Each probe is moved only up to its first return: the check
-    ends with None at the first probe that does not return within the
-    bound, or as soon as the lcm exceeds it.
+    periods.  No periodic map of the model has an order above _order_cap
+    (proved there), so each probe is moved only up to that cap: the check
+    ends with None at the first probe that does not return within it, or as
+    soon as the lcm exceeds it.
     """
     tri = e.source
-    if order_bound is None or order_bound == 0:
-        order_bound = default_order_bound(tri)
-    if order_bound < 1:
-        return None
+    cap = _order_cap(tri)
     order = 1
     for probe in spanning_probes(tri):
         w = e.act_on_weights(probe.weights)
         period = 1
         while w != probe.weights:
-            if period >= order_bound:
+            if period >= cap:
                 return None
             w = e.act_on_weights(w)
             period += 1
         order = lcm(order, period)
-        if order > order_bound:
+        if order > cap:
             return None
     return order
 
@@ -270,51 +258,6 @@ def dilatation_estimate(e, seed, iters=30):
     return lam, residual, weights
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    kind: str
-    trace: int
-    dilatation: QuadraticValue = None
-
-    def decimal(self, digits=10):
-        return None if self.dilatation is None \
-            else self.dilatation.decimal(digits)
-
-
-def two_twist_oracle(word, i_ab=1):
-    """Exact verdict for a word in two twists meeting i_ab times.
-
-    The twists act on the homology of the filled torus piece by
-    [[1, i],[0,1]] and [[1, 0],[-i, 1]]; `word` is a sequence of
-    (generator, exponent) pairs over "a"/"b", leftmost applied last.  The
-    absolute trace decides: above 2 the word is pseudo-Anosov with
-    dilatation (|tr| + sqrt(tr^2-4))/2, exactly 2 reducible, below 2
-    periodic.
-    """
-    if not word:
-        raise ValueError("empty word")
-    if i_ab <= 0:
-        raise ValueError("intersection count must be positive")
-    m = (1, 0, 0, 1)
-    for gen, exp in word:
-        k = int(exp)
-        if gen == "a":
-            g = (1, i_ab * k, 0, 1)
-        elif gen == "b":
-            g = (1, 0, -i_ab * k, 1)
-        else:
-            raise ValueError("unknown generator %r" % gen)
-        m = (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
-             m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3])
-    tr = m[0] + m[3]
-    if abs(tr) > 2:
-        lam = QuadraticValue(abs(tr), tr * tr - 4)
-        return OracleVerdict("pseudo_anosov", tr, lam)
-    if abs(tr) == 2:
-        return OracleVerdict("reducible", tr)
-    return OracleVerdict("periodic", tr)
-
-
 # -- the combined classifier --------------------------------------------------
 
 def _doubling(weights, window):
@@ -354,49 +297,48 @@ def classify(e, params=None, extra_seeds=()):
     PseudoAnosovEvidence demands that every dilatation seed shows doubling
     growth, that the estimates agree pairwise within the residual
     tolerance, that each residual clears the same bar, and that the rate
-    exceeds 1 by the configured margin.  Anything else that neither closes
-    an order nor exhibits an invariant multicurve is Inconclusive.  The
-    three detectors share one orbit table, dropped when the call returns.
+    exceeds 1 by LAM_MARGIN.  Anything else that neither closes an order
+    nor exhibits an invariant multicurve is Inconclusive.  The three
+    detectors share one orbit table, dropped when the call returns.
     """
     params = params or ClassifyParams()
     e = _OrbitTable(e)
     tri = e.source
     diag = {"params": params.jsonable()}
 
-    order = periodic_check(e, params.order_bound)
+    order = periodic_check(e)
     if order is not None:
         return ClassificationReport(Periodic(order), diag)
 
-    found = invariant_multicurve_search(e, params.depth, params.weight_cap,
+    found = invariant_multicurve_search(e, DEPTH, params.weight_cap,
                                         extra_seeds)
     if found is not None:
         mc, period, orbit = found
         return ClassificationReport(ReducibleEvidence(mc, period, orbit), diag)
 
     probes = spanning_probes(tri)
-    seeds = list(probes[:params.dilatation_seeds])
+    seeds = list(probes[:DILATATION_SEEDS])
     if not seeds:
         return ClassificationReport(Inconclusive("no seed curves"), diag)
     runs = []
     for seed in seeds:
-        lam, residual, weights = dilatation_estimate(e, seed,
-                                                     params.iterations)
+        lam, residual, weights = dilatation_estimate(e, seed, ITERATIONS)
         runs.append((lam, residual, weights))
     diag["growth"] = [[str(x) for x in weights] for _, _, weights in runs]
     diag["lambda_hats"] = [decimal_string(lam, 10) for lam, _, _ in runs]
     diag["residuals"] = [decimal_string(r, 12) for _, r, _ in runs]
 
-    exponential = all(_doubling(weights, params.doubling_window)
+    exponential = all(_doubling(weights, DOUBLING_WINDOW)
                       for _, _, weights in runs)
     lams = [lam for lam, _, _ in runs]
     agree = all(abs(lams[i] - lams[j]) <= params.residual_tol * lams[j]
                 for i in range(len(lams)) for j in range(len(lams)))
     tight = all(r <= params.residual_tol for _, r, _ in runs)
-    big = all(lam >= 1 + params.lam_margin for lam in lams)
+    big = all(lam >= 1 + LAM_MARGIN for lam in lams)
     if exponential and agree and tight and big:
         best = max(runs, key=lambda t: sum(t[2]))
         return ClassificationReport(
-            PseudoAnosovEvidence(best[0], best[1], params.iterations), diag)
+            PseudoAnosovEvidence(best[0], best[1], ITERATIONS), diag)
     reasons = []
     if not exponential:
         reasons.append("growth not exponential")

@@ -81,8 +81,6 @@ def _boolean(key, val):
 _SETTINGS = {
     "tolerance": (_decimal, {"help": "residual tolerance for dilatation "
                                      "agreement, as a decimal string"}),
-    "order_bound": (_integer(0), {"help": "periodicity bound (0 uses the "
-                                          "per-model default)"}),
     "weight_cap": (_integer(0), {"help": "weight cap of the classifier's "
                                          "invariant-multicurve seeds"}),
     "k_max": (_integer(1), {"help": "largest twist exponent in the sweep"}),
@@ -220,8 +218,7 @@ def _settings(args, ws, **fields):
 
 def classify_params(args, ws):
     return ClassifyParams(**_settings(
-        args, ws, order_bound="order_bound", weight_cap="weight_cap",
-        residual_tol="tolerance"))
+        args, ws, weight_cap="weight_cap", residual_tol="tolerance"))
 
 
 def search_schedule(args, ws):
@@ -464,7 +461,7 @@ def build_parser():
     p.add_argument("map", nargs="+")
     p = map_.add_parser("classify",
                         help="periodic / reducible / pseudo-Anosov evidence")
-    _add_common(p, "tolerance", "order_bound", "weight_cap")
+    _add_common(p, "tolerance", "weight_cap")
     p.add_argument("map")
 
     gamma = groups.add_parser("gamma").add_subparsers(

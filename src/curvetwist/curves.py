@@ -424,30 +424,6 @@ class CutResult:
     def pieces(self):
         return self._pieces
 
-    def piece_containing(self, d_coords):
-        """The piece index holding a single curve disjoint from the cut
-        system.
-
-        Traces the union system+d once, against the system components the
-        cut traced (see disjoint_union_matches).  Raises InvalidCurveError,
-        in this order, when d is not disjoint from the system, is not a
-        single curve, or is parallel to a system component.
-        """
-        if d_coords.host != self._tri:
-            raise InvalidCurveError("mixed hosts in union test")
-        d_comps = [vec for vec, mult in validate(d_coords)
-                   for _ in range(mult)]
-        trace = _traces_to(self._tri, [
-            x + y for x, y in zip(self._coords.weights, d_coords.weights)
-        ], self._components + tuple(d_comps))
-        if trace is None:
-            raise InvalidCurveError("curve is not disjoint from the system")
-        if len(d_comps) != 1:
-            raise InvalidCurveError("piece location expects a single curve")
-        if d_comps[0] in self._components:
-            raise InvalidCurveError("curve is parallel to a system component")
-        return self._piece_of(d_comps[0], *trace)
-
     def _piece_of(self, d_vec, first, comps, arc_component):
         """The cut piece holding the component d_vec, parallel to no system
         component, of a traced union: the first d-arc, k-th at its corner c,

@@ -666,7 +666,7 @@ def reference_cut(coords):
 
 def reference_cell_of(coords, d):
     """The cell of the reference cut along the system `coords` that holds
-    the curve `d` (CutResult.piece_containing): trace the union of the two,
+    the curve `d` (CutResult.place): trace the union of the two,
     and read the cell below the least arc of d's component, which has only
     system arcs below it at its corner.  Raises InvalidCurveError with the
     package's messages."""
@@ -794,11 +794,14 @@ def reference_check_independent(sys):
 def reference_periodic_check(e, order_bound=None):
     """Least p <= order_bound with e^p equal to the identity on the
     spanning probes, moving every probe once per power until all return
-    together (the check the probe-by-probe lcm replaced)."""
-    from curvetwist import default_order_bound, spanning_probes
+    together (the check the probe-by-probe lcm replaced).  The bound
+    defaults to the Nielsen-realization cap on the order of a periodic
+    class: 4g + 2 for genus g >= 2, max(6, n) for genus 1, n for genus 0."""
+    from curvetwist import spanning_probes
     tri = e.source
-    if order_bound is None or order_bound == 0:
-        order_bound = default_order_bound(tri)
+    if order_bound is None:
+        g, n = tri.genus, tri.num_punctures
+        order_bound = 4 * g + 2 if g >= 2 else max(6, n) if g == 1 else n
     probes = spanning_probes(tri)
     start = [p.weights for p in probes]
     cur = list(start)

@@ -17,13 +17,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curvetwist import (MulticurveCoords, Encoding, Flip, Relabel, twist,
-                        automorphisms, decimal_string, QuadraticValue,
-                        Periodic, ReducibleEvidence, PseudoAnosovEvidence,
-                        Inconclusive, ClassifyParams, default_order_bound,
+                        automorphisms, decimal_string, Periodic,
+                        ReducibleEvidence, PseudoAnosovEvidence,
                         periodic_check, invariant_multicurve_search,
-                        dilatation_estimate, two_twist_oracle, classify,
-                        build_surface, spanning_probes, flip, isomorphisms)
-from curvetwist.classify import _OrbitTable
+                        dilatation_estimate, classify, build_surface,
+                        spanning_probes, flip, isomorphisms)
+from curvetwist.classify import _OrbitTable, _order_cap
 
 from oracles import word_trace, spectral_radius, reference_periodic_check
 from test_curve_systems import SETTINGS, words
@@ -67,10 +66,6 @@ def test_hyperbolic_words_match_oracle(ab, factors):
     assert isinstance(v, PseudoAnosovEvidence)
     assert abs(v.lam_hat - lam) < Fraction(1, 10 ** 4)
     assert v.residual < Fraction(1, 10 ** 6)
-    # the package's own oracle agrees with the independent one
-    own = two_twist_oracle(factors)
-    assert own.kind == "pseudo_anosov"
-    assert own.trace == trace
 
 
 def test_flagship_dilatation_is_golden_square(ab):
@@ -97,12 +92,15 @@ def test_conjugation_invariance(ab):
 def test_identity_is_periodic_order_one(s11):
     report = classify(Encoding.identity(s11))
     assert report.verdict == Periodic(1)
+    # the thrice-punctured sphere has no probes at all
+    pants = classify(Encoding.identity(build_surface(0, 3)))
+    assert pants.verdict == Periodic(1)
 
 
 def test_two_twist_composite_is_periodic_order_three(ab):
     report = classify(encode_word(ab, [("a", 1), ("b", 1)]))
     assert report.verdict == Periodic(3)
-    assert two_twist_oracle([("a", 1), ("b", 1)]).kind == "periodic"
+    assert abs(word_trace([("a", 1), ("b", 1)])) < 2
 
 
 def test_involution_is_periodic_order_two(s20):
@@ -112,48 +110,45 @@ def test_involution_is_periodic_order_two(s20):
     assert report.verdict == Periodic(2)
 
 
-def test_periodic_check_respects_order_bound(ab, s20):
-    g = encode_word(ab, [("a", 1), ("b", 1)])
-    assert periodic_check(g, order_bound=2) is None
-    assert periodic_check(g, order_bound=3) == 3
-    swap = next(rel for rel in automorphisms(s20)
-                if not rel.is_edge_identity())
-    # the thrice-punctured sphere has no probes at all
-    pants = Encoding.identity(build_surface(0, 3))
-    for e in (g, Encoding(s20, [Relabel(swap)]), pants):
-        for bound in range(-1, 13):
-            assert periodic_check(e, bound) == \
-                reference_periodic_check(e, bound)
-
-
 @SETTINGS
-@given(words(), st.integers(-1, 12))
-def test_periodic_check_matches_the_reference(e, bound):
-    """The probe-by-probe lcm against powers of e on all probes at once,
-    on twist words and symmetries of finite order; bound 0 is the model's
-    default and a negative bound admits no order."""
-    assert periodic_check(e, bound) == reference_periodic_check(e, bound)
+@given(words())
+def test_periodic_check_matches_the_reference(e):
+    """The probe-by-probe lcm against powers of e on all probes at once, up
+    to the model's cap, on twist words and symmetries of finite order."""
+    assert periodic_check(e) == reference_periodic_check(e)
+
+
+def _cycling(tri, cycles):
+    """A stand-in for an encoding that moves each tuple of `cycles` one
+    step round its cycle and fixes every other vector."""
+    image = {w: c[(k + 1) % len(c)] for c in cycles for k, w in enumerate(c)}
+    return SimpleNamespace(source=tri, act_on_weights=lambda w: image.get(w, w))
 
 
 def test_periodic_check_takes_the_lcm_of_the_probe_periods(s20):
-    """Probes permuted in a 2-cycle and a 3-cycle: each returns within 5,
-    all of them together first at 6."""
+    """On S(2,0), whose cap is 10: probes in a 2-cycle and a 3-cycle return
+    together first at 6; in a 3-cycle and a 5-cycle each returns within
+    the cap, but not all of them before 15; and a probe that returns only
+    after 11 steps, through vectors that are no probes, is above the cap
+    on its own."""
     p = [c.weights for c in spanning_probes(s20)]
-    image = {p[0]: p[1], p[1]: p[0], p[2]: p[3], p[3]: p[4], p[4]: p[2]}
-    e = SimpleNamespace(source=s20, act_on_weights=lambda w: image.get(w, w))
-    assert periodic_check(e, 5) is None
-    assert periodic_check(e, 6) == 6
-    assert reference_periodic_check(e, 5) is None
-    assert reference_periodic_check(e, 6) == 6
+    detour = [p[0]] + [(k,) for k in range(10)]
+    for cycles, order in (([p[:2], p[2:5]], 6), ([p[:3], p[3:8]], None),
+                          ([detour], None)):
+        e = _cycling(s20, cycles)
+        assert periodic_check(e) == order
+        assert reference_periodic_check(e) == order
+    assert reference_periodic_check(_cycling(s20, [p[:3], p[3:8]]), 15) == 15
+    assert reference_periodic_check(_cycling(s20, [detour]), 11) == 11
 
 
 @SETTINGS
-@given(words(), st.integers(-1, 12), st.integers(2, 6))
-def test_detectors_read_the_same_on_the_orbit_table(e, bound, cap):
+@given(words(), st.integers(2, 6))
+def test_detectors_read_the_same_on_the_orbit_table(e, cap):
     """The three detectors, in classify's order on one table, return what
     they return on the bare encoding."""
     table = _OrbitTable(e)
-    assert periodic_check(table, bound) == periodic_check(e, bound)
+    assert periodic_check(table) == periodic_check(e)
     assert invariant_multicurve_search(table, weight_cap=cap) == \
         invariant_multicurve_search(e, weight_cap=cap)
     for seed in spanning_probes(e.source)[:3]:
@@ -162,13 +157,12 @@ def test_detectors_read_the_same_on_the_orbit_table(e, bound, cap):
 
 
 def test_default_order_bounds():
-    import curvetwist
-    assert default_order_bound(curvetwist.build_surface(1, 1)) == 6
-    assert default_order_bound(curvetwist.build_surface(2, 0)) == 10
-    assert default_order_bound(curvetwist.build_surface(0, 4)) == 4
-    assert default_order_bound(curvetwist.build_surface(0, 6)) == 6
-    assert default_order_bound(curvetwist.build_surface(1, 7)) == 7
-    assert default_order_bound(curvetwist.build_surface(2, 1)) == 10
+    assert _order_cap(build_surface(1, 1)) == 6
+    assert _order_cap(build_surface(2, 0)) == 10
+    assert _order_cap(build_surface(0, 4)) == 4
+    assert _order_cap(build_surface(0, 6)) == 6
+    assert _order_cap(build_surface(1, 7)) == 7
+    assert _order_cap(build_surface(2, 1)) == 10
 
 
 def _closings(tri, labels):
@@ -191,16 +185,19 @@ def test_order_five_maps_of_the_spheres_are_periodic():
     assert kinds == [("periodic", 2), ("periodic", 3), ("periodic", 5),
                      ("periodic", 5), ("reducible_evidence", None),
                      ("reducible_evidence", None)]
-    (e,) = [e for e in _closings(s06, [3]) if periodic_check(e, 12) == 5]
+    (e,) = [e for e in _closings(s06, [3])
+            if reference_periodic_check(e, 60) == 5]
+    assert periodic_check(e) == 5
     assert classify(e).verdict == Periodic(5)
 
 
 def test_no_short_flip_loop_is_periodic_above_the_order_bound():
     """Every automorphism of the seven trace-count models and of S(0,6),
     and every closing of a flip sequence of length <= 2 from one of them:
-    none is periodic on curves with an order above default_order_bound,
-    looked for up to 60.  The largest order each model reaches is pinned,
-    so the loops really hold periodic maps."""
+    none is periodic on curves with an order above the model's cap, looked
+    for up to 60 by the reference, and periodic_check finds each order up
+    to the cap.  The largest order each model reaches is pinned, so the
+    loops really hold periodic maps."""
     largest = {}
     for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4),
                (0, 6)):
@@ -211,10 +208,15 @@ def test_no_short_flip_loop_is_periodic_above_the_order_bound():
                 mid = flip(tri, a)
                 sequences += [[a]] + [[a, b] for b in mid.edge_labels
                                       if mid.is_flippable(b)]
-        orders = [periodic_check(e, order_bound=60)
-                  for labels in sequences for e in _closings(tri, labels)]
+        cap = _order_cap(tri)
+        orders = []
+        for e in (e for labels in sequences for e in _closings(tri, labels)):
+            order = reference_periodic_check(e, 60)
+            assert periodic_check(e) == (
+                order if order is not None and order <= cap else None)
+            orders.append(order)
         largest[gh] = max(o for o in orders if o is not None)
-        assert largest[gh] <= default_order_bound(tri), gh
+        assert largest[gh] <= cap, gh
     assert largest == {(1, 1): 3, (2, 0): 2, (1, 2): 4, (0, 5): 5,
                        (2, 1): 2, (3, 0): 1, (0, 4): 3, (0, 6): 5}
 
@@ -267,15 +269,6 @@ def test_invariant_search_uses_extra_seeds(s20):
     assert union.weights == sep.weights
 
 
-# -- inconclusive ----------------------------------------------------------------
-
-def test_too_few_iterations_is_inconclusive(ab):
-    params = ClassifyParams(iterations=6)
-    report = classify(encode_word(ab, [("a", 1), ("b", -1)]), params)
-    assert isinstance(report.verdict, Inconclusive)
-    assert report.verdict.reason
-
-
 # -- estimates and rendering -------------------------------------------------------
 
 def test_dilatation_estimate_converges(ab):
@@ -288,9 +281,8 @@ def test_dilatation_estimate_converges(ab):
 
 
 def test_quadratic_value_decimal():
-    golden_sq = QuadraticValue(3, 5)
-    assert golden_sq.decimal(10) == "2.6180339887"
-    assert QuadraticValue(4, 12).decimal(10) == "3.7320508076"
+    assert decimal_string(spectral_radius(3), 10) == "2.6180339887"
+    assert decimal_string(spectral_radius(4), 10) == "3.7320508076"
 
 
 def test_decimal_string_rounds_half_up():
@@ -300,13 +292,12 @@ def test_decimal_string_rounds_half_up():
 
 
 def test_oracle_trichotomy():
-    assert two_twist_oracle([("a", 2), ("b", 1)]).kind == "periodic"
-    assert two_twist_oracle([("a", 4), ("b", 1)]).kind == "reducible"
-    assert two_twist_oracle([("a", 5), ("b", 1)]).kind == "pseudo_anosov"
+    """|trace| below 2 is periodic, 2 reducible, above 2 pseudo-Anosov."""
+    assert word_trace([("a", 2), ("b", 1)]) == 0
+    assert word_trace([("a", 4), ("b", 1)]) == -2
+    assert word_trace([("a", 5), ("b", 1)]) == -3
     with pytest.raises(ValueError):
-        two_twist_oracle([])
-    with pytest.raises(ValueError):
-        two_twist_oracle([("a", 1)], i_ab=0)
+        spectral_radius(-2)
 
 
 def test_report_serializes_to_json(ab):

@@ -262,9 +262,10 @@ def assert_one_line_error(proc, field):
     (("construct", "search"), {"k_max": 2.5}, "k_max"),
     (("construct", "search"), {"weight_cap": [8]}, "weight_cap"),
     (("construct", "search"), {"weight_cap": "lots"}, "weight_cap"),
-    (("map", "classify", "g"), {"order_bound": "abc"}, "order_bound"),
+    # the retired order_bound is an unknown key, refused whatever its value
+    (("map", "classify", "g"), {"order_bound": 5}, "order_bound"),
     (("map", "classify", "g"), {"weight_cap": "x"}, "weight_cap"),
-    (("map", "classify", "g"), {"order_bound": -1}, "order_bound"),
+    (("map", "classify", "g"), {"order_bound": 0}, "order_bound"),
     (("construct", "search"), {"k_max": 3.0}, "k_max"),
     (("construct", "search"), {"k_max": "1_0"}, "k_max"),
     (("map", "classify", "g"), {"weight_cap": True}, "weight_cap"),
@@ -282,7 +283,7 @@ def test_bad_integer_params_exit_one_naming_the_field(tmp_path, command,
     (("map", "act", "f", "a"), {"tolerance": "x", "independent": "yes"},
      "tolerance"),
     (("map", "act", "f", "a"), {"independent": "yes"}, "independent"),
-    (("gamma", "build"), {"order_bound": -1}, "order_bound"),
+    (("gamma", "build"), {"order_bound": 5}, "order_bound"),
     (("curve", "validate", "a"), {"k_max": 0}, "k_max"),
 ], ids=["info-k-max", "maximalize-weight-cap", "act-tolerance",
         "act-independent", "build-order-bound", "validate-k-max"])
@@ -294,8 +295,8 @@ def test_params_values_are_checked_at_load(tmp_path, argv, params, field):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--k-max", "x"), ("--k-max", "2.5"), ("--order-bound", "-1"),
-    ("--weight-cap", "lots"), ("--tolerance", "abc"),
+    ("--k-max", "x"), ("--k-max", "2.5"), ("--weight-cap", "lots"),
+    ("--tolerance", "abc"),
 ])
 def test_bad_flag_values_exit_one_naming_the_field(ws_path, flag, value):
     field = flag[2:].replace("-", "_")
@@ -323,13 +324,18 @@ def test_maximalize_takes_no_weight_cap(ws_path):
      "--order-bound"),
     (("map", "classify", "{ws}", "g", "--k-max", "3"), "--k-max"),
     (("map", "classify", "{ws}", "g", "--independent"), "--independent"),
+    (("map", "classify", "{ws}", "g", "--order-bound", "4"),
+     "--order-bound 4"),
+    (("construct", "search", "{ws}", "--order-bound", "4"),
+     "--order-bound 4"),
     (("surface", "info", "{ws}", "--weight-cap", "4"), "--weight-cap"),
     (("curve", "cut", "{ws}", "a", "--independent"), "--independent"),
     (("gamma", "orbit", "{ws}", "--k-max", "3"), "--k-max"),
     (("construct", "maximalize", "{ws}", "--tolerance", "0"), "--tolerance"),
 ], ids=["act-tolerance", "act-k-max", "act-order-bound", "classify-k-max",
-        "classify-independent", "info-weight-cap", "cut-independent",
-        "orbit-k-max", "maximalize-tolerance"])
+        "classify-independent", "classify-order-bound", "search-order-bound",
+        "info-weight-cap", "cut-independent", "orbit-k-max",
+        "maximalize-tolerance"])
 def test_a_flag_the_command_does_not_read_is_refused(ws_path, argv, flag):
     argv = [ws_path if a == "{ws}" else a for a in argv]
     assert_one_line_error(run_cli(*argv),
@@ -347,9 +353,10 @@ def test_every_command_takes_seed_and_timing(ws_path):
 
 def test_classify_and_search_read_their_flags(ws_path):
     doc = run_json("map", "classify", ws_path, "g", "--tolerance", "0.5",
-                   "--order-bound", "4", "--weight-cap", "6")
-    assert (doc["params"]["order_bound"], doc["params"]["weight_cap"]) \
-        == (4, 6)
+                   "--weight-cap", "6")
+    assert (doc["params"]["residual_tol"], doc["params"]["weight_cap"]) \
+        == ("1/2", 6)
+    assert "order_bound" not in doc["params"]
     doc = run_json("construct", "search", ws_path, "--k-max", "2",
                    "--independent", "--weight-cap", "6", expect=3)
     assert doc["schedule"]["k_max"] == 2
@@ -358,7 +365,7 @@ def test_classify_and_search_read_their_flags(ws_path):
 
 
 @pytest.mark.parametrize("key", ["k-max", "order-bound", "weight-cap",
-                                 "kmax", "depth", "seed"])
+                                 "kmax", "depth", "seed", "order_bound"])
 def test_unknown_params_keys_are_refused(tmp_path, key):
     path = _workspace(tmp_path, params={key: 3})
     assert_one_line_error(run_cli("surface", "info", path),

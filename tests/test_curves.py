@@ -229,20 +229,17 @@ def test_cut_along_separating_curve(s20):
     assert any(not p.contains_puncture_or_vertex for p in cut.pieces)
 
 
-def test_piece_containing_locates_curves_and_names_each_fault(s20):
+def test_place_locates_curves_and_is_none_for_each_fault(s20):
     sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
     c = MulticurveCoords(s20, (0, 0, 1, 0, 0, 0, 0, 1, 0))
     d = MulticurveCoords(s20, (1, 0, 0, 0, 0, 1, 0, 0, 0))
     x = MulticurveCoords(s20, (0, 1, 0, 1, 2, 1, 1, 1, 1))
     cut = cut_along(sep)
-    # c and d lie in the two one-holed tori on either side of sep
-    assert {cut.piece_containing(c), cut.piece_containing(d)} == {0, 1}
-    both = MulticurveCoords(s20, [u + v for u, v in zip(c.weights,
-                                                         d.weights)])
-    for curve, fault in ((x, "not disjoint"), (both, "single curve"),
-                         (sep, "parallel")):
-        with pytest.raises(InvalidCurveError, match=fault):
-            cut.piece_containing(curve)
+    # c and d lie in the two one-holed tori on either side of sep; x
+    # crosses sep, and sep is parallel to itself
+    assert {cut.place(c.weights), cut.place(d.weights)} == {0, 1}
+    assert cut.place(x.weights) is None
+    assert cut.place(sep.weights) is None
 
 
 def test_cut_on_punctured_torus_gives_pants(s11, ab):

@@ -122,20 +122,20 @@ GOLDEN = {
     'torus:map act h a': '0:eabbe7df5c232a1a598725c861df058770b904f23f19f689d9aeec4f9c60594c',
     'torus:map act p b': '0:0a7ee9bd290f68d285a866ad98984e17221e9e61ec9c07ece1b1ed28fb7af939',
     'torus:map act w a': '0:ce7a0913457d2bb2057e087e13d453e27fb3f37c247ad2f57fa9bda39c1a8c3a',
-    'torus:map classify g': '0:d1af7df3f2b222c887ccb2a0427fc6ff54c38af6c471d380285e9758897b93ce',
-    'torus:map classify h': '0:f2b5e881881dae52751c5a3c02ab9efddaa17025c74ba7f86307360a03a6f69f',
-    'torus:map classify p': '0:a7ffa545742232e0ce5a28c37004a9c43bfd7d380df5644e994b8c366076ee5d',
+    'torus:map classify g': '0:11b6ff75ea7c9d96376895e9b2b8a8302b90ee2570d650813fbd996695778edb',
+    'torus:map classify h': '0:cceee71a7241ff525c2da723dfee96fa9d1b4756877ffe768c1feae141a5e2dc',
+    'torus:map classify p': '0:7cad0eb9626ccc657599505681d51bfe045f9ae3ec4b9a6f7de223de86b210f1',
     'torus:construct maximalize': '0:d2483a8f2cc5412667ccdaac2fe334cb31909c6dc1a3896f2aba3e7f47344b90',
-    'torus:construct search': '0:a6a1d09bbfbc6d8265675f0bbbf5c1a28bf5abad24fa72be596c00a3ea7cb226',
-    'torus:construct search --k-max 3': '3:e12c7d03f9d63fc852542b572699b08fea2c1345f1547b5249c8cace2cb535b2',
+    'torus:construct search': '0:70eba284dbcd06a044f4b522ecdad40cfa92fe0023f1d7c662cd9895c0dcde64',
+    'torus:construct search --k-max 3': '3:4dcb5834acd45e03616ff56f3572b78eb7eabf05ac6fb27225d6edd09a4491c0',
     'genus2:map compose pen': '0:5700e334a7450fc84a2d86ec8421c3dffdf376e3fcc4e7d9863a6378579dc596',
     'genus2:map compose neg f': '0:e72a6c115e95efe2303f4d248b5c962c1a0d475da5ff08eebbf5748891eba780',
     'genus2:map act neg c': '0:21807d089abcab2dfb47640ceef7f28dbd2f9860645ed081cd159ab6e3e3233c',
     'genus2:map act pen sep': '0:40733ed587534c0c76b3a7205bc38442067130366728ff76297aec06c35336aa',
-    'genus2:map classify pen': '0:21e16e0f2eac4c86a8f7a1d6303cf2abcbabb5a868db769049a6916b88392423',
-    'genus2:map classify mt': '0:63cc826c957105d674cc641e5737ed44cafa6b8fb8bc233708b18a9137e5ca85',
+    'genus2:map classify pen': '0:1feb5eb79103e9bd24cd3914f854bd8b0883076e21ac5f5dd36c4993f621c260',
+    'genus2:map classify mt': '0:793b325cc2fb3730aedf6e71ee9aac4cdf523912597f4be6df9a956399248167',
     'genus2:construct maximalize': '0:e681130a655a46693ef01f2de72298dbee615d30279ec733173b162858af6bf0',
-    'genus2:construct search': '0:67a36443a387f2897b8392a56f46f1a69fe30704ffea40220da655086c798d46',
+    'genus2:construct search': '0:37fd769e362b257f746f25ff7726beb6505d31beb81f63cb467b7e52912f1a2a',
     'torus:gamma build': '0:a8206a1d868fda54d60ccb9c6b196d223e38650fe4000e6756157ecabbff97b4',
     'torus:gamma orbit': '0:bd677d98cabcacd054386a0ea5a8173cc974540fe8b81e7f1034271acc066d62',
     'torus:gamma chains': '0:2e088c9d14a174cacbc8af7288d53ade176550fccf88d9da5c0962e80a241e15',

@@ -201,7 +201,8 @@ def periodic_check(e):
     return order
 
 
-def invariant_multicurve_search(e, depth=8, weight_cap=8, extra_seeds=()):
+def invariant_multicurve_search(e, depth=DEPTH, weight_cap=8,
+                                extra_seeds=()):
     """A curve with finite orbit under e, packaged as evidence.
 
     Seeds are the extra curves first (a caller's system curves), then the
@@ -230,7 +231,7 @@ def invariant_multicurve_search(e, depth=8, weight_cap=8, extra_seeds=()):
     return None
 
 
-def dilatation_estimate(e, seed, iters=30):
+def dilatation_estimate(e, seed, iters=ITERATIONS):
     """Power iteration on total curve weight.
 
     Returns (lam_hat, residual, weights): lam_hat is the exact ratio of the

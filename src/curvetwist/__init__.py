@@ -12,17 +12,14 @@ from .surface import (TopologyError, Triangulation, Relabeling, flip,
                       isomorphism, isomorphisms, automorphisms, build_surface,
                       triangulation_to_json, triangulation_from_json)
 from .curves import (InvalidCurveError, MulticurveCoords, validate,
-                     component_count, is_single_curve, is_essential,
-                     is_parallel, transform_under_flip,
-                     apply_relabeling, disjoint_union_matches,
-                     CutPiece, CutResult, cut_along,
+                     is_single_curve, is_essential, is_parallel,
+                     transform_under_flip, CutPiece, CutResult, cut_along,
                      enumerate_single_curves, standard_curves,
                      coords_to_jsonable, coords_from_jsonable)
 from .mapping import (EncodingError, ShorteningError, Flip, Relabel,
-                      Encoding, replay, intersects,
-                      spanning_probes, equal_on, shorten, twist,
-                      parse_twist_word, format_twist_word,
-                      encoding_to_jsonable, encoding_from_jsonable)
+                      Encoding, replay, intersects, spanning_probes, equal_on,
+                      shorten, twist, parse_twist_word, encoding_to_jsonable,
+                      encoding_from_jsonable)
 from .orbits import (SystemError_, IndependenceReport, CurveSystem,
                      check_independent, require_independent, check_maximal,
                      OrbitGraph, build_gamma, find_orbit, ChainComponent,
@@ -32,9 +29,8 @@ from .classify import (decimal_string, Periodic, ReducibleEvidence,
                        ClassificationReport, ClassifyParams, periodic_check,
                        invariant_multicurve_search, dilatation_estimate,
                        classify)
-from .construct import (TwistFamily, realize_family, maximalize,
-                        SearchSchedule, Refused, Accepted, Exhausted,
-                        search_twist_family)
+from .construct import (maximalize, SearchSchedule, Refused, Accepted,
+                        Exhausted, search_twist_family)
 
 __version__ = "0.1.0"
 
@@ -42,15 +38,14 @@ __all__ = [
     "TopologyError", "Triangulation", "Relabeling", "flip", "isomorphism",
     "isomorphisms", "automorphisms",
     "build_surface", "triangulation_to_json", "triangulation_from_json",
-    "InvalidCurveError", "MulticurveCoords", "validate", "component_count",
-    "is_single_curve", "is_essential", "is_parallel",
-    "transform_under_flip", "apply_relabeling",
-    "disjoint_union_matches", "CutPiece", "CutResult", "cut_along",
+    "InvalidCurveError", "MulticurveCoords", "validate", "is_single_curve",
+    "is_essential", "is_parallel", "transform_under_flip",
+    "CutPiece", "CutResult", "cut_along",
     "enumerate_single_curves", "standard_curves", "coords_to_jsonable",
     "coords_from_jsonable",
     "EncodingError", "ShorteningError", "Flip", "Relabel", "Encoding",
     "replay", "intersects", "spanning_probes", "equal_on",
-    "shorten", "twist", "parse_twist_word", "format_twist_word",
+    "shorten", "twist", "parse_twist_word",
     "encoding_to_jsonable", "encoding_from_jsonable",
     "SystemError_", "IndependenceReport", "CurveSystem",
     "check_independent", "require_independent", "check_maximal",
@@ -60,7 +55,6 @@ __all__ = [
     "PseudoAnosovEvidence", "Inconclusive", "ClassificationReport",
     "ClassifyParams", "periodic_check", "invariant_multicurve_search",
     "dilatation_estimate", "classify",
-    "TwistFamily", "realize_family", "maximalize",
-    "SearchSchedule", "Refused", "Accepted", "Exhausted",
+    "maximalize", "SearchSchedule", "Refused", "Accepted", "Exhausted",
     "search_twist_family",
 ]

@@ -27,39 +27,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .curves import (MulticurveCoords, cut_along, disjoint_union_matches,
-                     enumerate_single_curves, _crossing)
-from .mapping import Encoding, twist, _intersection
+from .curves import (MulticurveCoords, cut_along, enumerate_single_curves,
+                     _crossing)
+from .mapping import twist, _intersection
 from .orbits import (CurveSystem, SystemError_, require_independent,
                      _orbit_graph, find_orbit, chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
 
 
-@dataclass(frozen=True)
-class TwistFamily:
-    """f composed with twists about disjoint curves: the candidate shape
-    g = f ∘ T_{c_1}^{k_1} ∘ ... ∘ T_{c_n}^{k_n}."""
-    f: Encoding
-    curves: tuple          # ordered (name, MulticurveCoords) pairs
-    exponents: tuple
-
-    def __post_init__(self):
-        if len(self.curves) != len(self.exponents):
-            raise ValueError("one exponent per curve required")
-
-
-def realize_family(fam):
-    """The encoding of the family; exact on every curve of the system."""
-    coords = [c for _, c in fam.curves]
-    if coords:
-        host = coords[0].host
-        if not disjoint_union_matches(host, coords):
-            raise ValueError("family curves are not jointly disjoint")
-    return _realize(fam.f, fam.curves, fam.exponents)
-
-
 def _realize(f, curves, exponents):
-    """realize_family without its check, for a system built disjoint."""
+    """f composed with the twists about the named curves (name, coords) to
+    the given exponents, f ∘ T_{c_1}^{k_1} ∘ ... ∘ T_{c_n}^{k_n}: the
+    sweep's candidate.  The curves are those of a system built disjoint, so
+    the twists commute and fix every system curve, and the result agrees
+    with f on each of them; nothing here checks it."""
     enc = f
     for (_, c), k in zip(curves, exponents):
         if k:

@@ -196,10 +196,6 @@ def validate(coords):
     return tuple(out)
 
 
-def component_count(coords):
-    return sum(m for _, m in validate(coords))
-
-
 def is_single_curve(coords):
     comps = validate(coords)
     return len(comps) == 1 and comps[0][1] == 1
@@ -234,17 +230,6 @@ def _transported(coords, label, quad):
     return MulticurveCoords(_flip(coords.host, label, quad), new_w)
 
 
-def apply_relabeling(coords, relab):
-    """Push coordinates through a combinatorial isomorphism."""
-    if relab.source != coords.host:
-        raise InvalidCurveError("relabeling source differs from host")
-    tgt = relab.target
-    new_w = [0] * tgt.num_edges
-    for lab, img in relab.edge_map.items():
-        new_w[img] = coords.weights[lab]
-    return MulticurveCoords(tgt, new_w)
-
-
 def is_parallel(a, b):
     """Isotopy test for single curves: equal vectors, or on a closed model
     also two disjoint curves parallel across its vertex, whose cut then has
@@ -269,25 +254,6 @@ def is_essential(coords):
     if len(comps) != 1 or comps[0][1] != 1:
         raise InvalidCurveError("essentiality test expects a single curve")
     return comps[0][0] not in _context(coords.host).links
-
-
-def disjoint_union_matches(tri, parts):
-    """Exact joint-normality test for a family of multicurves.
-
-    The family admits a disjoint realization iff the coordinatewise sum is
-    realizable and traces to exactly the union of the parts' component
-    multisets (sums of disjoint normal curves add; a crossing pair can never
-    reproduce both summands among the traced components).
-    """
-    total = [0] * tri.num_edges
-    expected = []
-    for p in parts:
-        if p.host != tri:
-            raise InvalidCurveError("mixed hosts in union test")
-        total = [x + y for x, y in zip(total, p.weights)]
-        for vec, mult in validate(p):
-            expected.extend([vec] * mult)
-    return _traces_to(tri, total, expected) is not None
 
 
 def _traces_to(tri, weights, expected):

@@ -65,9 +65,9 @@ import json
 from .surface import (TopologyError, Relabeling, flip, isomorphisms,
                       triangulation_to_json, triangulation_from_json,
                       _is_slot_pair)
-from .curves import (MulticurveCoords, InvalidCurveError, is_essential,
-                     disjoint_union_matches, enumerate_single_curves,
-                     _flipped_weight, _transported, _crossing, _context,
+from .curves import (MulticurveCoords, InvalidCurveError, validate,
+                     is_essential, enumerate_single_curves, _flipped_weight,
+                     _transported, _traces_to, _crossing, _context,
                      _strict_int)
 
 
@@ -307,10 +307,17 @@ class Encoding:
 # -- curve-level predicates ------------------------------------------------------
 
 def intersects(c1, c2):
-    """True when the two multicurves cannot be realized disjointly."""
+    """True when the two multicurves cannot be realized disjointly: their
+    sum is realizable and traces to exactly the union of their components
+    iff they are disjoint (sums of disjoint normal curves add; a crossing
+    pair never reproduces both summands).  InvalidCurveError when either
+    is not realizable."""
     if c1.host != c2.host:
         raise InvalidCurveError("curves live on different hosts")
-    return not disjoint_union_matches(c1.host, [c1, c2])
+    expected = [vec for c in (c1, c2) for vec, m in validate(c)
+                for _ in range(m)]
+    total = [x + y for x, y in zip(c1.weights, c2.weights)]
+    return _traces_to(c1.host, total, expected) is None
 
 
 def spanning_probes(tri):
@@ -742,14 +749,6 @@ def parse_twist_word(word, curves):
         return Encoding.identity(host)
     # the leftmost factor runs last
     return Encoding._closed(host, _chain(programs[::-1]))
-
-
-def format_twist_word(factors):
-    """Inverse of parse_twist_word for (name, exponent) pairs."""
-    parts = []
-    for name, k in factors:
-        parts.append("T(%s)" % name if k == 1 else "T(%s)^%d" % (name, k))
-    return " * ".join(parts)
 
 
 # -- serialization ------------------------------------------------------------

@@ -155,21 +155,13 @@ class Triangulation:
     def num_triangles(self):
         return len(self._triangles)
 
-    def _slot(self, slot):
-        """3t + i for the slot (t, i); TopologyError for a pair that names
-        no slot of the complex."""
+    def glued(self, slot):
+        """The partner slot; TopologyError for a pair that names no slot of
+        the complex."""
         t, i = slot
         if not (0 <= t < len(self._triangles) and 0 <= i < 3):
             raise TopologyError("no slot %r" % (slot,))
-        return 3 * t + i
-
-    def edge_at(self, slot):
-        s = self._slot(slot)
-        return self._triangles[s // 3][s % 3]
-
-    def glued(self, slot):
-        """The partner slot."""
-        return divmod(self._glue[self._slot(slot)], 3)
+        return divmod(self._glue[3 * t + i], 3)
 
     def gluing_pairs(self):
         """Sorted list of slot pairs, one per edge."""
@@ -225,15 +217,6 @@ class Triangulation:
         ids = {}
         return tuple([ids.setdefault(_find(parent, c), len(ids))
                       for c in range(len(glue))])
-
-    @property
-    def vertex_orbits(self):
-        """Corners (t, j) grouped by the vertex they sit at, each orbit
-        sorted and the orbits in the order of their least corners."""
-        orbits = [[] for _ in range(self.num_vertices)]
-        for c, v in enumerate(self._corner_vertex):
-            orbits[v].append(divmod(c, 3))
-        return tuple(map(tuple, orbits))
 
     @property
     def num_vertices(self):

@@ -126,15 +126,21 @@ def reference_encoding(source, moves):
 
 def reference_act(source, moves, weights):
     """Image weights of `moves`, walking the replayed path with one
-    coordinate transport per move."""
-    from curvetwist import (Flip, MulticurveCoords, transform_under_flip,
-                            apply_relabeling)
+    coordinate transport per move: a flip by transform_under_flip, a
+    relabeling by carrying each edge's weight to its image label."""
+    from curvetwist import Flip, MulticurveCoords, transform_under_flip
     coords = MulticurveCoords(source, weights)
     for mv in moves:
         if isinstance(mv, Flip):
             coords = transform_under_flip(coords, mv.label)
-        else:
-            coords = apply_relabeling(coords, mv.relabeling)
+            continue
+        rel = mv.relabeling
+        if rel.source != coords.host:
+            raise AssertionError("relabeling source differs from host")
+        image = [0] * rel.target.num_edges
+        for lab, img in rel.edge_map.items():
+            image[img] = coords.weights[lab]
+        coords = MulticurveCoords(rel.target, image)
     if coords.host != source:
         raise AssertionError("move list does not close up")
     return coords.weights
@@ -148,7 +154,7 @@ def flip_square_relabeling(tri, label):
     from curvetwist import Relabeling, TopologyError, flip
     (t1, i1), (t2, i2) = sorted(
         (t, i) for t in range(tri.num_triangles) for i in range(3)
-        if tri.edge_at((t, i)) == label)
+        if tri.triangles[t][i] == label)
     slot_map = {(t, i): (t, i) for t in range(tri.num_triangles)
                 for i in range(3)}
     for j in range(3):
@@ -192,10 +198,11 @@ def reference_normal_form(source, moves):
     flips = []
     for mv in moves:
         if isinstance(mv, Flip):
-            s = next(s for s, img in slots.items()
-                     if there.edge_at(img) == mv.label)
-            flips.append(Flip(here.edge_at(s)))
-            here, there = flip(here, here.edge_at(s)), flip(there, mv.label)
+            t, i = next(s for s, (u, j) in slots.items()
+                        if there.triangles[u][j] == mv.label)
+            label = here.triangles[t][i]
+            flips.append(Flip(label))
+            here, there = flip(here, label), flip(there, mv.label)
         else:
             slots = {s: mv.relabeling.slot_map[img]
                      for s, img in slots.items()}
@@ -317,13 +324,13 @@ def reference_quad(tri, label):
     """(s1, s2, a, b, c, d) by scanning for the edge's slots, numbered
     s = 3t + i, or None when the edge lies twice on one triangle."""
     slots = sorted((t, i) for t in range(tri.num_triangles) for i in range(3)
-                   if tri.edge_at((t, i)) == label)
+                   if tri.triangles[t][i] == label)
     (t1, i1), (t2, i2) = slots
     if t1 == t2:
         return None
     return (3 * t1 + i1, 3 * t2 + i2,
-            tri.edge_at((t1, (i1 + 1) % 3)), tri.edge_at((t1, (i1 + 2) % 3)),
-            tri.edge_at((t2, (i2 + 1) % 3)), tri.edge_at((t2, (i2 + 2) % 3)))
+            tri.triangles[t1][(i1 + 1) % 3], tri.triangles[t1][(i1 + 2) % 3],
+            tri.triangles[t2][(i2 + 1) % 3], tri.triangles[t2][(i2 + 2) % 3])
 
 
 def reference_relabelings(src, dst, edge_map=None):
@@ -345,11 +352,11 @@ def reference_relabelings(src, dst, edge_map=None):
                     continue
                 (ta, ia), (tb, ib) = a, b
                 for d in range(3):
-                    sa = (ta, (ia + d) % 3)
-                    sb = (tb, (ib + d) % 3)
+                    ja, jb = (ia + d) % 3, (ib + d) % 3
+                    sa, sb = (ta, ja), (tb, jb)
                     m[sa] = sb
-                    if edge_map is not None and \
-                            edge_map.get(src.edge_at(sa)) != dst.edge_at(sb):
+                    if edge_map is not None and edge_map.get(
+                            src.triangles[ta][ja]) != dst.triangles[tb][jb]:
                         ok = False
                         break
                     stack.append((src.glued(sa), dst.glued(sb)))
@@ -397,7 +404,7 @@ def reference_min_form_maps(tri, weights=None):
     `weights` (per edge label), if given, decorates each slot."""
     sw = None
     if weights is not None:
-        sw = lambda s: weights[tri.edge_at(s)]
+        sw = lambda s: weights[tri.triangles[s[0]][s[1]]]
     best = None
     maps = []
     for t in range(tri.num_triangles):
@@ -480,8 +487,8 @@ def reference_vertex_links(tri):
     vertex_of = {c: k for k, orbit in enumerate(orbits) for c in orbit}
     ends = {lab: [] for lab in tri.edge_labels}
     for (t, i), _ in tri.gluing_pairs():
-        ends[tri.edge_at((t, i))] += [vertex_of[(t, (i - 1) % 3)],
-                                     vertex_of[(t, i)]]
+        ends[tri.triangles[t][i]] += [vertex_of[(t, (i - 1) % 3)],
+                                      vertex_of[(t, i)]]
     return tuple(tuple(ends[lab].count(k) for lab in tri.edge_labels)
                  for k in range(len(orbits)))
 
@@ -501,7 +508,7 @@ def reference_trace(tri, weights):
     from curvetwist import InvalidCurveError
 
     def slot_weight(slot):
-        return weights[tri.edge_at(slot)]
+        return weights[tri.triangles[slot[0]][slot[1]]]
 
     counts = {}
     for t in range(tri.num_triangles):
@@ -561,7 +568,7 @@ def reference_trace(tri, weights):
         vec = [0] * tri.num_edges
         for a in members:
             for base, _ in arc_points(a):
-                vec[tri.edge_at(base)] += 1
+                vec[tri.triangles[base[0]][base[1]]] += 1
         if any(x % 2 for x in vec):
             raise InvalidCurveError("inconsistent strand trace")
         vectors.append((tuple(x // 2 for x in vec), root))
@@ -584,7 +591,7 @@ def _cut_counts(tri, weights):
     """The arcs cutting off each corner (t, j)."""
     counts = {}
     for t in range(tri.num_triangles):
-        w = [weights[tri.edge_at((t, i))] for i in range(3)]
+        w = [weights[tri.triangles[t][i]] for i in range(3)]
         for j in range(3):
             counts[(t, j)] = (w[j] + w[(j + 1) % 3] - w[(j + 2) % 3]) // 2
     return counts
@@ -613,7 +620,7 @@ def reference_cut(coords):
     def segment_cell(slot, q):
         # segment q of a side spans points q-1..q; q ranges 0..w
         t, i = slot
-        w = weights[tri.edge_at(slot)]
+        w = weights[tri.triangles[t][i]]
         if q < counts[(t, (i - 1) % 3)]:
             return ("c", t, (i - 1) % 3, q)
         if w - q < counts[(t, i)]:
@@ -622,7 +629,7 @@ def reference_cut(coords):
 
     segments = []
     for s, p in tri.gluing_pairs():
-        w = weights[tri.edge_at(s)]
+        w = weights[tri.triangles[s[0]][s[1]]]
         for q in range(w + 1):
             c1, c2 = segment_cell(s, q), segment_cell(p, w - q)
             r1, r2 = find(c1), find(c2)

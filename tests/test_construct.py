@@ -21,35 +21,20 @@ from hypothesis import (HealthCheck, example, given, settings,
 from curvetwist import (MulticurveCoords, CurveSystem, Encoding, twist,
                         equal_on, spanning_probes, decimal_string,
                         standard_curves, check_maximal, build_gamma,
-                        find_orbit, TwistFamily, realize_family, maximalize,
+                        find_orbit, maximalize,
                         SearchSchedule, Refused, Accepted, Exhausted,
                         search_twist_family, ClassifyParams,
                         PseudoAnosovEvidence, build_surface,
                         enumerate_single_curves, intersects, cut_along,
                         check_independent, SystemError_)
 from curvetwist.construct import (_completion_pair, _exponent_vectors,
-                                  _result_jsonable)
+                                  _realize, _result_jsonable)
 
 from oracles import (reference_completion_pair, reference_lightest_pair,
                      spectral_radius)
 
 
 # -- families -------------------------------------------------------------------
-
-def test_family_requires_matching_lengths(ab):
-    a, _ = ab
-    f = Encoding.identity(a.host)
-    with pytest.raises(ValueError):
-        TwistFamily(f, (("a", a),), (1, 2))
-
-
-def test_family_requires_disjoint_curves(ab):
-    a, b = ab
-    f = Encoding.identity(a.host)
-    fam = TwistFamily(f, (("a", a), ("b", b)), (1, 1))
-    with pytest.raises(ValueError):
-        realize_family(fam)
-
 
 def test_realized_family_agrees_with_prescribed_action(s20):
     """The twists fix the system curves, so f's action survives exactly."""
@@ -62,7 +47,7 @@ def test_realized_family_agrees_with_prescribed_action(s20):
     rng = random.Random(7)
     for _ in range(100):
         ks = tuple(rng.randint(-3, 3) for _ in curves)
-        g = realize_family(TwistFamily(f, curves, ks))
+        g = _realize(f, curves, ks)
         for _, cc in curves:
             assert g.act(cc).weights == f.act(cc).weights
 
@@ -70,7 +55,7 @@ def test_realized_family_agrees_with_prescribed_action(s20):
 def test_zero_exponents_reproduce_f_everywhere(ab):
     a, _ = ab
     f = twist(ab[1], 1)
-    g = realize_family(TwistFamily(f, (("a", a),), (0,)))
+    g = _realize(f, (("a", a),), (0,))
     assert equal_on(f, g, spanning_probes(a.host))
 
 

@@ -30,17 +30,17 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from curvetwist import (InvalidCurveError, MulticurveCoords, validate,
-                        component_count, is_single_curve, is_essential,
-                        is_parallel, transform_under_flip, apply_relabeling,
-                        disjoint_union_matches, cut_along,
+                        is_single_curve, is_essential, is_parallel,
+                        transform_under_flip, intersects, cut_along,
                         enumerate_single_curves, standard_curves,
                         coords_to_jsonable, coords_from_jsonable,
-                        build_surface, flip, automorphisms, twist,
-                        TopologyError, triangulation_to_json,
+                        build_surface, flip, automorphisms, twist, Flip,
+                        Relabel, TopologyError, triangulation_to_json,
                         triangulation_from_json, CurveSystem,
                         check_independent)
 from curvetwist.curves import _Strands, _enumerate_vectors, _one_curve
-from oracles import flip_square_relabeling, reference_trace
+from oracles import (flip_square_relabeling, reference_act,
+                     reference_disjoint, reference_trace)
 
 
 # -- validation ---------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_multiplicity_of_doubled_curve(s11, ab):
     doubled = MulticurveCoords(s11, tuple(2 * w for w in a.weights))
     comps = validate(doubled)
     assert comps == ((a.weights, 2),)
-    assert component_count(doubled) == 2
+    assert sum(m for _, m in validate(doubled)) == 2
     assert not is_single_curve(doubled)
 
 
@@ -128,7 +128,7 @@ def test_enumerated_curves_validate(s20):
 
 def test_standard_curves_cross_once_on_punctured_torus(ab):
     a, b = ab
-    assert not disjoint_union_matches(a.host, [a, b])
+    assert intersects(a, b)
 
 
 # -- transport ----------------------------------------------------------------
@@ -145,12 +145,9 @@ def test_flip_involution_on_coordinates(s20):
     rels = {lab: flip_square_relabeling(s20, lab)
             for lab in s20.edge_labels if s20.is_flippable(lab)}
     for vec in enumerate_single_curves(s20, 6):
-        c = MulticurveCoords(s20, vec)
         for lab, rel in rels.items():
-            there = transform_under_flip(c, lab)
-            back = transform_under_flip(there, lab)
-            home = apply_relabeling(back, rel)
-            assert home.weights == c.weights
+            loop = [Flip(lab), Flip(lab), Relabel(rel)]
+            assert reference_act(s20, loop, vec) == vec
 
 
 def test_transport_preserves_component_structure(s11):
@@ -164,15 +161,15 @@ def test_transport_preserves_component_structure(s11):
 def test_relabeling_transport_preserves_validity(s20):
     c = MulticurveCoords(s20, (0, 0, 1, 0, 0, 0, 0, 1, 0))
     for rel in automorphisms(s20):
-        image = apply_relabeling(c, rel)
-        assert is_single_curve(image)
+        image = reference_act(s20, [Relabel(rel)], c.weights)
+        assert is_single_curve(MulticurveCoords(s20, image))
 
 
 # -- disjointness -------------------------------------------------------------
 
 def test_parallel_copies_are_disjoint(s11, ab):
     a, _ = ab
-    assert disjoint_union_matches(s11, [a, a])
+    assert not intersects(a, a)
     assert is_parallel(a, a)
 
 
@@ -195,7 +192,9 @@ def test_curves_parallel_across_the_vertex_are_parallel(s20):
 
 def test_crossing_pair_fails_disjointness(ab):
     a, b = ab
-    assert not disjoint_union_matches(a.host, [a, b])
+    assert intersects(a, b)
+    doubled = MulticurveCoords(a.host, [2 * x for x in a.weights])
+    assert intersects(doubled, b) and not intersects(doubled, a)
 
 
 def test_disjoint_pair_on_genus_two(s20):
@@ -203,10 +202,10 @@ def test_disjoint_pair_on_genus_two(s20):
     sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
     d = MulticurveCoords(s20, (1, 0, 0, 0, 0, 1, 0, 0, 0))
     # c, d and the separating curve form one pants decomposition
-    assert disjoint_union_matches(s20, [c, d])
-    assert disjoint_union_matches(s20, [c, sep])
+    assert not intersects(c, d)
+    assert not intersects(c, sep)
     x = MulticurveCoords(s20, (0, 1, 0, 1, 2, 1, 1, 1, 1))
-    assert not disjoint_union_matches(s20, [x, sep])
+    assert intersects(x, sep)
 
 
 # -- cutting (frozen statistics, derivation in the module docstring) ----------
@@ -379,7 +378,7 @@ def realizable_vectors(draw):
     v = draw(st.sampled_from(singles))
     if kind == "double":
         return tri, tuple(2 * x for x in v)
-    w = draw(st.sampled_from([w for w in singles if disjoint_union_matches(
+    w = draw(st.sampled_from([w for w in singles if reference_disjoint(
         tri, [MulticurveCoords(tri, v), MulticurveCoords(tri, w)])]))
     return tri, tuple(x + y for x, y in zip(v, w))
 
@@ -395,6 +394,42 @@ def test_connectivity_count_agrees_with_the_tracer(case):
     tri, weights = case
     assert _one_curve(tri, weights) == (
         validate(MulticurveCoords(tri, weights)) == ((weights, 1),))
+
+
+# -- intersects against the reference -----------------------------------------
+
+@st.composite
+def multicurves(draw, tri):
+    """A multicurve on tri: a curve of weight <= 8, that curve doubled,
+    its union with a disjoint one (maybe itself), or a vertex link."""
+    kind = draw(st.sampled_from(["single", "double", "sum", "link"]))
+    if kind == "link":
+        return MulticurveCoords(tri, draw(st.sampled_from(
+            sorted(tri.vertex_links()))))
+    singles = [MulticurveCoords(tri, v)
+               for v in enumerate_single_curves(tri, 8)]
+    v = draw(st.sampled_from(singles))
+    if kind == "single":
+        return v
+    if kind == "double":
+        return MulticurveCoords(tri, [2 * x for x in v.weights])
+    w = draw(st.sampled_from([w for w in singles
+                              if reference_disjoint(tri, [v, w])]))
+    return MulticurveCoords(tri, map(sum, zip(v.weights, w.weights)))
+
+
+@TRACE_SETTINGS
+@given(st.sampled_from(TRACE_MODELS[:3]).flatmap(
+    lambda tri: st.tuples(multicurves(tri), multicurves(tri))))
+@example((MulticurveCoords(TRACE_MODELS[0], (0, 2, 2)),
+          MulticurveCoords(TRACE_MODELS[0], (1, 0, 1))))
+@example((MulticurveCoords(TRACE_MODELS[0], (0, 2, 2)),
+          MulticurveCoords(TRACE_MODELS[0], (0, 1, 1))))
+def test_intersects_agrees_with_the_reference(pair):
+    """On S(1,1), S(2,0) and S(1,2), two multicurves intersect exactly when
+    the reference, which validates their sum, finds them not disjoint."""
+    u, v = pair
+    assert intersects(u, v) == (not reference_disjoint(u.host, [u, v]))
 
 
 def test_a_json_host_with_an_unglued_slot_is_refused(s11):

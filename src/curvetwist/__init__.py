@@ -9,7 +9,7 @@ rational estimates with certified residuals.
 """
 
 from .surface import (TopologyError, Triangulation, Relabeling, flip,
-                      isomorphism, isomorphisms, automorphisms, build_surface,
+                      isomorphisms, automorphisms, build_surface,
                       triangulation_to_json, triangulation_from_json)
 from .curves import (InvalidCurveError, MulticurveCoords, validate,
                      is_single_curve, is_essential, is_parallel,
@@ -17,8 +17,8 @@ from .curves import (InvalidCurveError, MulticurveCoords, validate,
                      enumerate_single_curves, standard_curves,
                      coords_to_jsonable, coords_from_jsonable)
 from .mapping import (EncodingError, ShorteningError, Flip, Relabel,
-                      Encoding, replay, intersects, spanning_probes, equal_on,
-                      shorten, twist, parse_twist_word, encoding_to_jsonable,
+                      Encoding, replay, intersects, spanning_probes, shorten,
+                      twist, parse_twist_word, encoding_to_jsonable,
                       encoding_from_jsonable)
 from .orbits import (SystemError_, IndependenceReport, CurveSystem,
                      check_independent, require_independent, check_maximal,
@@ -35,18 +35,17 @@ from .construct import (maximalize, SearchSchedule, Refused, Accepted,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TopologyError", "Triangulation", "Relabeling", "flip", "isomorphism",
-    "isomorphisms", "automorphisms",
-    "build_surface", "triangulation_to_json", "triangulation_from_json",
+    "TopologyError", "Triangulation", "Relabeling", "flip", "isomorphisms",
+    "automorphisms", "build_surface", "triangulation_to_json",
+    "triangulation_from_json",
     "InvalidCurveError", "MulticurveCoords", "validate", "is_single_curve",
     "is_essential", "is_parallel", "transform_under_flip",
     "CutPiece", "CutResult", "cut_along",
     "enumerate_single_curves", "standard_curves", "coords_to_jsonable",
     "coords_from_jsonable",
     "EncodingError", "ShorteningError", "Flip", "Relabel", "Encoding",
-    "replay", "intersects", "spanning_probes", "equal_on",
-    "shorten", "twist", "parse_twist_word",
-    "encoding_to_jsonable", "encoding_from_jsonable",
+    "replay", "intersects", "spanning_probes", "shorten", "twist",
+    "parse_twist_word", "encoding_to_jsonable", "encoding_from_jsonable",
     "SystemError_", "IndependenceReport", "CurveSystem",
     "check_independent", "require_independent", "check_maximal",
     "OrbitGraph", "build_gamma", "find_orbit", "ChainComponent",

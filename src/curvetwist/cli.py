@@ -59,8 +59,14 @@ def _integer(least):
 
 
 def _decimal(key, val):
+    text = str(val)
+    # 0 where int() reads any number of digits (and before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        x = Fraction(str(val))
+        # Fraction writes 10**exponent out in full: refuse an exponent above
+        # the digit limit of int()
+        exponent = abs(int(text.lower().partition("e")[2] or 0))
+        x = Fraction(text) if not 0 < limit < exponent else None
     except (ValueError, ZeroDivisionError):
         x = None
     if x is None or x < 0:
@@ -120,14 +126,38 @@ class Workspace:
         return CurveSystem(self.tri, comps), self.map(self.system["map"])
 
 
+# stands in for an integer of more digits than int() reads
+_OVERLONG = object()
+
+
+def _overlong_at(doc, where):
+    """The path of the first _OVERLONG in `doc`, or None."""
+    if doc is _OVERLONG:
+        return where
+    if isinstance(doc, (dict, list)):
+        for k, v in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            found = _overlong_at(v, "%s[%s]" % (where, json.dumps(k)))
+            if found:
+                return found
+    return None
+
+
 def load_workspace(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise WorkspaceError("cannot read workspace: %s" % e)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise WorkspaceError("workspace is not valid JSON: %s" % e)
+    except ValueError:
+        # an integer past int()'s digit limit: parse again to name its place
+        marked = json.loads(text, parse_int=lambda s: (
+            _OVERLONG if _strict_int(s) is None else int(s)))
+        raise WorkspaceError("the integer at %s has too many digits"
+                             % _overlong_at(marked, "workspace"))
     if not isinstance(doc, dict):
         raise WorkspaceError("workspace must be a JSON object")
 

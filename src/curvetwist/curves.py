@@ -579,11 +579,15 @@ def coords_to_jsonable(coords):
 
 def _strict_int(x):
     """x as an int when it is a JSON integer (not a boolean) or a string of
-    decimal digits with an optional minus sign, else None."""
+    decimal digits with an optional minus sign, else None, as for a string
+    of more digits than int() reads (sys.get_int_max_str_digits)."""
     if type(x) is int:
         return x
     if isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
-        return int(x)
+        try:
+            return int(x)
+        except ValueError:
+            return None
     return None
 
 

@@ -45,11 +45,9 @@ two catalogued short positions:
    plateau has no way down.  The twist is synthesized by the even chain
    relation: inside the vertex-free piece (genus h, one boundary) a chain
    c_1, ..., c_{2h} of non-isolating curves is found whose consecutive pairs
-   satisfy the braid relation (certifying single intersections) and whose
-   distant pairs are disjoint; then (T_{c_1} ... T_{c_{2h}})^{4h+2} is the
-   twist along the piece boundary.  A synthesized block is accepted only
-   after an exact check that it fixes the curve and fixes a probe curve iff
-   the probe is disjoint from it.
+   meet once and whose distant pairs are disjoint, by exact intersection
+   numbers; then (T_{c_1} ... T_{c_{2h}})^{4h+2} is the twist along the
+   piece boundary, which is the curve (see _isolating_block).
 
 Conjugating the catalogued block by the shortening path gives the twist
 about the original curve; every step stays integer-exact.
@@ -321,17 +319,17 @@ def intersects(c1, c2):
 
 
 def spanning_probes(tri):
-    """The probe family used for equality of mapping classes on curves: all
-    essential single curves up to a weight cap.
+    """The probe family of the classifier: all essential single curves up
+    to a weight cap.  periodic_check reads a map's order from the probes'
+    orbits, and classify takes its dilatation seeds from the first of them.
 
-    Agreement on this family is the package's working notion of equality of
-    curve actions; that it determines a mapping class is a documented
-    assumption, not a theorem.  The cap is the smallest of 4, 6, 8, 10, 12
-    whose probes intersect every essential curve of weight at most 12, so
-    no curve a test corpus can produce slips past the family unseen.  One
-    pass finds it: `need` is the largest weight of the lightest probe
-    meeting each such curve (13 when a curve meets none), and the cap is
-    the first value >= need, else 12.
+    That agreement on this family determines a mapping class is a
+    documented assumption, not a theorem.  The cap is the smallest of 4, 6,
+    8, 10, 12 whose probes intersect every essential curve of weight at
+    most 12, so no curve a test corpus can produce slips past the family
+    unseen.  One pass finds it: `need` is the largest weight of the
+    lightest probe meeting each such curve (13 when a curve meets none),
+    and the cap is the first value >= need, else 12.
     """
     ctx = _context(tri)
     if ctx.probes is None:
@@ -344,14 +342,6 @@ def spanning_probes(tri):
         ctx.probes = tuple(MulticurveCoords(tri, v)
                            for v in enumerate_single_curves(tri, cap))
     return ctx.probes
-
-
-def equal_on(f, g, probes):
-    """Exact agreement of two encodings on every probe curve."""
-    for c in probes:
-        if f.act_on_weights(c.weights) != g.act_on_weights(c.weights):
-            return False
-    return True
 
 
 # -- weight reduction ------------------------------------------------------------
@@ -584,13 +574,28 @@ def _intersection(host, s, b):
 
 
 def _isolating_block(short_coords):
-    """Twist block for an isolating curve stuck above weight two.
+    r"""Twist block for an isolating curve c stuck above weight two.
 
-    Cut along the curve; the vertex-free piece has genus h and one boundary.
-    Search that piece for a chain of 2h non-isolating curves (consecutive
-    pairs braid-related, distant pairs disjoint) and return the encoding of
-    (T_{c_1} ... T_{c_2h})^{4h+2}, accepted only if the result fixes the
-    curve and fixes exactly the probes disjoint from it.
+    Cut along c; the vertex-free piece Sigma has genus h and one boundary.
+    Among the non-isolating curves of Sigma up to a weight cap, search in
+    lexicographic order for a chain c_1, ..., c_{2h}: each curve meets the
+    last once and the earlier ones not at all, read exactly by
+    _intersection from the curves' own shortenings.  Return the encoding of
+    (T_{c_1} ... T_{c_2h})^{4h+2} for the first chain found.
+
+    Proof that this is T_c.  Realize c and the chain in minimal position
+    (geodesics, say); the chain lies in Sigma, and so does a regular
+    neighbourhood N of its union.  N is 2h annuli plumbed in a row, so
+    chi(N) = 1 - 2h = chi(Sigma), and with an even number of curves N has
+    one boundary circle dN, so genus h.  Sigma \ N has chi = 0 and the
+    boundary circles dN and c.  A disc piece bounded by dN would close N up
+    into a closed component of Sigma, and one bounded by c would be all of
+    Sigma; so every piece has chi <= 0, hence chi = 0, and Sigma \ N is one
+    annulus from dN to c.  With i(c_j, c_{j+1}) = 1 the twists satisfy the
+    braid relation (Farb-Margalit, A Primer on Mapping Class Groups, Prop.
+    3.11), and the chain relation (Prop. 4.12) gives
+    (T_{c_1} ... T_{c_2h})^{4h+2} = T_dN = T_c.  The one exact check left is
+    that the block fixes c.
     """
     from .curves import cut_along
 
@@ -607,60 +612,31 @@ def _isolating_block(short_coords):
         raise EncodingError("unexpected isolated piece %r" % (piece,))
     h = (1 - piece.euler_characteristic) // 2
 
-    probes = spanning_probes(tri)
-
-    def battery(enc):
-        if enc.act_on_weights(short_coords.weights) != short_coords.weights:
-            return False
-        for pr in probes:
-            fixed = enc.act_on_weights(pr.weights) == pr.weights
-            if fixed == _crossing(tri, pr.weights, short_coords.weights):
-                return False
-        return True
+    def chain(cands, prefix):
+        """The first chain of 2h candidates extending `prefix`: each next
+        curve meets the last once and the earlier ones not at all."""
+        if len(prefix) == 2 * h:
+            return prefix
+        for c in cands:
+            follows = not prefix or _intersection(tri, prefix[-1], c) == 1
+            if follows and c not in prefix and not any(
+                    _intersection(tri, b, c) for b in prefix[:-1]):
+                found = chain(cands, prefix + [c])
+                if found:
+                    return found
+        return None
 
     for cap in (8, 12, 16):
-        cands = [c for c in cut.curves_in_piece(isolated[0], cap)
-                 if _shortening(tri, c.weights)[2] is not None]
-        twists = {c.weights: twist(c, 1) for c in cands}
-        braid_memo = {}
-        meet_memo = {}
-
-        def meets(ci, cj):
-            key = frozenset((ci.weights, cj.weights))
-            if key not in meet_memo:
-                meet_memo[key] = _crossing(tri, ci.weights, cj.weights)
-            return meet_memo[key]
-
-        def braided(ci, cj):
-            key = frozenset((ci.weights, cj.weights))
-            if key not in braid_memo:
-                if not meets(ci, cj):
-                    braid_memo[key] = False
-                else:
-                    a, b = twists[ci.weights], twists[cj.weights]
-                    braid_memo[key] = equal_on(a * b * a, b * a * b, probes)
-            return braid_memo[key]
-
-        def chains(prefix):
-            """The valid chains extending `prefix` (candidate indices), in
-            lexicographic order: curve i follows when it is braided with
-            the last curve and meets none of the earlier ones."""
-            if len(prefix) == 2 * h:
-                yield prefix
-                return
-            for i, c in enumerate(cands):
-                if i not in prefix \
-                        and (not prefix or braided(cands[prefix[-1]], c)) \
-                        and not any(meets(cands[j], c) for j in prefix[:-1]):
-                    yield from chains(prefix + [i])
-
-        for chain in chains([]):
+        found = chain([c.weights for c in cut.curves_in_piece(isolated[0], cap)
+                       if _shortening(tri, c.weights)[2] is not None], [])
+        if found:
             prod = Encoding.identity(tri)
-            for u in chain:
-                prod = prod * twists[cands[u].weights]
+            for c in found:
+                prod = prod * twist(MulticurveCoords(tri, c), 1)
             enc = prod.power(4 * h + 2)
-            if battery(enc):
-                return enc
+            if enc.act(short_coords) != short_coords:
+                raise EncodingError("the chain twist moves the curve")
+            return enc
     raise EncodingError("no chain presentation found for the isolating twist")
 
 

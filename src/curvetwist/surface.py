@@ -353,8 +353,7 @@ class Relabeling:
 
     Stored as a slot bijection, `_to[s]` the image of slot s, both numbered
     3t + i; `slot_map` is the same bijection on (t, i) pairs.  The induced
-    edge bijection is derived and checked for consistency.  Composition is
-    (f * g)(x) = f(g(x)).
+    edge bijection is derived and checked for consistency.
     """
 
     def __init__(self, source, target, slot_map):
@@ -399,17 +398,6 @@ class Relabeling:
     def __hash__(self):
         return hash((self.source, self.target, self._to))
 
-    def inverse(self):
-        return Relabeling(self.target, self.source,
-                          {v: k for k, v in self.slot_map.items()})
-
-    def compose(self, other):
-        """self after other (other.source -> self.target)."""
-        if other.target != self.source:
-            raise TopologyError("relabelings do not chain")
-        return Relabeling(other.source, self.target,
-                          {s: self.slot_map[v] for s, v in other.slot_map.items()})
-
     def is_edge_identity(self):
         return all(a == b for a, b in self.edge_map.items())
 
@@ -431,11 +419,6 @@ def isomorphisms(src, dst):
     b_inv = {v: k for k, v in m2[0].items()}
     for a in m1:
         yield Relabeling(src, dst, {s: b_inv[a[s]] for s in a})
-
-
-def isomorphism(tri1, tri2):
-    """The first isomorphism tri1 -> tri2 in `isomorphisms` order, or None."""
-    return next(isomorphisms(tri1, tri2), None)
 
 
 def automorphisms(tri):

@@ -146,6 +146,25 @@ def reference_act(source, moves, weights):
     return coords.weights
 
 
+def agree_on(f, g, probes):
+    """Exact agreement of two encodings on every probe curve."""
+    return all(f.act(c) == g.act(c) for c in probes)
+
+
+def inverse_relabeling(rel):
+    """rel^-1, from the inverted slot bijection."""
+    from curvetwist import Relabeling
+    return Relabeling(rel.target, rel.source,
+                      {v: k for k, v in rel.slot_map.items()})
+
+
+def compose_relabelings(f, g):
+    """f after g (g.source -> f.target), slot by slot."""
+    from curvetwist import Relabeling
+    return Relabeling(g.source, f.target,
+                      {s: f.slot_map[v] for s, v in g.slot_map.items()})
+
+
 def flip_square_relabeling(tri, label):
     """The relabeling rho with flip(flip(T, e)) = rho applied to T.
 
@@ -182,7 +201,7 @@ def reference_inverse_moves(source, moves):
             out.append(mv)
             out.append(Relabel(flip_square_relabeling(path[k], mv.label)))
         else:
-            out.append(Relabel(mv.relabeling.inverse()))
+            out.append(Relabel(inverse_relabeling(mv.relabeling)))
     return out
 
 

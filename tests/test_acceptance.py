@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from curvetwist import (MulticurveCoords, CurveSystem, Encoding, Relabel,
-                        twist, equal_on, spanning_probes, automorphisms,
+                        twist, spanning_probes, automorphisms,
                         enumerate_single_curves, standard_curves, cut_along,
                         Flip, build_gamma, find_orbit, OrbitGraph,
                         chain_decomposition, maximalize, check_maximal,
@@ -25,7 +25,7 @@ from curvetwist import (MulticurveCoords, CurveSystem, Encoding, Relabel,
 
 from curvetwist.construct import _realize
 
-from oracles import (brute_force_chains, random_orbit_free_graph,
+from oracles import (agree_on, brute_force_chains, random_orbit_free_graph,
                      word_trace, spectral_radius, flip_square_relabeling,
                      reference_act)
 
@@ -288,9 +288,9 @@ def test_criterion_6_conservation_and_axioms(s11, s20, s04, ab):
             pr = probes[cc.host]
             ident = Encoding.identity(cc.host)
             assert len(twist(cc, 0)) == 0
-            assert equal_on(twist(cc, 1) * twist(cc, -1), ident, pr)
+            assert agree_on(twist(cc, 1) * twist(cc, -1), ident, pr)
             m, n = rng.randint(-2, 2), rng.randint(-2, 2)
-            assert equal_on(twist(cc, m) * twist(cc, n),
+            assert agree_on(twist(cc, m) * twist(cc, n),
                             twist(cc, m + n), pr)
         ok = True
     finally:

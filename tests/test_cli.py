@@ -153,6 +153,9 @@ def test_input_errors_exit_one(ws_path, tmp_path):
     bad.write_text("{not json")
     assert run_cli("surface", "info", str(bad)).returncode == 1
     assert run_cli("no-such-command").returncode == 1
+    bad.write_bytes(b"\xff\xfe{")
+    assert_one_line_error(run_cli("surface", "info", str(bad)),
+                          "cannot read workspace")
 
 
 def test_curve_validate_reports_a_valid_curve(ws_path):
@@ -242,11 +245,18 @@ def test_flag_overrides_workspace_params(tmp_path):
                    "--k-max", "10").returncode == 0
 
 
+# past int()'s default limit of 4,300 digits
+LONG_DIGITS = "1" * 5000
+# a JSON integer of LONG_DIGITS, which _workspace writes bare
+BARE_LONG = "bare:" + LONG_DIGITS
+
+
 def _workspace(tmp_path, **changes):
     doc = dict(PUNCTURED_TORUS_WS)
     doc.update(changes)
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace(json.dumps(BARE_LONG),
+                                            LONG_DIGITS))
     return str(path)
 
 
@@ -269,6 +279,11 @@ def assert_one_line_error(proc, field):
     (("construct", "search"), {"k_max": 3.0}, "k_max"),
     (("construct", "search"), {"k_max": "1_0"}, "k_max"),
     (("map", "classify", "g"), {"weight_cap": True}, "weight_cap"),
+    pytest.param(("construct", "search"), {"k_max": LONG_DIGITS}, "k_max",
+                 id="k_max-5000-digits"),
+    pytest.param(("map", "classify", "g"), {"weight_cap": BARE_LONG},
+                 'workspace["params"]["weight_cap"]',
+                 id="bare-weight_cap-5000-digits"),
 ])
 def test_bad_integer_params_exit_one_naming_the_field(tmp_path, command,
                                                      params, field):
@@ -297,6 +312,8 @@ def test_params_values_are_checked_at_load(tmp_path, argv, params, field):
 @pytest.mark.parametrize("flag,value", [
     ("--k-max", "x"), ("--k-max", "2.5"), ("--weight-cap", "lots"),
     ("--tolerance", "abc"),
+    pytest.param("--k-max", LONG_DIGITS, id="--k-max-5000-digits"),
+    pytest.param("--tolerance", "1e10000000", id="--tolerance-1e10000000"),
 ])
 def test_bad_flag_values_exit_one_naming_the_field(ws_path, flag, value):
     field = flag[2:].replace("-", "_")
@@ -401,6 +418,12 @@ def test_k_max_below_one_is_rejected(ws_path, tmp_path, value):
     ({"tolerance": "-1"}, "tolerance"),
     ({"tolerance": -0.5}, "tolerance"),
     ({"tolerance": "abc"}, "tolerance"),
+    pytest.param({"tolerance": "1e10000000"}, "tolerance",
+                 id="tolerance-1e10000000"),
+    pytest.param({"tolerance": "1e-10000000"}, "tolerance",
+                 id="tolerance-1e-10000000"),
+    pytest.param({"tolerance": BARE_LONG}, 'workspace["params"]["tolerance"]',
+                 id="bare-tolerance-5000-digits"),
 ])
 def test_misread_search_params_exit_one_naming_the_field(tmp_path, params,
                                                          field):
@@ -563,7 +586,9 @@ def test_unrealizable_curves_are_refused_at_load(tmp_path, weights, reason,
     (["0", " 1", "1"], "weight 1: ' 1'"),
     (["0", "+1", "1"], "weight 1: '+1'"),
     ("011", '"weights" must be a list'),
-], ids=["float", "bool", "underscore", "space", "plus-sign", "string"])
+    (["0", LONG_DIGITS, "1"], "weight 1: '%s'" % LONG_DIGITS),
+], ids=["float", "bool", "underscore", "space", "plus-sign", "string",
+        "5000-digits"])
 def test_weights_must_be_integers(tmp_path, weights, field):
     curves = dict(PUNCTURED_TORUS_WS["curves"], a={"weights": weights})
     path = _workspace(tmp_path, curves=curves)
@@ -585,7 +610,9 @@ def test_surface_needs_integer_genus_and_punctures(tmp_path, surface):
 
 @pytest.mark.parametrize("word", [
     "T(b)^1_0", "T(b)^+1", "T(b)^１", "T(b)^", "T(b)^1.0",
-], ids=["underscore", "plus-sign", "fullwidth-digit", "empty", "decimal"])
+    "T(b)^" + LONG_DIGITS,
+], ids=["underscore", "plus-sign", "fullwidth-digit", "empty", "decimal",
+        "5000-digits"])
 def test_word_exponents_must_be_integers(tmp_path, word):
     path = _workspace(tmp_path, maps={"f": {"word": word}})
     proc = run_cli("map", "act", path, "f", "a")

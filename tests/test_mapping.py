@@ -22,15 +22,16 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
                         Encoding, Flip, Relabel, replay, intersects,
-                        spanning_probes, equal_on, shorten, twist,
+                        spanning_probes, shorten, twist,
                         parse_twist_word, encoding_to_jsonable,
                         encoding_from_jsonable, enumerate_single_curves,
                         is_single_curve, cut_along, automorphisms,
                         Triangulation, build_surface)
 from curvetwist.mapping import (_intersection, _at_isolating_minimum,
                                 _plateau_escape)
-from oracles import (reference_inverse_moves, reference_greedy_shorten,
-                     reference_intersection, reference_shorten)
+from oracles import (agree_on, reference_disjoint, reference_inverse_moves,
+                     reference_greedy_shorten, reference_intersection,
+                     reference_shorten, reference_spanning_probes)
 
 
 GOLDEN_TA_OF_B = (1, 1, 2)
@@ -85,9 +86,9 @@ def test_twist_fixes_its_own_curve(s11, s20):
 def test_twist_power_matches_repetition(ab):
     a, b = ab
     probes = spanning_probes(a.host)
-    assert equal_on(twist(a, 3), twist(a, 1) * twist(a, 1) * twist(a, 1),
+    assert agree_on(twist(a, 3), twist(a, 1) * twist(a, 1) * twist(a, 1),
                     probes)
-    assert equal_on(twist(a, -2), (twist(a, 1) * twist(a, 1)).inverse(),
+    assert agree_on(twist(a, -2), (twist(a, 1) * twist(a, 1)).inverse(),
                     probes)
 
 
@@ -95,7 +96,7 @@ def test_twist_inverse_cancels(ab):
     a, _ = ab
     probes = spanning_probes(a.host)
     ident = Encoding.identity(a.host)
-    assert equal_on(twist(a, 1) * twist(a, -1), ident, probes)
+    assert agree_on(twist(a, 1) * twist(a, -1), ident, probes)
 
 
 def test_twist_zero_is_identity(ab):
@@ -114,7 +115,7 @@ def test_disjoint_twists_commute(s20):
     d = MulticurveCoords(s20, (1, 0, 0, 0, 0, 1, 0, 0, 0))
     assert not intersects(c, d)
     probes = spanning_probes(s20)
-    assert equal_on(twist(c, 1) * twist(d, 1), twist(d, 1) * twist(c, 1),
+    assert agree_on(twist(c, 1) * twist(d, 1), twist(d, 1) * twist(c, 1),
                     probes)
 
 
@@ -122,7 +123,7 @@ def test_braid_relation_for_once_crossing_pair(ab, ta, tb):
     a, b = ab
     assert intersects(a, b)
     probes = spanning_probes(a.host)
-    assert equal_on(ta * tb * ta, tb * ta * tb, probes)
+    assert agree_on(ta * tb * ta, tb * ta * tb, probes)
 
 
 def test_two_twist_composite_has_order_three_on_curves(ab, ta, tb):
@@ -132,10 +133,10 @@ def test_two_twist_composite_has_order_three_on_curves(ab, ta, tb):
     probes = spanning_probes(ab[0].host)
     g = ta * tb
     ident = Encoding.identity(ab[0].host)
-    assert not equal_on(g, ident, probes)
+    assert not agree_on(g, ident, probes)
     g2 = g * g
-    assert not equal_on(g2, ident, probes)
-    assert equal_on(g2 * g, ident, probes)
+    assert not agree_on(g2, ident, probes)
+    assert agree_on(g2 * g, ident, probes)
 
 
 def test_twist_direction_is_conjugation_equivariant(ab, ta, tb):
@@ -145,7 +146,7 @@ def test_twist_direction_is_conjugation_equivariant(ab, ta, tb):
     probes = spanning_probes(a.host)
     lhs = tb * ta * tb.inverse()
     rhs = twist(tb.act(a), 1)
-    assert equal_on(lhs, rhs, probes)
+    assert agree_on(lhs, rhs, probes)
 
 
 # -- shortening ----------------------------------------------------------------
@@ -213,25 +214,10 @@ def test_isolating_curve_stalls_above_weight_two(s20):
     assert all(w % 2 == 0 for w in short.weights)
 
 
-def test_isolating_twist_passes_probe_battery(s20):
-    """The synthesized twist about a separating curve fixes the curve and
-    moves exactly the probes that cross it."""
-    sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
-    t = twist(sep, 1)
-    assert t.act(sep).weights == sep.weights
-    moved = 0
-    for p in spanning_probes(s20):
-        crosses = intersects(sep, p)
-        if crosses:
-            moved += 1
-        assert (t.act(p).weights != p.weights) == crosses
-    assert moved > 0
-
-
 def test_isolating_twist_inverse_cancels(s20):
     sep = MulticurveCoords(s20, (0, 0, 2, 2, 0, 0, 0, 2, 2))
     probes = spanning_probes(s20)
-    assert equal_on(twist(sep, 1) * twist(sep, -1),
+    assert agree_on(twist(sep, 1) * twist(sep, -1),
                     Encoding.identity(s20), probes)
 
 
@@ -247,7 +233,7 @@ def test_spanning_probes_are_essential_singles(s11, s20):
 
 def test_probes_separate_known_distinct_maps(ab, ta, tb):
     probes = spanning_probes(ab[0].host)
-    assert not equal_on(ta, tb, probes)
+    assert not agree_on(ta, tb, probes)
 
 
 # -- encodings ------------------------------------------------------------------
@@ -260,9 +246,9 @@ def test_encoding_composition_acts_as_sequencing(ab, ta, tb):
 def test_encoding_power_and_inverse(ab, ta):
     a, _ = ab
     probes = spanning_probes(a.host)
-    assert equal_on(ta.power(3), ta * ta * ta, probes)
-    assert equal_on(ta.power(-2), (ta * ta).inverse(), probes)
-    assert equal_on(ta.power(0), Encoding.identity(a.host), probes)
+    assert agree_on(ta.power(3), ta * ta * ta, probes)
+    assert agree_on(ta.power(-2), (ta * ta).inverse(), probes)
+    assert agree_on(ta.power(0), Encoding.identity(a.host), probes)
 
 
 def test_invert_moves_round_trip(ab, ta):
@@ -272,7 +258,7 @@ def test_invert_moves_round_trip(ab, ta):
     path = replay(host, list(ta.moves) + list(back))
     assert path[-1] == host
     enc = Encoding(host, list(ta.moves) + list(back))
-    assert equal_on(enc, Encoding.identity(host), spanning_probes(host))
+    assert agree_on(enc, Encoding.identity(host), spanning_probes(host))
 
 
 def test_encoding_rejects_open_paths(s11):
@@ -293,7 +279,7 @@ def test_encoding_json_round_trip(ab, ta, tb):
     doc = encoding_to_jsonable(f)
     text = json.dumps(doc, sort_keys=True)
     g = encoding_from_jsonable(host, json.loads(text))
-    assert equal_on(f, g, spanning_probes(host))
+    assert agree_on(f, g, spanning_probes(host))
     # serialization is stable under a round trip
     assert json.dumps(encoding_to_jsonable(g), sort_keys=True) == text
 
@@ -305,9 +291,9 @@ def test_parse_and_format_words(ab, ta, tb):
     curves = {"a": a, "b": b}
     probes = spanning_probes(a.host)
     f = parse_twist_word("T(a)^2 * T(b)^-1", curves)
-    assert equal_on(f, ta * ta * tb.inverse(), probes)
+    assert agree_on(f, ta * ta * tb.inverse(), probes)
     bare = parse_twist_word("a b^-1", curves)
-    assert equal_on(bare, ta * tb.inverse(), probes)
+    assert agree_on(bare, ta * tb.inverse(), probes)
 
 
 def test_word_composition_order(ab, ta, tb):
@@ -364,6 +350,34 @@ S20 = LADDER[1]
 
 def _isolating(c):
     return any(not p.contains_puncture_or_vertex for p in cut_along(c).pieces)
+
+
+@st.composite
+def moved_isolating_curves(draw):
+    """An isolating curve of weight <= 8 on S(2,0), S(3,0) or S(2,1), moved
+    by up to two twist powers about curves of weight <= 6."""
+    tri = draw(st.sampled_from([LADDER[1], LADDER[5], LADDER[4]]))
+    curves = [MulticurveCoords(tri, v)
+              for v in enumerate_single_curves(tri, 8)]
+    c = draw(st.sampled_from([c for c in curves if _isolating(c)]))
+    twisters = [t for t in curves if t.total_weight <= 6]
+    for _ in range(draw(st.integers(0, 2))):
+        c = twist(draw(st.sampled_from(twisters)),
+                  draw(st.sampled_from([-2, -1, 1, 2]))).act(c)
+    return c
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(moved_isolating_curves())
+@example(MulticurveCoords(S20, (0, 0, 2, 2, 0, 0, 0, 2, 2)))
+def test_isolating_twist_fixes_exactly_the_disjoint_probes(c):
+    """T_c fixes c, and fixes a curve p iff i(c, p) = 0 (Farb-Margalit,
+    Prop. 3.2), on the probes and disjointness of the references."""
+    t = twist(c, 1)
+    assert t.act(c) == c
+    for p in reference_spanning_probes(c.host):
+        assert (t.act(p) == p) == reference_disjoint(c.host, [c, p])
 
 
 @st.composite

@@ -127,9 +127,12 @@ def rung(genus=2, punctures=0):
     forms[0] = 0
     res = ct.search_twist_family(ct.CurveSystem(tri, {"c": c}), f,
                                  ct.SearchSchedule(k_max=4))
+    # per context holding spanning probes, whether it is the model's
+    probed = [t == tri for t, ctx in _CONTEXTS.items()
+              if ctx.probes is not None]
     return {"traces": len(traced), "distinct": len(set(traced)),
             "status": res.status, "shortened": list(map(list, shortened)),
-            "placed": list(placed), "forms": forms[0]}
+            "placed": list(placed), "forms": forms[0], "probed": probed}
 
 
 out["search"] = rung()
@@ -210,12 +213,23 @@ def test_rungs_stop_shortening_at_certified_isolating_minima(counts):
     ladder.  Before shorten stopped at the
     certificate of an isolating minimum, the S(3,0) search built 1,531
     forms and S(3,1) 3,134, and S(4,0) raised ShorteningError after 20,000
-    plateau states (217,118 forms)."""
+    plateau states (217,118 forms).  Before the isolating twist read its
+    chain from intersection numbers, the searches made 446, 546 and 1,732
+    strand traces."""
     got = {rung: [counts[rung][key] for key in ("status", "forms", "traces")]
            for rung in ("s30", "s31", "s40")}
-    assert got == {"s30": ["accepted", 60, 446],
-                   "s31": ["accepted", 192, 546],
-                   "s40": ["accepted", 710, 1732]}
+    assert got == {"s30": ["accepted", 60, 404],
+                   "s31": ["accepted", 192, 446],
+                   "s40": ["accepted", 710, 813]}
+
+
+def test_only_the_model_holds_spanning_probes(counts):
+    """The rung searches twist isolating curves at their short hosts but
+    build the probe family only for the classifier, on the model.  Before
+    the isolating twist read its chain from intersection numbers, the
+    S(4,0) search built it on a short host too."""
+    for rung in ("s30", "s31", "s40"):
+        assert counts[rung]["probed"] == [True], rung
 
 
 def test_cleared_contexts_repeat_the_cold_counts(counts):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .surface import (TopologyError, build_surface, triangulation_to_json)
 from .curves import (InvalidCurveError, validate, is_single_curve,
                      is_essential, cut_along, coords_to_jsonable,
-                     coords_from_jsonable, _strict_int, _Strands)
+                     coords_from_jsonable, _strict_int, _refusal, _Strands)
 from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
 from .orbits import (SystemError_, CurveSystem, check_independent,
@@ -52,8 +52,8 @@ def _integer(least):
     def rule(key, val):
         n = _strict_int(val)
         if n is None or n < least:
-            raise WorkspaceError("%s must be an integer >= %d, not %r"
-                                 % (key, least, val))
+            raise WorkspaceError(_refusal(key, val, "an integer >= %d"
+                                          % least))
         return n
     return rule
 
@@ -70,14 +70,13 @@ def _decimal(key, val):
     except (ValueError, ZeroDivisionError):
         x = None
     if x is None or x < 0:
-        raise WorkspaceError("%s must be a non-negative decimal, not %r"
-                             % (key, val))
+        raise WorkspaceError(_refusal(key, val, "a non-negative decimal"))
     return x
 
 
 def _boolean(key, val):
     if not isinstance(val, bool):
-        raise WorkspaceError("%s must be true or false, not %r" % (key, val))
+        raise WorkspaceError(_refusal(key, val, "true or false"))
     return val
 
 
@@ -437,7 +436,7 @@ def cmd_construct_search(args, ws):
 def _add_common(p, *settings):
     """The workspace argument, --seed, --timing and one flag per setting."""
     p.add_argument("workspace", help="path to the workspace JSON document")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", default=None,
                    help="seed recorded in the report (all algorithms are "
                         "deterministic; the seed pins the report bytes)")
     p.add_argument("--timing", action="store_true",
@@ -540,13 +539,16 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
+        seed = 0 if args.seed is None else _strict_int(args.seed)
+        if seed is None:
+            raise WorkspaceError(_refusal("seed", args.seed, "an integer"))
         ws = load_workspace(args.workspace)
         report, code = _DISPATCH[(args.group, args.action)](args, ws)
     except _INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     report["command"] = "%s %s" % (args.group, args.action)
-    report["seed"] = args.seed or 0
+    report["seed"] = seed
     if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
     try:

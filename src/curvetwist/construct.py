@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .curves import (MulticurveCoords, cut_along, enumerate_single_curves,
-                     _crossing)
-from .mapping import twist, _intersection
+from .curves import MulticurveCoords, cut_along, _crossing
+from .mapping import twist, _intersection, _piece_curves
 from .orbits import (CurveSystem, SystemError_, require_independent,
                      _orbit_graph, find_orbit, chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
@@ -93,22 +92,20 @@ def maximalize(sys, f):
 
 
 def _completion_pair(host, cut, piece):
-    """(c', c''): the lightest candidate of a non-pants piece and the
-    lightest candidate crossing it, in curves_in_piece order.  In a piece
-    with chi < 0 that is not a pair of pants, another curve crosses every
+    """(c', c''): the lightest curve of a non-pants piece and the lightest
+    curve of the piece crossing it, in enumeration order.  In a piece with
+    chi < 0 that is not a pair of pants, another curve crosses every
     non-peripheral curve (Farb-Margalit, A Primer on Mapping Class Groups),
-    so the stream of candidates below yields both; a piece with chi >= 0
-    (an annulus between parallel curves, which an independent system does
-    not have) is refused.  It places the enumerated curves one at a time
-    at caps 4, 8, 12, ... and stops at c'', so no curve after c'' is
-    traced; each cap's curves are a prefix of the next cap's, so the caps
-    set only the cost, not the pair.  Whether a candidate crosses c' is
-    read from i(c', v) (mapping._intersection) unless c' is isolating."""
+    so the piece's stream (mapping._piece_curves) yields both, and is read
+    up to c'' only; a piece with chi >= 0 (an annulus between parallel
+    curves, which an independent system does not have) is refused.  Whether
+    a candidate crosses c' is read from i(c', v) (mapping._intersection)
+    unless c' is isolating."""
     chi = cut.pieces[piece].euler_characteristic
     if chi >= 0:
         raise SystemError_("piece %d has chi %d: no two of its curves cross"
                            % (piece, chi))
-    stream = _candidates(host, cut, piece)
+    stream = _piece_curves(host, cut, piece)
     first = next(stream)
 
     def crosses(v):
@@ -117,23 +114,6 @@ def _completion_pair(host, cut, piece):
 
     partner = next(filter(crosses, stream))
     return MulticurveCoords(host, first), MulticurveCoords(host, partner)
-
-
-def _candidates(host, cut, piece):
-    """The weight vectors of the curves in the piece, in enumeration order,
-    placed only as they are read.  A vector with i(s, vec) > 0 for a
-    non-isolating system component s (mapping._intersection; None, for an
-    isolating s, skips nothing) lies in no piece and is skipped untraced,
-    so CutResult.place traces only the vectors that meet no such s."""
-    system = cut._components
-    seen = 0
-    for cap in itertools.count(4, 4):
-        vecs = enumerate_single_curves(host, cap)
-        for vec in vecs[seen:]:
-            if not any(_intersection(host, s, vec) for s in system) \
-                    and cut.place(vec) == piece:
-                yield vec
-        seen = len(vecs)
 
 
 # -- the exponent sweep -------------------------------------------------------

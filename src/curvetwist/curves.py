@@ -416,14 +416,6 @@ class CutResult:
                     placed[vec] = self._piece_of(vec, *trace)
         return placed[vec]
 
-    def curves_in_piece(self, piece, max_total):
-        """The essential single curves of weight <= max_total lying in piece
-        `piece` and parallel to no system component, in enumeration order:
-        every enumerated curve up to the cap is placed (see place)."""
-        return [MulticurveCoords(self._tri, vec)
-                for vec in enumerate_single_curves(self._tri, max_total)
-                if self.place(vec) == piece]
-
 
 def cut_along(coords):
     """Cut the host along the multicurve; returns a CutResult."""
@@ -591,6 +583,16 @@ def _strict_int(x):
     return None
 
 
+def _refusal(field, val, wanted):
+    """One short line refusing `val` as `field`, which must be `wanted`: a
+    digit string too long for int() is named by its digit count, and any
+    other value by the first 40 characters of its repr."""
+    if isinstance(val, str) and re.fullmatch("-?[0-9]+", val) \
+            and _strict_int(val) is None:
+        return "%s is too long: %d digits" % (field, len(val.lstrip("-")))
+    return "%s must be %s, not %.40r" % (field, wanted, val)
+
+
 def coords_from_jsonable(tri, data):
     weights = data["weights"]
     if not isinstance(weights, list):
@@ -598,8 +600,8 @@ def coords_from_jsonable(tri, data):
     ints = [_strict_int(x) for x in weights]
     if None in ints:
         i = ints.index(None)
-        raise InvalidCurveError("weight %d: %r is not an integer"
-                                % (i, weights[i]))
+        raise InvalidCurveError(_refusal("weight %d" % i, weights[i],
+                                         "an integer"))
     names = data.get("components")
     if names is not None and not (isinstance(names, list) and all(
             isinstance(x, str) for x in names)):

@@ -46,8 +46,9 @@ two catalogued short positions:
    relation: inside the vertex-free piece (genus h, one boundary) a chain
    c_1, ..., c_{2h} of non-isolating curves is found whose consecutive pairs
    meet once and whose distant pairs are disjoint, by exact intersection
-   numbers; then (T_{c_1} ... T_{c_{2h}})^{4h+2} is the twist along the
-   piece boundary, which is the curve (see _isolating_block).
+   numbers, reading the piece's curves lazily and with no weight cap; then
+   (T_{c_1} ... T_{c_{2h}})^{4h+2} is the twist along the piece boundary,
+   which is the curve (see _isolating_block).
 
 Conjugating the catalogued block by the shortening path gives the twist
 about the original curve; every step stays integer-exact.
@@ -58,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+import itertools
 import json
 
 from .surface import (TopologyError, Relabeling, flip, isomorphisms,
@@ -66,7 +68,7 @@ from .surface import (TopologyError, Relabeling, flip, isomorphisms,
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
                      is_essential, enumerate_single_curves, _flipped_weight,
                      _transported, _traces_to, _crossing, _context,
-                     _strict_int)
+                     _strict_int, _refusal, cut_along)
 
 
 class EncodingError(ValueError):
@@ -573,15 +575,41 @@ def _intersection(host, s, b):
     return max(abs(w[p] - w[q]), w[r1] + w[r2] - w[p] - w[q])
 
 
+def _piece_curves(host, cut, piece):
+    """The weight vectors of the curves in piece `piece` of `cut`, in
+    enumeration order, placed only as they are read.  A vector with
+    i(s, vec) > 0 for an essential non-isolating component s of the cut
+    (_intersection; None, for an isolating s, skips nothing; a link meets
+    no curve) lies in no piece and is skipped untraced."""
+    system = [s for s in cut._components if s not in _context(host).links]
+    seen = 0
+    for cap in itertools.count(4, 4):
+        vecs = enumerate_single_curves(host, cap)
+        for vec in vecs[seen:]:
+            if not any(_intersection(host, s, vec) for s in system) \
+                    and cut.place(vec) == piece:
+                yield vec
+        seen = len(vecs)
+
+
 def _isolating_block(short_coords):
     r"""Twist block for an isolating curve c stuck above weight two.
 
     Cut along c; the vertex-free piece Sigma has genus h and one boundary.
-    Among the non-isolating curves of Sigma up to a weight cap, search in
-    lexicographic order for a chain c_1, ..., c_{2h}: each curve meets the
-    last once and the earlier ones not at all, read exactly by
-    _intersection from the curves' own shortenings.  Return the encoding of
-    (T_{c_1} ... T_{c_2h})^{4h+2} for the first chain found.
+    Search the non-isolating curves of Sigma, read from _piece_curves as
+    the search reaches them, for a chain c_1, ..., c_{2h}: each curve meets
+    the last once and the earlier ones not at all, by _intersection, over
+    the curves of weight <= 8, then 12, 16, ... (each list a prefix of the
+    next).  Return the encoding of (T_{c_1} ... T_{c_2h})^{4h+2} for the
+    first chain found.
+
+    Proof that the search ends.  Sigma holds the standard chain of 2h
+    curves (Farb-Margalit, A Primer on Mapping Class Groups, Sec. 4.4).
+    Each meets a neighbour once, so it is non-separating in S, hence not
+    isolating.  The cut's one component is c, which is isolating, so
+    _piece_curves skips nothing and lists every curve of Sigma; once the
+    weight reaches the chain's heaviest curve, the search, which tries
+    every sequence of the finitely many curves up to it, finds a chain.
 
     Proof that this is T_c.  Realize c and the chain in minimal position
     (geodesics, say); the chain lies in Sigma, and so does a regular
@@ -597,8 +625,6 @@ def _isolating_block(short_coords):
     (T_{c_1} ... T_{c_2h})^{4h+2} = T_dN = T_c.  The one exact check left is
     that the block fixes c.
     """
-    from .curves import cut_along
-
     tri = short_coords.host
     cut = cut_along(short_coords)
     isolated = [i for i, p in enumerate(cut.pieces)
@@ -606,64 +632,52 @@ def _isolating_block(short_coords):
     if len(isolated) != 1:
         raise EncodingError(
             "curve stalled above weight two without an isolating side")
-    piece = cut.pieces[isolated[0]]
-    if piece.boundary_circles != 1 or piece.euler_characteristic >= 0 \
-            or piece.euler_characteristic % 2 == 0:
-        raise EncodingError("unexpected isolated piece %r" % (piece,))
-    h = (1 - piece.euler_characteristic) // 2
+    h = (1 - cut.pieces[isolated[0]].euler_characteristic) // 2
+    # c is already short here: record that, so the stream never re-shortens c
+    _context(tri).shortenings.setdefault(short_coords.weights, (
+        short_coords, Encoding.identity(tri)._program, None))
+    stream = (v for v in _piece_curves(tri, cut, isolated[0])
+              if _shortening(tri, v)[2] is not None)
+    read = []   # the candidates read so far, in order
 
-    def chain(cands, prefix):
-        """The first chain of 2h candidates extending `prefix`: each next
-        curve meets the last once and the earlier ones not at all."""
+    def chain(cap, prefix):
+        """The first chain of 2h candidates of weight <= cap extending
+        `prefix`: each next curve meets the last once, the others not."""
         if len(prefix) == 2 * h:
             return prefix
-        for c in cands:
+        for k in itertools.count():
+            if k == len(read):
+                read.append(next(stream))
+            c = read[k]
+            if sum(c) > cap:
+                return None
             follows = not prefix or _intersection(tri, prefix[-1], c) == 1
             if follows and c not in prefix and not any(
                     _intersection(tri, b, c) for b in prefix[:-1]):
-                found = chain(cands, prefix + [c])
+                found = chain(cap, prefix + [c])
                 if found:
                     return found
-        return None
 
-    for cap in (8, 12, 16):
-        found = chain([c.weights for c in cut.curves_in_piece(isolated[0], cap)
-                       if _shortening(tri, c.weights)[2] is not None], [])
-        if found:
-            prod = Encoding.identity(tri)
-            for c in found:
-                prod = prod * twist(MulticurveCoords(tri, c), 1)
-            enc = prod.power(4 * h + 2)
-            if enc.act(short_coords) != short_coords:
-                raise EncodingError("the chain twist moves the curve")
-            return enc
-    raise EncodingError("no chain presentation found for the isolating twist")
-
-
-class _TwistParts:
-    """What the twist about one curve is joined from: the block at the
-    short position (an encoding on the short host), and the compiled
-    shortening path from the curve's host there and its reverse."""
-
-    __slots__ = ("block", "path_program", "back_program")
-
-    def __init__(self, path_program, block):
-        self.block = block
-        self.path_program = path_program
-        self.back_program = _invert(path_program)
+    found = next(filter(None, (chain(cap, [])
+                               for cap in itertools.count(8, 4))))
+    # T_{c_1} ... T_{c_2h} runs the twist about c_2h first
+    product = [twist(MulticurveCoords(tri, c))._program for c in found[::-1]]
+    enc = Encoding._closed(tri, _chain(product * (4 * h + 2)))
+    if enc.act(short_coords) != short_coords:
+        raise EncodingError("the chain twist moves the curve")
+    return enc
 
 
 def _twist_parts(coords):
+    """(block, back): the programs of the block and of the path undone."""
     known = _context(coords.host).twists
     if coords.weights not in known:
         if not is_essential(coords):
             raise InvalidCurveError("can only twist about an essential curve")
         short, program, frame = _shortening(coords.host, coords.weights)
-        if frame is not None:
-            block = _twist_block(short.host, *frame[2:])
-        else:
-            block = _isolating_block(short)
-        known[coords.weights] = _TwistParts(program, block)
+        block = _isolating_block(short) if frame is None \
+            else _twist_block(short.host, *frame[2:])
+        known[coords.weights] = (block._program, _invert(program))
     return known[coords.weights]
 
 
@@ -677,11 +691,10 @@ def twist(coords, k=1):
         if not is_essential(coords):
             raise InvalidCurveError("can only twist about an essential curve")
         return Encoding.identity(coords.host)
-    parts = _twist_parts(coords)
-    block = parts.block if k > 0 else parts.block.inverse()
-    return Encoding._closed(
-        coords.host, _chain([parts.path_program] + [block._program] * abs(k)
-                            + [parts.back_program]))
+    block, back = _twist_parts(coords)
+    path = _shortening(coords.host, coords.weights)[1]
+    return Encoding._closed(coords.host, _chain(
+        [path] + [block if k > 0 else _invert(block)] * abs(k) + [back]))
 
 
 # -- twist words -------------------------------------------------------------------
@@ -708,7 +721,9 @@ def parse_twist_word(word, curves):
             head, _, exp = tok.partition("^")
             k = _strict_int(exp)
             if k is None:
-                raise EncodingError("bad exponent in %r" % tok)
+                raise EncodingError(_refusal("the exponent of factor %d"
+                                             % len(programs), exp,
+                                             "an integer"))
         else:
             head, k = tok, 1
         if head.startswith("T(") and head.endswith(")"):
@@ -764,8 +779,8 @@ def encoding_from_jsonable(tri, data):
             label = mv.get("label")
             if type(label) is not int or not 0 <= label < cur.num_edges \
                     or not cur.is_flippable(label):
-                raise EncodingError('move %d: "label" %r is no flippable edge'
-                                    % (k, label))
+                raise EncodingError(_refusal('move %d: "label"' % k, label,
+                                             "a flippable edge"))
             key = (cur, label)
             if key not in built:
                 built[key] = (Flip(label), flip(cur, label))

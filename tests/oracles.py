@@ -721,8 +721,9 @@ def reference_cell_of(coords, d):
 # -- curve-system questions, each answered from validate alone -----------------
 #
 # The package answers "is this family a disjoint multicurve?" and "which
-# pieces of a cut hold which curves?" through CutResult.curves_in_piece and
-# orbits.check_independent, tracing each curve once per question.  The
+# pieces of a cut hold which curves?" through orbits.check_independent and
+# the lazy stream mapping._piece_curves, tracing each curve once per
+# question.  The
 # references below are the filters those replaced: every part validated
 # again, essentiality and disjointness asked separately.
 
@@ -960,15 +961,17 @@ def reference_spanning_probes(tri):
 # there.  reference_completion_pair is the search that replaced: the first
 # crossing pair in candidate order under a weight cap, then the cap plus 4,
 # then plus 8.  reference_lightest_pair finds the same pair as maximalize,
-# but lists every candidate of the piece at each cap.
+# but lists every candidate of the piece at each cap.  Both list the
+# candidates of the piece of the cut along `joint` with
+# reference_curves_in_piece.
 
-def reference_completion_pair(cut, piece, weight_cap=12):
+def reference_completion_pair(joint, piece, weight_cap=12):
     """The first pair (c_i, c_j), i < j, of crossing candidates of the piece
-    in CutResult.curves_in_piece order, at caps weight_cap, weight_cap + 4
+    in reference_curves_in_piece order, at caps weight_cap, weight_cap + 4
     and weight_cap + 8 in turn, or None when no cap holds one."""
     from curvetwist import intersects
     for cap in (weight_cap, weight_cap + 4, weight_cap + 8):
-        cands = cut.curves_in_piece(piece, cap)
+        cands = reference_curves_in_piece(joint, piece, cap)
         for i in range(len(cands)):
             for j in range(i + 1, len(cands)):
                 if intersects(cands[i], cands[j]):
@@ -976,15 +979,15 @@ def reference_completion_pair(cut, piece, weight_cap=12):
     return None
 
 
-def reference_lightest_pair(host, cut, piece):
+def reference_lightest_pair(joint, piece):
     """(c', c''): the first candidate of the piece in
-    CutResult.curves_in_piece order and the first candidate after it that
+    reference_curves_in_piece order and the first candidate after it that
     crosses it, listing every candidate of the piece at caps 4, 8, 12, ...
     in turn until both are there."""
     from curvetwist import intersects
     seen, cap = 1, 4
     while True:
-        cands = cut.curves_in_piece(piece, cap)
+        cands = reference_curves_in_piece(joint, piece, cap)
         for c in cands[seen:]:
             if intersects(cands[0], c):
                 return cands[0], c
@@ -1016,3 +1019,48 @@ def reference_intersection(s, b, n=5):
         n *= 2
     assert (i > 0) == _crossing(s.host, s.weights, b.weights)
     return i
+
+
+# -- the chain of an isolating twist -------------------------------------------
+#
+# mapping._isolating_block reads the curves of the vertex-free piece lazily
+# and searches them for a chain as it goes.  The reference is the eager
+# search it replaced: list every candidate up to a cap, search, and raise
+# the cap by 4 until a chain is found.
+
+def reference_isolating_chain(c):
+    """The chain c_1, ..., c_2h of the isolating curve c: the first one,
+    in reference_curves_in_piece order at caps 8, 12, 16, ... in turn,
+    among the non-isolating curves of c's vertex-free piece (genus h),
+    whose next curve meets the last once and the earlier ones not at all
+    by reference_intersection."""
+    from itertools import count
+    pieces = reference_cut(c)[0]
+    (piece,) = [i for i, p in enumerate(pieces)
+                if not p.contains_puncture_or_vertex]
+    h = (1 - pieces[piece].euler_characteristic) // 2
+    meets = {}
+
+    def i(a, b):
+        if (a, b) not in meets:
+            meets[a, b] = reference_intersection(a, b)
+        return meets[a, b]
+
+    def chain(cands, prefix):
+        if len(prefix) == 2 * h:
+            return prefix
+        for d in cands:
+            if d not in prefix and (not prefix or i(prefix[-1], d) == 1) \
+                    and not any(i(b, d) for b in prefix[:-1]):
+                found = chain(cands, prefix + [d])
+                if found:
+                    return found
+        return None
+
+    for cap in count(8, 4):
+        cands = [d for d in reference_curves_in_piece(c, piece, cap)
+                 if all(p.contains_puncture_or_vertex
+                        for p in reference_cut(d)[0])]
+        found = chain(cands, [])
+        if found:
+            return found

@@ -261,9 +261,12 @@ def _workspace(tmp_path, **changes):
 
 
 def assert_one_line_error(proc, field):
+    """Exit 1 with one short stderr line naming the field: a rejected
+    value is never echoed in full."""
     assert proc.returncode == 1
     lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and field in lines[0], proc.stderr
+    assert len(lines) == 1 and field in lines[0], proc.stderr[:400]
+    assert len(proc.stderr.encode()) <= 200, proc.stderr[:400]
     assert "Traceback" not in proc.stderr
 
 
@@ -312,8 +315,13 @@ def test_params_values_are_checked_at_load(tmp_path, argv, params, field):
 @pytest.mark.parametrize("flag,value", [
     ("--k-max", "x"), ("--k-max", "2.5"), ("--weight-cap", "lots"),
     ("--tolerance", "abc"),
+    ("--seed", "x"), ("--seed", "1_0"),
     pytest.param("--k-max", LONG_DIGITS, id="--k-max-5000-digits"),
+    pytest.param("--seed", LONG_DIGITS, id="--seed-5000-digits"),
+    pytest.param("--weight-cap", LONG_DIGITS, id="--weight-cap-5000-digits"),
     pytest.param("--tolerance", "1e10000000", id="--tolerance-1e10000000"),
+    pytest.param("--tolerance", "1e" + LONG_DIGITS,
+                 id="--tolerance-1e5000-digits"),
 ])
 def test_bad_flag_values_exit_one_naming_the_field(ws_path, flag, value):
     field = flag[2:].replace("-", "_")
@@ -537,9 +545,12 @@ def _put(value, *path):
     (_put([[0, 0]], "moves", 1, "slot_map", 0), 'move 1: "slot_map"'),
     (_drop("moves", 1, "target", "gluing"), '"gluing"'),
     (_drop("moves", 1, "target", "triangles"), '"triangles"'),
+    (_put(LONG_DIGITS, "moves", 0, "label"),
+     'move 0: "label" is too long: 5000 digits'),
 ], ids=["flip-without-label", "relabel-without-target", "move-not-object",
         "moves-a-string", "slot-outside-complex", "slot-entry-not-pair",
-        "target-without-gluing", "target-without-triangles"])
+        "target-without-gluing", "target-without-triangles",
+        "label-5000-digits"])
 def test_malformed_moves_exit_one_naming_the_move(tmp_path, mutate, field):
     doc = _serialized_twist()
     mutate(doc)
@@ -580,13 +591,13 @@ def test_unrealizable_curves_are_refused_at_load(tmp_path, weights, reason,
 
 
 @pytest.mark.parametrize("weights,field", [
-    ([2.5, "1", "1"], "weight 0: 2.5"),
-    (["0", True, "1"], "weight 1: True"),
-    (["0", "1", "1_0"], "weight 2: '1_0'"),
-    (["0", " 1", "1"], "weight 1: ' 1'"),
-    (["0", "+1", "1"], "weight 1: '+1'"),
+    ([2.5, "1", "1"], "weight 0 must be an integer, not 2.5"),
+    (["0", True, "1"], "weight 1 must be an integer, not True"),
+    (["0", "1", "1_0"], "weight 2 must be an integer, not '1_0'"),
+    (["0", " 1", "1"], "weight 1 must be an integer, not ' 1'"),
+    (["0", "+1", "1"], "weight 1 must be an integer, not '+1'"),
     ("011", '"weights" must be a list'),
-    (["0", LONG_DIGITS, "1"], "weight 1: '%s'" % LONG_DIGITS),
+    (["0", LONG_DIGITS, "1"], "weight 1 is too long: 5000 digits"),
 ], ids=["float", "bool", "underscore", "space", "plus-sign", "string",
         "5000-digits"])
 def test_weights_must_be_integers(tmp_path, weights, field):
@@ -608,15 +619,19 @@ def test_surface_needs_integer_genus_and_punctures(tmp_path, surface):
                           'surface needs integer "genus" and "punctures"')
 
 
-@pytest.mark.parametrize("word", [
-    "T(b)^1_0", "T(b)^+1", "T(b)^１", "T(b)^", "T(b)^1.0",
-    "T(b)^" + LONG_DIGITS,
+@pytest.mark.parametrize("word,shown", [
+    ("T(b)^1_0", "must be an integer, not '1_0'"),
+    ("T(b)^+1", "must be an integer, not '+1'"),
+    ("T(b)^１", "must be an integer, not '１'"),
+    ("T(b)^", "must be an integer, not ''"),
+    ("T(b)^1.0", "must be an integer, not '1.0'"),
+    ("T(b)^" + LONG_DIGITS, "is too long: 5000 digits"),
 ], ids=["underscore", "plus-sign", "fullwidth-digit", "empty", "decimal",
         "5000-digits"])
-def test_word_exponents_must_be_integers(tmp_path, word):
-    path = _workspace(tmp_path, maps={"f": {"word": word}})
+def test_word_exponents_must_be_integers(tmp_path, word, shown):
+    path = _workspace(tmp_path, maps={"f": {"word": "T(a) " + word}})
     proc = run_cli("map", "act", path, "f", "a")
-    assert_one_line_error(proc, "map 'f': bad exponent in %r" % word)
+    assert_one_line_error(proc, "map 'f': the exponent of factor 1 " + shown)
 
 
 @pytest.mark.parametrize("word", [7, ["T(a)", "T(b)"]], ids=["int", "list"])

@@ -28,10 +28,11 @@ from curvetwist import (EncodingError, InvalidCurveError, MulticurveCoords,
                         is_single_curve, cut_along, automorphisms,
                         Triangulation, build_surface)
 from curvetwist.mapping import (_intersection, _at_isolating_minimum,
-                                _plateau_escape)
+                                _isolating_block, _plateau_escape)
 from oracles import (agree_on, reference_disjoint, reference_inverse_moves,
                      reference_greedy_shorten, reference_intersection,
-                     reference_shorten, reference_spanning_probes)
+                     reference_isolating_chain, reference_shorten,
+                     reference_spanning_probes)
 
 
 GOLDEN_TA_OF_B = (1, 1, 2)
@@ -348,6 +349,12 @@ LADDER = [build_surface(*gh)
 S20 = LADDER[1]
 
 
+# a separating curve of S(3,0) whose vertex-free side has genus 2, so that
+# its twist is (T_{c_1} ... T_{c_4})^10
+GENUS_TWO_SIDE = MulticurveCoords(LADDER[5], (0, 0, 2, 2, 2, 2, 2, 0, 0,
+                                              0, 2, 2, 2, 2, 2))
+
+
 def _isolating(c):
     return any(not p.contains_puncture_or_vertex for p in cut_along(c).pieces)
 
@@ -371,6 +378,7 @@ def moved_isolating_curves(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(moved_isolating_curves())
 @example(MulticurveCoords(S20, (0, 0, 2, 2, 0, 0, 0, 2, 2)))
+@example(GENUS_TWO_SIDE)
 def test_isolating_twist_fixes_exactly_the_disjoint_probes(c):
     """T_c fixes c, and fixes a curve p iff i(c, p) = 0 (Farb-Margalit,
     Prop. 3.2), on the probes and disjointness of the references."""
@@ -378,6 +386,24 @@ def test_isolating_twist_fixes_exactly_the_disjoint_probes(c):
     assert t.act(c) == c
     for p in reference_spanning_probes(c.host):
         assert (t.act(p) == p) == reference_disjoint(c.host, [c, p])
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(moved_isolating_curves())
+@example(MulticurveCoords(S20, (0, 0, 2, 2, 0, 0, 0, 2, 2)))
+@example(GENUS_TWO_SIDE)
+def test_isolating_block_is_the_chain_relation_of_the_reference_chain(c):
+    """The lazy chain search finds the chain of the eager reference search,
+    so the block is (T_{c_1} ... T_{c_2h})^(4h+2) over that chain, move for
+    move."""
+    short = shorten(c)[1]
+    chain = reference_isolating_chain(short)
+    prod = Encoding.identity(short.host)
+    for d in chain:
+        prod = prod * twist(d, 1)
+    assert encoding_to_jsonable(_isolating_block(short)) == \
+        encoding_to_jsonable(prod.power(2 * len(chain) + 2))
 
 
 @st.composite

@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from curvetwist import build_surface
+from curvetwist import build_surface, enumerate_single_curves
 from curvetwist.mapping import _intersection
 from test_cli import CHILD_ENV
 
@@ -97,18 +97,19 @@ for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)):
     out["caps"][model] = [len(traced), list(map(list, counted)),
                           list(map(list, _enumerate_vectors(tri, 0, 12)))]
 
-# the candidate filter of one cut on S(2,0), asked for every piece at caps
-# 4, 8, 12 and 8 again with the curves enumerated: each candidate (every
-# curve but the cut one) is traced once
+# the stream of one cut on S(2,0) along a non-separating curve (one piece),
+# read twice up to weight 12 with the curves enumerated: the vectors it
+# traces, and the cut curve
 _CONTEXTS.clear()
 tri = ct.build_surface(2, 0)
 vecs = ct.enumerate_single_curves(tri, 12)
 cut = ct.cut_along(ct.MulticurveCoords(tri, vecs[0]))
 del traced[:]
-for cap in (4, 8, 12, 8):
-    for piece in range(len(cut.pieces)):
-        cut.curves_in_piece(piece, cap)
-out["filter"] = [len(traced), len(set(traced)), len(vecs) - 1]
+for _ in range(2):
+    for vec in mapping._piece_curves(tri, cut, 0):
+        if sum(vec) > 12:
+            break
+out["filter"] = [list(map(list, traced)), list(vecs[0])]
 
 
 def rung(genus=2, punctures=0):
@@ -168,8 +169,17 @@ def test_enumeration_in_any_cap_order_counts_each_vector_once(counts):
 
 
 def test_candidate_filter_traces_each_candidate_once_per_cut(counts):
-    traces, distinct, candidates = counts["filter"]
-    assert traces == distinct == candidates
+    """Read twice, the stream traces each vector once, never one meeting
+    the cut curve, and every curve of weight <= 12 that does not meet it."""
+    traced, cut_curve = counts["filter"]
+    tri, cut_curve = build_surface(2, 0), tuple(cut_curve)
+    # a placement traces the sum of the cut curve and the vector
+    traced = [tuple(x - y for x, y in zip(v, cut_curve)) for v in traced]
+    assert len(traced) == len(set(traced))
+    disjoint = {v for v in enumerate_single_curves(tri, 12)
+                if v != cut_curve and _intersection(tri, cut_curve, v) == 0}
+    assert disjoint <= set(traced)
+    assert not any(_intersection(tri, cut_curve, v) for v in traced)
 
 
 def test_ladder_rung_search_trace_budget(counts):
@@ -181,20 +191,23 @@ def test_ladder_rung_search_trace_budget(counts):
     # before the completion placed its candidates one at a time; 628
     # before it skipped, untraced, the candidates with a positive
     # intersection number with a non-isolating system curve; 585 before
-    # the enumeration counted components without a trace
-    assert traces <= 275
+    # the enumeration counted components without a trace; 240 before the
+    # isolating twist read its candidates lazily
+    assert traces <= 218
 
 
 def test_placement_traces_only_candidates_meeting_no_short_system_curve(
         counts):
     """On the S(3,0) rung, CutResult.place traces only candidates whose
     intersection number with every non-isolating system curve is 0 (the
-    rung places 43 curves disjoint from the system; 4 more meet only
-    isolating curves, which have no such number)."""
+    rung places 17 curves disjoint from the system, 5 of them for the
+    isolating twist's chains; 2 more meet only isolating curves, which
+    have no such number)."""
     status, placed = counts["s30"]["status"], counts["s30"]["placed"]
     assert status == "accepted"
-    # 746 before the completion read intersection numbers
-    assert len(placed) == 47
+    # 746 before the completion read intersection numbers, 47 before the
+    # isolating twist read its candidates lazily from the same stream
+    assert len(placed) == 19
     tri = build_surface(3, 0)
     for system, vec in placed:
         assert not any(_intersection(tri, tuple(s), tuple(vec))
@@ -215,12 +228,13 @@ def test_rungs_stop_shortening_at_certified_isolating_minima(counts):
     forms and S(3,1) 3,134, and S(4,0) raised ShorteningError after 20,000
     plateau states (217,118 forms).  Before the isolating twist read its
     chain from intersection numbers, the searches made 446, 546 and 1,732
-    strand traces."""
+    strand traces; before it read its candidates lazily, 404, 446 and 813,
+    and S(3,1) built 192 forms."""
     got = {rung: [counts[rung][key] for key in ("status", "forms", "traces")]
            for rung in ("s30", "s31", "s40")}
-    assert got == {"s30": ["accepted", 60, 404],
-                   "s31": ["accepted", 192, 446],
-                   "s40": ["accepted", 710, 813]}
+    assert got == {"s30": ["accepted", 60, 376],
+                   "s31": ["accepted", 60, 392],
+                   "s40": ["accepted", 710, 715]}
 
 
 def test_only_the_model_holds_spanning_probes(counts):

@@ -28,15 +28,16 @@ from fractions import Fraction
 from .surface import (TopologyError, build_surface, triangulation_to_json)
 from .curves import (InvalidCurveError, validate, is_single_curve,
                      is_essential, cut_along, coords_to_jsonable,
-                     coords_from_jsonable, _strict_int, _refusal, _Strands)
+                     coords_from_jsonable, _strict_int, _refusal, _quoted,
+                     _Strands)
 from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
 from .orbits import (SystemError_, CurveSystem, check_independent,
                      check_maximal, build_gamma, find_orbit,
                      chain_decomposition, _orbit_graph)
 from .classify import ClassifyParams, classify
-from .construct import (SearchSchedule, maximalize, search_twist_family,
-                        _result_jsonable)
+from .construct import (SearchSchedule, search_twist_family,
+                        _result_jsonable, _complete)
 
 
 class WorkspaceError(ValueError):
@@ -110,12 +111,12 @@ class Workspace:
 
     def curve(self, name):
         if name not in self.curves:
-            raise WorkspaceError("unknown curve name %r" % name)
+            raise WorkspaceError("unknown curve name %s" % _quoted(name))
         return self.curves[name]
 
     def map(self, name):
         if name not in self.maps:
-            raise WorkspaceError("unknown map name %r" % name)
+            raise WorkspaceError("unknown map name %s" % _quoted(name))
         return self.maps[name]
 
     def curve_system(self):
@@ -177,25 +178,26 @@ def load_workspace(path):
             raise WorkspaceError('"%s" must be an object' % field)
     for key, val in doc.get("params", {}).items():
         if key not in _SETTINGS:
-            raise WorkspaceError("unknown params key %r; the keys are %s"
-                                 % (key, ", ".join(_SETTINGS)))
+            raise WorkspaceError("unknown params key %s; the keys are %s"
+                                 % (_quoted(key), ", ".join(_SETTINGS)))
         _SETTINGS[key][0](key, val)
     curves = {}
     for name, cdoc in doc.get("curves", {}).items():
         if not isinstance(cdoc, dict) or "weights" not in cdoc:
-            raise WorkspaceError('curve %r needs a "weights" list' % name)
+            raise WorkspaceError('curve %s needs a "weights" list'
+                                 % _quoted(name))
         try:
             curves[name] = coords_from_jsonable(tri, cdoc)
             # the realizability laws of validate, without its trace: the
             # check costs one pass over the triangles, whatever the weight
             _Strands(tri, curves[name].weights)
         except (InvalidCurveError, ValueError, TypeError) as e:
-            raise WorkspaceError("curve %r: %s" % (name, e))
+            raise WorkspaceError("curve %s: %s" % (_quoted(name), e))
 
     maps = {}
     for name, mdoc in doc.get("maps", {}).items():
         if not isinstance(mdoc, dict):
-            raise WorkspaceError("map %r must be an object" % name)
+            raise WorkspaceError("map %s must be an object" % _quoted(name))
         try:
             if "word" in mdoc:
                 maps[name] = parse_twist_word(mdoc["word"], curves)
@@ -203,10 +205,10 @@ def load_workspace(path):
                 maps[name] = encoding_from_jsonable(tri, mdoc)
             else:
                 raise WorkspaceError(
-                    'map %r needs "word" or "moves"' % name)
+                    'map %s needs "word" or "moves"' % _quoted(name))
         except (EncodingError, ShorteningError, InvalidCurveError,
                 TopologyError) as e:
-            raise WorkspaceError("map %r: %s" % (name, e))
+            raise WorkspaceError("map %s: %s" % (_quoted(name), e))
 
     system = doc.get("system")
     if system is not None:
@@ -219,13 +221,14 @@ def load_workspace(path):
                 '"map" (a map name)')
         for k, n in enumerate(system["components"]):
             if n not in curves:
-                raise WorkspaceError("system component %r is not a curve"
-                                     % n)
+                raise WorkspaceError("system component %s is not a curve"
+                                     % _quoted(n))
             if n in system["components"][:k]:
-                raise WorkspaceError("system component %r is repeated" % n)
+                raise WorkspaceError("system component %s is repeated"
+                                     % _quoted(n))
         if system["map"] not in maps:
-            raise WorkspaceError("system map %r is not a map"
-                                 % system["map"])
+            raise WorkspaceError("system map %s is not a map"
+                                 % _quoted(system["map"]))
 
     return Workspace(tri, curves, maps, system, doc.get("params", {}))
 
@@ -409,7 +412,7 @@ def cmd_construct_maximalize(args, ws):
             "orbit": list(orbit),
             "period": len(orbit),
         }, 2
-    full, fp = maximalize(sys_, f)
+    full, fp = _complete(sys_, f)
     added = [n for n in full.names if n not in sys_.components]
     return {
         "status": "completed",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .curves import MulticurveCoords, cut_along, _crossing
 from .mapping import twist, _intersection, _piece_curves
-from .orbits import (CurveSystem, SystemError_, require_independent,
+from .orbits import (CurveSystem, require_independent,
                      _orbit_graph, find_orbit, chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
 
@@ -59,9 +59,15 @@ def maximalize(sys, f):
     grown system's size plus one does (see the comment on k).
     """
     require_independent(sys)
-    host = sys.host
     if find_orbit(_orbit_graph(sys.with_images(f))) is not None:
         raise ValueError("input system already contains an orbit")
+    return _complete(sys, f)
+
+
+def _complete(sys, f):
+    """maximalize(sys, f) for an input already checked independent and
+    orbit-free."""
+    host = sys.host
     comps = dict(sys.components)
     fp = f
     fresh = itertools.count(1)
@@ -97,14 +103,10 @@ def _completion_pair(host, cut, piece):
     chi < 0 that is not a pair of pants, another curve crosses every
     non-peripheral curve (Farb-Margalit, A Primer on Mapping Class Groups),
     so the piece's stream (mapping._piece_curves) yields both, and is read
-    up to c'' only; a piece with chi >= 0 (an annulus between parallel
-    curves, which an independent system does not have) is refused.  Whether
-    a candidate crosses c' is read from i(c', v) (mapping._intersection)
-    unless c' is isolating."""
-    chi = cut.pieces[piece].euler_characteristic
-    if chi >= 0:
-        raise SystemError_("piece %d has chi %d: no two of its curves cross"
-                           % (piece, chi))
+    up to c'' only; the stream refuses any other piece, such as an annulus
+    between parallel curves, which an independent system does not have.
+    Whether a candidate crosses c' is read from i(c', v)
+    (mapping._intersection) unless c' is isolating."""
     stream = _piece_curves(host, cut, piece)
     first = next(stream)
 
@@ -214,7 +216,7 @@ def search_twist_family(sys, f, schedule=None):
                            "power fixes each of them" % len(orbit),
         }
         return Refused(orbit, len(orbit), witness)
-    full, fp = maximalize(sys, f)
+    full, fp = _complete(sys, f)
     chains = chain_decomposition(_orbit_graph(full))
     reps = [ch.representative for ch in chains]
     curves = tuple(full.components.items())

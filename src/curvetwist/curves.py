@@ -583,14 +583,20 @@ def _strict_int(x):
     return None
 
 
+def _quoted(val):
+    """`val` as a refusal line names it: the first 40 characters of its
+    repr, so a long name or value is never echoed in full."""
+    return "%.40r" % (val,)
+
+
 def _refusal(field, val, wanted):
     """One short line refusing `val` as `field`, which must be `wanted`: a
     digit string too long for int() is named by its digit count, and any
-    other value by the first 40 characters of its repr."""
+    other value by _quoted."""
     if isinstance(val, str) and re.fullmatch("-?[0-9]+", val) \
             and _strict_int(val) is None:
         return "%s is too long: %d digits" % (field, len(val.lstrip("-")))
-    return "%s must be %s, not %.40r" % (field, wanted, val)
+    return "%s must be %s, not %s" % (field, wanted, _quoted(val))
 
 
 def coords_from_jsonable(tri, data):

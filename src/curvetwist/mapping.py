@@ -68,7 +68,8 @@ from .surface import (TopologyError, Relabeling, flip, isomorphisms,
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
                      is_essential, enumerate_single_curves, _flipped_weight,
                      _transported, _traces_to, _crossing, _context,
-                     _strict_int, _refusal, cut_along)
+                     _strict_int, _refusal, _quoted, cut_along)
+from .orbits import SystemError_
 
 
 class EncodingError(ValueError):
@@ -580,7 +581,21 @@ def _piece_curves(host, cut, piece):
     enumeration order, placed only as they are read.  A vector with
     i(s, vec) > 0 for an essential non-isolating component s of the cut
     (_intersection; None, for an isolating s, skips nothing; a link meets
-    no curve) lies in no piece and is skipped untraced."""
+    no curve) lies in no piece and is skipped untraced.
+
+    A piece with chi >= 0 (an annulus between parallel curves, say) or a
+    pair of pants without the vertex holds finitely many curves, no two
+    crossing, so its stream would never end: it is refused at the first
+    read.  Every other piece holds infinitely many (a pair of pants around
+    the vertex is a four-holed sphere in the surface minus the vertex,
+    where normal curves live)."""
+    p = cut.pieces[piece]
+    if p.euler_characteristic >= 0:
+        raise SystemError_("piece %d has chi %d: no two of its curves cross"
+                           % (piece, p.euler_characteristic))
+    if p.is_pants and not p.contains_vertex:
+        raise SystemError_("piece %d is a pair of pants: no two of its "
+                           "curves cross" % piece)
     system = [s for s in cut._components if s not in _context(host).links]
     seen = 0
     for cap in itertools.count(4, 4):
@@ -710,7 +725,7 @@ def parse_twist_word(word, curves):
     cost is linear in the length of the word.
     """
     if not isinstance(word, str):
-        raise EncodingError("twist word %r is not a string" % (word,))
+        raise EncodingError("twist word %s is not a string" % _quoted(word))
     tokens = [t for t in word.replace("*", " ").split() if t]
     if not curves:
         raise EncodingError("no named curves available for twist words")
@@ -731,11 +746,11 @@ def parse_twist_word(word, curves):
         else:
             name = head
         if name not in curves:
-            raise EncodingError("unknown curve name %r" % name)
+            raise EncodingError("unknown curve name %s" % _quoted(name))
         try:
             programs.append(twist(curves[name], k)._program)
         except InvalidCurveError as e:
-            raise InvalidCurveError("curve %r: %s" % (name, e))
+            raise InvalidCurveError("curve %s: %s" % (_quoted(name), e))
     if not programs:
         return Encoding.identity(host)
     # the leftmost factor runs last

@@ -1,21 +1,23 @@
 r"""
-Triangulated oriented surfaces as gluings of labelled triangles.
+Triangulated oriented surfaces as labelled triangles.
 
-A triangulation is a list of triangles, each a triple of *slots*.  The slot
-(t, i) is side i of triangle t, with sides listed in counterclockwise order,
-so the cyclic order of the triple is the orientation.  Two slots glued to one
-another form an edge; the gluing is a fixed-point-free involution on all
-slots, since every side is glued: a complex with an unglued slot is refused.
-Because gluing two ccw sides automatically identifies them with opposite
-boundary orientations, every complex this class can represent is an
-oriented surface - orientability is structural, not checked.  Inside the
-package slot (t, i) is numbered 3t + i, and the gluing is one tuple of 3T
-integers; (t, i) pairs appear only in the public accessors and the JSON.
+A triangulation is a list of triangles, each a triple of edge labels.  The
+slot (t, i) is side i of triangle t, with sides listed in counterclockwise
+order, so the cyclic order of the triple is the orientation.  Every label
+0..E-1 sits on exactly two slots, and those two slots are glued to one
+another to form the edge: the gluing is not stored but derived from the
+labels, since a second stored copy would only have to be built by every
+builder and checked against the labels by every reader.  Every side is
+glued, so the complex has no boundary.  Because gluing two ccw sides
+automatically identifies them with opposite boundary orientations, every
+complex this class can represent is an oriented surface - orientability is
+structural, not checked.  Inside the package slot (t, i) is numbered
+3t + i; (t, i) pairs appear only in the public accessors and the JSON.
 
-The edges of a triangulation with T triangles are numbered 0..E-1, E = 3T/2:
-the label of an edge, shared by its two slots, is its position in every
-weight vector of a normal curve, and a flip keeps every label.  The
-standard models built here are:
+The edges of a triangulation with T triangles are numbered 0..E-1,
+E = 3T/2: the label of an edge is its position in every weight vector of a
+normal curve, and a flip keeps every label.  The standard models built
+here are:
 
 * closed genus g >= 2: a one-vertex triangulation of the 4g-gon with the
   classical side word, triangulated pi-symmetrically (one long diagonal and
@@ -64,61 +66,41 @@ class Triangulation:
     """An oriented surface glued from labelled triangles.
 
     triangles: sequence of (e, e, e) edge labels, sides in ccw order; the
-               labels are 0..E-1, each on exactly two slots.
-    gluing: mapping slot -> slot pairing the two sides of each edge; an
-            involution without fixed points on all 3T slots, since every
-            side is glued.
+               labels are 0..E-1, each on exactly two slots, which are glued
+               to one another.
     ideal: True when every vertex is a puncture (an ideal triangulation).
 
-    Inside, slot (t, i) is numbered 3t + i and the gluing is one tuple
-    `_glue` of 3T integers: `_glue[s]` is the slot glued to slot s.
+    The labels are the one stored form.  The gluing they imply is derived
+    once, on first use, as one tuple `_glue` of 3T integers: slot (t, i) is
+    numbered 3t + i, and `_glue[s]` is the other slot carrying s's label.
     """
 
-    def __init__(self, triangles, gluing, ideal=False):
+    def __init__(self, triangles, ideal=False):
         self._triangles = tuple(tuple(t) for t in triangles)
         self._ideal = bool(ideal)
-        self._check(dict(gluing))
+        self._check()
 
     @classmethod
-    def _unchecked(cls, triangles, glue, like):
+    def _unchecked(cls, triangles, like):
         """A triangulation the package derived from a valid one (`like`)
         without changing its edge labels: skips _check."""
         tri = cls.__new__(cls)
         tri._triangles = triangles
-        tri._glue = glue
         tri._ideal = like._ideal
         return tri
 
     # -- construction-time validation ------------------------------------
 
-    def _check(self, gluing):
-        """Validate the complex and store `gluing` as `_glue`."""
+    def _check(self):
+        """Refuse labels other than 0..E-1 on two slots each, a complex
+        they glue into more than one piece, and chi >= 0."""
         n = len(self._triangles)
         if n == 0:
             raise TopologyError("empty triangulation")
         for t in self._triangles:
             if len(t) != 3:
                 raise TopologyError("triangle without exactly 3 sides: %r" % (t,))
-        slots = [(t, i) for t in range(n) for i in range(3)]
-        if not set(gluing).union(gluing.values()) <= set(slots):
-            raise TopologyError("gluing mentions unknown slot")
-        for s in slots:
-            if s not in gluing:
-                raise TopologyError("slot %r is unglued; every side must be "
-                                    "glued" % (s,))
-        self._glue = glue = tuple(3 * t + i for t, i in map(gluing.get, slots))
-        side = list(chain.from_iterable(self._triangles))
-        for s, p in enumerate(glue):
-            if s == p:
-                raise TopologyError("slot glued to itself")
-            if glue[p] != s:
-                raise TopologyError("gluing is not an involution")
-            if side[s] != side[p]:
-                raise TopologyError(
-                    "glued slots %r and %r carry different edge labels"
-                    % (slots[s], slots[p]))
-        # glued slots share a label, so a label on exactly two slots is on
-        # one glued pair
+        side = self._sides
         if not (all(type(e) is int for e in side)
                 and sorted(side) == [s // 2 for s in range(len(side))]):
             raise TopologyError("edge labels must be 0..%d, each on exactly "
@@ -129,6 +111,21 @@ class Triangulation:
             raise TopologyError(
                 "chi = %d >= 0; only hyperbolic-type surfaces are supported"
                 % self.euler_characteristic)
+
+    @cached_property
+    def _sides(self):
+        """The labels of all 3T slots in slot order."""
+        return tuple(chain.from_iterable(self._triangles))
+
+    @cached_property
+    def _glue(self):
+        """Per slot, the other slot carrying its label."""
+        glue = list(range(len(self._sides)))
+        first = {}
+        for s, lab in enumerate(self._sides):
+            p = first.setdefault(lab, s)
+            glue[s], glue[p] = p, s
+        return tuple(glue)
 
     def _connected(self):
         seen = {0}
@@ -174,19 +171,19 @@ class Triangulation:
 
     @property
     def num_edges(self):
-        return len(self._glue) // 2
+        return 3 * len(self._triangles) // 2
 
     def quad(self, label):
         """(s1, s2, a, b, c, d): the edge's slots s1 < s2, numbered 3t + i,
         then the labels of its flip quadrilateral, read ccw from the edge in
         the triangle of s1 (a, b) and of s2 (c, d), as drawn in `flip`.
         None when the edge has both sides on one triangle."""
-        for s1, lab in enumerate(chain.from_iterable(self._triangles)):
-            if lab == label:
-                break
-        else:
-            raise TopologyError("no edge labelled %r" % (label,))
-        s2 = self._glue[s1]
+        sides = self._sides
+        try:
+            s1 = sides.index(label)
+            s2 = sides.index(label, s1 + 1)
+        except ValueError:
+            raise TopologyError("no edge labelled %r" % (label,)) from None
         if s1 // 3 == s2 // 3:
             return None
         (t1, i1), (t2, i2) = divmod(s1, 3), divmod(s2, 3)
@@ -246,8 +243,7 @@ class Triangulation:
         """
         links = [[0] * self.num_edges for _ in range(self.num_vertices)]
         # the two ends of an edge are the corners where its two slots end
-        for v, lab in zip(self._corner_vertex,
-                          chain.from_iterable(self._triangles)):
+        for v, lab in zip(self._corner_vertex, self._sides):
             links[v][lab] += 1
         return tuple(map(tuple, links))
 
@@ -258,12 +254,11 @@ class Triangulation:
             return True
         return (isinstance(other, Triangulation)
                 and self._ideal == other._ideal
-                and self._triangles == other._triangles
-                and self._glue == other._glue)
+                and self._triangles == other._triangles)
 
     @cached_property
     def _hash(self):
-        return hash((self._ideal, self._triangles, self._glue))
+        return hash((self._ideal, self._triangles))
 
     def __hash__(self):
         return self._hash
@@ -370,8 +365,8 @@ class Relabeling:
             raise TopologyError("slot map is not a bijection on slots")
         self._to = to = tuple(3 * u + j for u, j in map(slot_map.get, slots))
         self.edge_map = {}
-        dst = list(chain.from_iterable(target.triangles))
-        for a, x in zip(chain.from_iterable(source.triangles), to):
+        dst = target._sides
+        for a, x in zip(source._sides, to):
             if self.edge_map.setdefault(a, dst[x]) != dst[x]:
                 raise TopologyError("slot map induces no edge bijection")
         if len(set(self.edge_map.values())) != len(self.edge_map):
@@ -382,8 +377,8 @@ class Relabeling:
                 raise TopologyError("triangle split by slot map")
             if (to[s + 1] - to[s]) % 3 != 1 or (to[s + 2] - to[s]) % 3 != 2:
                 raise TopologyError("slot map reverses orientation")
-        if any(to[p] != target._glue[x] for x, p in zip(to, source._glue)):
-            raise TopologyError("slot map does not commute with the gluing")
+        # it commutes with the gluing: a consistent, injective edge map sends
+        # the two slots of a label to the two slots of its image
 
     @property
     def slot_map(self):
@@ -458,23 +453,17 @@ def _flip(tri, label, quad):
     (t1, i1), (t2, i2) = divmod(s1, 3), divmod(s2, 3)
 
     # the two new faces keep the diagonal at sides i1 and i2
-    new_triangles = list(tri.triangles)
-    new_triangles[t1] = tuple((label, eb, ec)[(j - i1) % 3] for j in range(3))
-    new_triangles[t2] = tuple((label, ed, ea)[(j - i2) % 3] for j in range(3))
-
-    # each old side slot of the quad moves to the slot its ccw successor
-    # a -> d -> c -> b -> a held, and takes its partner along
-    sa, sb = s1 - i1 + (i1 + 1) % 3, s1 - i1 + (i1 + 2) % 3
-    sc, sd = s2 - i2 + (i2 + 1) % 3, s2 - i2 + (i2 + 2) % 3
-    move = {sa: sd, sb: sa, sc: sb, sd: sc}
-    glue = list(tri._glue)
-    for s, x in move.items():
-        p = tri._glue[s]
-        glue[x] = move.get(p, p)
-        glue[glue[x]] = x
+    x = tuple((label, eb, ec)[(j - i1) % 3] for j in range(3))
+    y = tuple((label, ed, ea)[(j - i2) % 3] for j in range(3))
+    triangles, sides = list(tri.triangles), list(tri._sides)
+    triangles[t1], triangles[t2] = x, y
+    sides[3 * t1:3 * t1 + 3], sides[3 * t2:3 * t2 + 3] = x, y
     # flipping a flippable edge of a valid triangulation gives a valid one
     # with the same labels, so the result needs no re-check
-    return Triangulation._unchecked(tuple(new_triangles), tuple(glue), tri)
+    out = Triangulation._unchecked(tuple(triangles), tri)
+    # handed over, so the quads of a flipped host cost no pass over it
+    out._sides = tuple(sides)
+    return out
 
 
 # -- standard models ---------------------------------------------------------
@@ -484,7 +473,6 @@ def _polygon_model(g, ideal):
     cut pi-symmetrically: the long diagonal 0--2g plus a fan in each half.
     The half-rotation of the polygon is then a combinatorial involution.
     """
-    n = 4 * g
     # edge labels: polygon side classes 0..2g-1, long diagonal 2g, then fans
     def side_class(i):
         j, r = divmod(i, 4)
@@ -492,80 +480,34 @@ def _polygon_model(g, ideal):
             return 2 * j
         return 2 * j + 1
 
-    LONG = 2 * g
-    fan1 = {i: LONG if i == 2 * g else (2 * g + 1 + (i - 2)) for i in range(2, 2 * g + 1)}
-    fan1[1] = side_class(0)
-    fan2 = {i: (4 * g - 1 + (i - (2 * g + 2))) for i in range(2 * g + 2, 4 * g)}
-    fan2[2 * g + 1] = side_class(2 * g)
-    fan2[4 * g] = LONG
-
-    triangles = []
-    side_slot = {}
-    for k in range(1, 2 * g):           # half 1: triangles (0, k, k+1)
-        tidx = len(triangles)
-        triangles.append((fan1[k], side_class(k), fan1[k + 1]))
-        side_slot[k] = (tidx, 1)
-        if k == 1:
-            side_slot[0] = (tidx, 0)
-    for k in range(2 * g + 1, 4 * g):   # half 2: triangles (2g, k, k+1)
-        tidx = len(triangles)
-        triangles.append((fan2[k], side_class(k), fan2[k + 1]))
-        side_slot[k] = (tidx, 1)
-        if k == 2 * g + 1:
-            side_slot[2 * g] = (tidx, 0)
-
-    gluing = {}
-
-    def glue(s, p):
-        gluing[s] = p
-        gluing[p] = s
-
-    for k in range(2, 2 * g):
-        glue((k - 2, 2), (k - 1, 0))          # fan1 diagonals
-    for k in range(2 * g + 2, 4 * g):
-        glue((k - 3, 2), (k - 2, 0))          # fan2 diagonals (offset indices)
-    glue((2 * g - 2, 2), (len(triangles) - 1, 2))   # long diagonal
-    for j in range(g):
-        glue(side_slot[4 * j], side_slot[4 * j + 2])
-        glue(side_slot[4 * j + 1], side_slot[4 * j + 3])
-    return Triangulation(triangles, gluing, ideal)
+    # fan[k]: the edge from the apex of k's half (corner 0 for k <= 2g,
+    # corner 2g after) to corner k: a polygon side or the long diagonal at
+    # the ends of each half, a fan diagonal in between
+    fan = {1: side_class(0), 2 * g: 2 * g,
+           2 * g + 1: side_class(2 * g), 4 * g: 2 * g}
+    fan.update((k, 2 * g + k - 1) for k in range(2, 2 * g))
+    fan.update((k, 2 * g + k - 3) for k in range(2 * g + 2, 4 * g))
+    # half 1: triangles (0, k, k+1); half 2: triangles (2g, k, k+1)
+    triangles = [(fan[k], side_class(k), fan[k + 1])
+                 for k in chain(range(1, 2 * g), range(2 * g + 1, 4 * g))]
+    return Triangulation(triangles, ideal)
 
 
 def _sphere_model():
     """Two ideal triangles glued to the thrice-punctured sphere."""
-    triangles = [(0, 1, 2), (0, 2, 1)]
-    gluing = {}
-    for i, j in (((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))):
-        gluing[i] = j
-        gluing[j] = i
-    return Triangulation(triangles, gluing, ideal=True)
+    return Triangulation([(0, 1, 2), (0, 2, 1)], ideal=True)
 
 
 def _subdivide(tri, t=0):
     """Stellar subdivision of triangle t: a new ideal vertex inside it."""
     if not tri.ideal:
         raise TopologyError("subdivision is used for punctured models only")
-    base = tri.num_edges
-    n0, n1, n2 = base, base + 1, base + 2
-    new = [list(x) for x in tri.triangles]
-    sides = tri.triangles[t]
-    new[t] = [sides[0], n0, n2]
-    f1 = len(new)
-    new.append([sides[1], n1, n0])
-    f2 = len(new)
-    new.append([sides[2], n2, n1])
-    faces = (t, f1, f2)
-    move = {(t, 1): (f1, 0), (t, 2): (f2, 0)}
-    gluing = {}
-    for s, p in tri.gluing_pairs():
-        gluing[move.get(s, s)] = move.get(p, p)
-        gluing[move.get(p, p)] = move.get(s, s)
-    for i in range(3):
-        a = (faces[i], 1)
-        b = (faces[(i + 1) % 3], 2)
-        gluing[a] = b
-        gluing[b] = a
-    return Triangulation(new, gluing, ideal=True)
+    n0, n1, n2 = range(tri.num_edges, tri.num_edges + 3)
+    a, b, c = tri.triangles[t]
+    new = list(tri.triangles)
+    new[t] = (a, n0, n2)
+    new += [(b, n1, n0), (c, n2, n1)]
+    return Triangulation(new, ideal=True)
 
 
 def build_surface(genus, punctures):
@@ -628,7 +570,9 @@ def _is_slot_pair(x):
 
 def triangulation_from_json(text):
     """Rebuild and fully check a triangulation; a missing or ill-typed
-    field raises TopologyError naming it."""
+    field raises TopologyError naming it.  The triangulation is built from
+    its labels, and its "gluing" must list exactly the slot pairs those
+    labels imply, or the first slot it gets wrong is named."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise TopologyError("a triangulation must be a JSON object")
@@ -640,11 +584,25 @@ def triangulation_from_json(text):
         raise TopologyError('"gluing" must be a list of slot pairs')
     if not isinstance(data.get("ideal", False), bool):
         raise TopologyError('"ideal" must be true or false')
-    gluing = {}
+    tri = Triangulation(data["triangles"], data.get("ideal", False))
+    paired = set()
     for a, b in data["gluing"]:
-        gluing[tuple(a)] = tuple(b)
-        gluing[tuple(b)] = tuple(a)
-    tri = Triangulation(data["triangles"], gluing, data.get("ideal", False))
+        a, b = tuple(a), tuple(b)
+        tri.glued(a), tri.glued(b)  # a pair naming no slot is refused
+        if a == b:
+            raise TopologyError("slot %r is glued to itself" % (a,))
+        for s in (a, b):
+            if s in paired:
+                raise TopologyError("slot %r is in two gluing pairs" % (s,))
+            paired.add(s)
+        if tri.glued(a) != b:
+            raise TopologyError("glued slots %r and %r carry different edge "
+                                "labels" % (a, b))
+    for t in range(tri.num_triangles):
+        for i in range(3):
+            if (t, i) not in paired:
+                raise TopologyError("slot %r is unglued; every side must be "
+                                    "glued" % ((t, i),))
     labels = data.get("labels", list(tri.edge_labels))
     if not _is_ints(labels) or sorted(labels) != list(tri.edge_labels):
         raise TopologyError("label block disagrees with triangle data")

@@ -337,7 +337,9 @@ def reference_shorten(coords, max_states=20000):
 # the triangles, slot propagation from one root, the least BFS form found
 # by building every rooted form in full, and the canonical-form witness and
 # automorphism list composed directly from its least-form roots (which fix
-# the order the package promises).
+# the order the package promises).  A triangulation derives its gluing from
+# its labels; reference_flip_gluing is the slot bookkeeping a flip did when
+# the gluing was stored.
 
 def reference_quad(tri, label):
     """(s1, s2, a, b, c, d) by scanning for the edge's slots, numbered
@@ -350,6 +352,24 @@ def reference_quad(tri, label):
     return (3 * t1 + i1, 3 * t2 + i2,
             tri.triangles[t1][(i1 + 1) % 3], tri.triangles[t1][(i1 + 2) % 3],
             tri.triangles[t2][(i2 + 1) % 3], tri.triangles[t2][(i2 + 2) % 3])
+
+
+def reference_flip_gluing(tri, glue, label):
+    """The gluing after flipping `label`, carried from `glue` (per slot
+    3t + i, its partner) by moving the quad's side slots: each old side
+    slot moves to the slot its ccw successor a -> d -> c -> b -> a held, and
+    takes its partner along."""
+    s1, s2 = reference_quad(tri, label)[:2]
+    i1, i2 = s1 % 3, s2 % 3
+    sa, sb = s1 - i1 + (i1 + 1) % 3, s1 - i1 + (i1 + 2) % 3
+    sc, sd = s2 - i2 + (i2 + 1) % 3, s2 - i2 + (i2 + 2) % 3
+    move = {sa: sd, sb: sa, sc: sb, sd: sc}
+    new = list(glue)
+    for s, x in move.items():
+        p = glue[s]
+        new[x] = move.get(p, p)
+        new[new[x]] = x
+    return tuple(new)
 
 
 def reference_relabelings(src, dst, edge_map=None):

@@ -404,6 +404,39 @@ def test_a_hyphen_alias_does_not_shadow_its_param(tmp_path):
                           "unknown params key 'k-max'")
 
 
+LONG_NAME = "z" * 5000
+# a refusal quotes a workspace name by the first 40 characters of its repr
+QUOTED = repr(LONG_NAME)[:40]
+
+
+@pytest.mark.parametrize("argv,changes,field", [
+    (("map", "act", "{ws}", "f", LONG_NAME), {},
+     "unknown curve name " + QUOTED),
+    (("map", "act", "{ws}", LONG_NAME, "a"), {},
+     "unknown map name " + QUOTED),
+    (("surface", "info", "{ws}"),
+     {"maps": {"f": {"word": "T(%s)" % LONG_NAME}}},
+     "map 'f': unknown curve name " + QUOTED),
+    (("surface", "info", "{ws}"), {"params": {LONG_NAME: 3}},
+     "unknown params key " + QUOTED),
+    (("surface", "info", "{ws}"),
+     {"system": {"components": [LONG_NAME], "map": "f"}},
+     "system component %s is not a curve" % QUOTED),
+    (("surface", "info", "{ws}"),
+     {"curves": {LONG_NAME: {"weights": ["0", "1"]}}},
+     "curve %s: expected 3 weights, got 2" % QUOTED),
+    (("surface", "info", "{ws}"), {"maps": {LONG_NAME: 5}},
+     "map %s must be an object" % QUOTED),
+], ids=["act-curve", "act-map", "word-curve", "params-key",
+        "system-component", "curve-weights", "map-not-object"])
+def test_a_long_name_is_quoted_short(tmp_path, argv, changes, field):
+    """A refusal names a 5000-character workspace name by its first 40
+    characters, on one stderr line of at most 200 bytes."""
+    path = _workspace(tmp_path, **changes)
+    proc = run_cli(*[path if a == "{ws}" else a for a in argv])
+    assert_one_line_error(proc, field)
+
+
 def test_integer_params_may_be_decimal_strings(tmp_path):
     path = _workspace(tmp_path, params={"k_max": "3"})
     assert run_cli("construct", "search", path).returncode == 3

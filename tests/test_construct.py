@@ -294,13 +294,14 @@ def _independence_checks_from_construct(monkeypatch):
     return calls
 
 
-def test_search_checks_independence_at_most_twice(monkeypatch, ab, s20):
-    """Once for the input in the search, once more in the completion."""
+def test_search_checks_independence_once(monkeypatch, ab, s20):
+    """The search checks its input once, and its completion reads that
+    check instead of making its own."""
     calls = _independence_checks_from_construct(monkeypatch)
     a, b = ab
     assert isinstance(search_twist_family(CurveSystem(a.host, {"a": a}),
                                           twist(b, 1)), Accepted)
-    assert sum(calls) <= 2
+    assert sum(calls) == 1
     del calls[:]
     vecs = enumerate_single_curves(s20, 8)
     c = MulticurveCoords(s20, vecs[0])
@@ -310,7 +311,7 @@ def test_search_checks_independence_at_most_twice(monkeypatch, ab, s20):
                               twist(MulticurveCoords(s20, d), 1),
                               SearchSchedule(k_max=4))
     assert isinstance(res, Accepted)
-    assert sum(calls) <= 2
+    assert sum(calls) == 1
 
 
 def test_search_independent_mode(s20):

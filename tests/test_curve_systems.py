@@ -12,12 +12,13 @@ intersects.
 
 from itertools import takewhile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from curvetwist import (MulticurveCoords, CurveSystem, Encoding,
-                        InvalidCurveError, Relabel, automorphisms,
-                        build_surface, check_independent, cut_along,
-                        enumerate_single_curves, intersects,
+                        InvalidCurveError, Relabel, SystemError_,
+                        automorphisms, build_surface, check_independent,
+                        cut_along, enumerate_single_curves, intersects,
                         invariant_multicurve_search, standard_curves, twist)
 from curvetwist.curves import _crossing
 from curvetwist.mapping import _piece_curves
@@ -56,8 +57,8 @@ def systems(draw):
 def _piece_head(cut, tri, piece, cap):
     """The curves of weight <= cap in the piece: the head of its stream,
     or, in a piece with finitely many curves (chi >= 0, or a pair of pants
-    without the vertex), whose stream never reads past its last curve, the
-    enumerated curves that `place` puts there."""
+    without the vertex), whose stream is refused, the enumerated curves
+    that `place` puts there."""
     p = cut.pieces[piece]
     if p.euler_characteristic >= 0 or p.is_pants and not p.contains_vertex:
         vecs = [v for v in enumerate_single_curves(tri, cap)
@@ -66,6 +67,24 @@ def _piece_head(cut, tri, piece, cap):
         vecs = takewhile(lambda v: sum(v) <= cap,
                          _piece_curves(tri, cut, piece))
     return [MulticurveCoords(tri, v) for v in vecs]
+
+
+def test_a_piece_with_finitely_many_curves_is_refused_at_once(s11, s20):
+    """A pair of pants without the vertex, or a piece with chi >= 0, holds
+    finitely many curves, no two crossing: its stream is refused on the
+    first read instead of enumerating for ever."""
+    pants = cut_along(MulticurveCoords(s11, (0, 1, 1)))
+    assert [p.is_pants for p in pants.pieces] == [True]
+    with pytest.raises(SystemError_, match="^piece 0 is a pair of pants: "
+                                           "no two of its curves cross$"):
+        next(_piece_curves(s11, pants, 0))
+    # two separating curves parallel across the vertex bound an annulus
+    ring = cut_along(MulticurveCoords(s20, (2, 2, 2, 2, 0, 2, 2, 2, 2)))
+    (annulus,) = [i for i, p in enumerate(ring.pieces)
+                  if p.euler_characteristic == 0]
+    with pytest.raises(SystemError_, match="^piece %d has chi 0: no two of "
+                                           "its curves cross$" % annulus):
+        next(_piece_curves(s20, ring, annulus))
 
 
 @SETTINGS

@@ -314,11 +314,7 @@ def test_per_flip_relabeling_documents_still_load():
 # -- unchecked flips ---------------------------------------------------------------
 
 def rebuilt(tri):
-    gluing = {}
-    for a, b in tri.gluing_pairs():
-        gluing[a] = b
-        gluing[b] = a
-    return Triangulation(tri.triangles, gluing, tri.ideal)
+    return Triangulation(tri.triangles, tri.ideal)
 
 
 def assert_flip_is_valid(tri, label):

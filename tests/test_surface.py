@@ -7,6 +7,7 @@ edges with one ideal vertex per puncture; a closed genus-g model on one
 vertex has E = 6g - 3 and T = 4g - 2.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from curvetwist import (TopologyError, Triangulation, MulticurveCoords,
                         triangulation_to_json, triangulation_from_json)
 from oracles import (flip_square_relabeling, inverse_relabeling,
                      compose_relabelings, reference_quad,
+                     reference_flip_gluing,
                      reference_relabelings, reference_isomorphism,
                      reference_automorphisms, reference_min_form_maps,
                      reference_vertex_orbits, reference_vertex_links)
@@ -132,10 +134,9 @@ def test_json_rejects_tampered_labels(s11):
         triangulation_from_json(json.dumps(doc))
 
 
-# the gluing of the thrice-punctured sphere model; the cases below change
-# only the labels on its two triangles
-SPHERE_GLUING = {(0, 0): (1, 0), (1, 0): (0, 0), (0, 1): (1, 2),
-                 (1, 2): (0, 1), (0, 2): (1, 1), (1, 1): (0, 2)}
+# the gluing of the thrice-punctured sphere model, as its JSON lists it; the
+# cases below change only the labels on its two triangles
+SPHERE_PAIRS = [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]]
 
 
 @pytest.mark.parametrize("triangles", [
@@ -149,10 +150,9 @@ def test_labels_other_than_0_to_E_minus_1_are_refused(triangles):
     labels must be 0..E-1, each on one glued pair of slots."""
     message = r"^edge labels must be 0\.\.2, each on exactly two slots$"
     with pytest.raises(TopologyError, match=message):
-        Triangulation(triangles, SPHERE_GLUING, ideal=True)
+        Triangulation(triangles, ideal=True)
     doc = {"ideal": True, "triangles": [list(t) for t in triangles],
-           "gluing": [[list(a), list(b)] for a, b in SPHERE_GLUING.items()
-                      if a < b]}
+           "gluing": SPHERE_PAIRS}
     if all(type(lab) is int for t in triangles for lab in t):
         with pytest.raises(TopologyError, match=message):
             triangulation_from_json(json.dumps(doc))
@@ -195,14 +195,74 @@ def test_quad_matches_slot_arithmetic(tri):
         assert tri.is_flippable(lab) == (ref is not None)
 
 
+def _sphere_json(gluing):
+    return json.dumps({"ideal": True, "triangles": [[0, 1, 2], [0, 2, 1]],
+                       "gluing": gluing})
+
+
 def test_unglued_slots_are_refused():
-    # two ideal triangles glued along edge 0 only: the other sides of both
-    # triangles have no partner
+    # the sphere model's JSON glued along edge 0 only: the other sides of
+    # both triangles have no partner
     with pytest.raises(TopologyError,
                        match=r"^slot \(0, 1\) is unglued; every side must "
                              r"be glued$"):
-        Triangulation([(0, 1, 2), (0, 3, 4)],
-                      {(0, 0): (1, 0), (1, 0): (0, 0)}, ideal=True)
+        triangulation_from_json(_sphere_json([[[0, 0], [1, 0]]]))
+
+
+@pytest.mark.parametrize("gluing,message", [
+    ([[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [2, 1]]],
+     r"no slot \(2, 1\)"),
+    ([[[0, 0], [1, 0]], [[0, 1], [0, 1]], [[0, 2], [1, 1]]],
+     r"slot \(0, 1\) is glued to itself"),
+    ([[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 1], [1, 2]]],
+     r"slot \(0, 1\) is in two gluing pairs"),
+    ([[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]],
+     r"glued slots \(0, 1\) and \(1, 1\) carry different edge labels"),
+], ids=["unknown-slot", "self-glued", "slot-in-two-pairs", "two-labels"])
+def test_a_json_gluing_other_than_the_labels_is_refused(gluing, message):
+    """The gluing is derived from the labels; a JSON "gluing" that differs
+    is refused with one line naming the first slot it gets wrong."""
+    assert triangulation_from_json(_sphere_json(SPHERE_PAIRS)) == \
+        build_surface(0, 3)
+    with pytest.raises(TopologyError, match="^%s$" % message):
+        triangulation_from_json(_sphere_json(gluing))
+
+
+# sha256 of the JSON of every model with g <= 5 and n <= 6 and of each of its
+# single flips, with each edge's quad, as the package wrote them when each
+# builder and flip still stored a gluing of its own
+MODEL_FLIP_DIGEST = \
+    "85d4cfa4a04cba06219777e0517ba528ef567f78631b9e262bfbbe91cc9bdc60"
+
+
+def test_model_and_flip_json_is_unchanged():
+    h = hashlib.sha256()
+    for g in range(6):
+        for n in range(7):
+            if 2 - 2 * g - n >= 0:
+                continue
+            tri = build_surface(g, n)
+            h.update(triangulation_to_json(tri).encode())
+            for lab in tri.edge_labels:
+                quad = tri.quad(lab)
+                h.update(repr(quad).encode())
+                if quad is not None:
+                    h.update(triangulation_to_json(flip(tri, lab)).encode())
+    assert h.hexdigest() == MODEL_FLIP_DIGEST
+
+
+@SETTINGS
+@given(st.sampled_from(LADDER), st.data())
+def test_derived_gluing_follows_the_slot_moves_of_each_flip(model, data):
+    """The gluing a flipped host derives from its labels is the model's
+    gluing (pinned by the digest above) with the quad's side slots moved
+    through every flip, as the oracle carries it."""
+    tri, glue = model, model._glue
+    for _ in range(data.draw(st.integers(0, 10))):
+        lab = data.draw(st.sampled_from(_flippable(tri)))
+        glue = reference_flip_gluing(tri, glue, lab)
+        tri = flip(tri, lab)
+        assert tri._glue == glue
 
 
 @pytest.mark.parametrize("slot", [(0, 3), (0, -1), (2, 0), (-1, 0)])

@@ -229,12 +229,14 @@ def test_rungs_stop_shortening_at_certified_isolating_minima(counts):
     plateau states (217,118 forms).  Before the isolating twist read its
     chain from intersection numbers, the searches made 446, 546 and 1,732
     strand traces; before it read its candidates lazily, 404, 446 and 813,
-    and S(3,1) built 192 forms."""
+    and S(3,1) built 192 forms; before the completion read the search's
+    independence check of its input instead of making its own, 376, 392
+    and 715."""
     got = {rung: [counts[rung][key] for key in ("status", "forms", "traces")]
            for rung in ("s30", "s31", "s40")}
-    assert got == {"s30": ["accepted", 60, 376],
-                   "s31": ["accepted", 60, 392],
-                   "s40": ["accepted", 710, 715]}
+    assert got == {"s30": ["accepted", 60, 375],
+                   "s31": ["accepted", 60, 391],
+                   "s40": ["accepted", 710, 714]}
 
 
 def test_only_the_model_holds_spanning_probes(counts):

@@ -32,9 +32,8 @@ from .curves import (InvalidCurveError, validate, is_single_curve,
                      _Strands)
 from .mapping import (EncodingError, ShorteningError, parse_twist_word,
                       encoding_to_jsonable, encoding_from_jsonable)
-from .orbits import (SystemError_, CurveSystem, check_independent,
-                     check_maximal, build_gamma, find_orbit,
-                     chain_decomposition, _orbit_graph)
+from .orbits import (SystemError_, CurveSystem, build_gamma, find_orbit,
+                     chain_decomposition)
 from .classify import ClassifyParams, classify
 from .construct import (SearchSchedule, search_twist_family,
                         _result_jsonable, _complete)
@@ -359,11 +358,7 @@ def _gamma(ws):
     """The orbit graph of the workspace system under its map, with the
     system checked for independence once."""
     sys_, f = ws.curve_system()
-    check = check_independent(sys_)
-    if not check:
-        raise SystemError_("system is not independent: "
-                           + "; ".join(check.problems))
-    return _orbit_graph(sys_.with_images(f))
+    return build_gamma(sys_.with_images(f))
 
 
 def _orbit_report(ws, orbit):
@@ -422,7 +417,8 @@ def cmd_construct_maximalize(args, ws):
         "images": {n: coords_to_jsonable(full.f_images[n])
                    for n in full.names},
         "map": encoding_to_jsonable(fp),
-        "is_maximal": bool(check_maximal(full)),
+        "is_maximal": all(p.is_pants  # `full` was built independent
+                          for p in cut_along(full.joint_coords()).pieces),
     }, 0
 
 

@@ -28,22 +28,22 @@ import itertools
 from dataclasses import dataclass, field
 
 from .curves import MulticurveCoords, cut_along, _crossing
-from .mapping import twist, _intersection, _piece_curves
-from .orbits import (CurveSystem, require_independent,
-                     _orbit_graph, find_orbit, chain_decomposition)
+from .mapping import _twist, _intersection, _piece_curves
+from .orbits import (CurveSystem, build_gamma, _orbit_graph, find_orbit,
+                     chain_decomposition)
 from .classify import ClassifyParams, classify, PseudoAnosovEvidence
 
 
 def _realize(f, curves, exponents):
     """f composed with the twists about the named curves (name, coords) to
     the given exponents, f ∘ T_{c_1}^{k_1} ∘ ... ∘ T_{c_n}^{k_n}: the
-    sweep's candidate.  The curves are those of a system built disjoint, so
-    the twists commute and fix every system curve, and the result agrees
-    with f on each of them; nothing here checks it."""
+    sweep's candidate.  The curves are those of a system checked essential
+    and built disjoint, so the twists commute and fix every system curve,
+    and the result agrees with f on each of them; nothing here checks it."""
     enc = f
     for (_, c), k in zip(curves, exponents):
         if k:
-            enc = enc * twist(c, k)
+            enc = enc * _twist(c.host, c.weights, k)
     return enc
 
 
@@ -58,8 +58,7 @@ def maximalize(sys, f):
     class: both curves exist (see _completion_pair), and a power up to the
     grown system's size plus one does (see the comment on k).
     """
-    require_independent(sys)
-    if find_orbit(_orbit_graph(sys.with_images(f))) is not None:
+    if find_orbit(build_gamma(sys.with_images(f))) is not None:
         raise ValueError("input system already contains an orbit")
     return _complete(sys, f)
 
@@ -84,9 +83,10 @@ def _complete(sys, f):
         # are pairwise distinct, and fp is a bijection on classes: one of
         # the first len(taken) + 1 powers keeps the image off `taken`
         k = next(k for k in range(1, len(taken) + 2)
-                 if fp.act(twist(c_aux, k).act(c_new)).weights not in taken)
+                 if fp.act(_twist(host, c_aux.weights, k).act(c_new)).weights
+                 not in taken)
         comps[name] = c_new
-        fp = fp * twist(c_aux, k)
+        fp = fp * _twist(host, c_aux.weights, k)
     done = CurveSystem.from_encoding(host, comps, fp)
     for name, c in sys.components.items():
         if fp.act(c).weights != f.act(c).weights:
@@ -202,8 +202,7 @@ def search_twist_family(sys, f, schedule=None):
     are classified in sweep order; the first pseudo-Anosov evidence wins.
     """
     schedule = schedule or SearchSchedule()
-    require_independent(sys)
-    gamma = _orbit_graph(sys.with_images(f))
+    gamma = build_gamma(sys.with_images(f))
     orbit = find_orbit(gamma)
     if orbit is not None:
         witness = {

@@ -435,7 +435,7 @@ class _SurfaceContext:
     """What the package derives from one triangulation, each fact at most
     once: the vertex links, the essential single curves enumerated so far,
     the spanning probes, and per curve weight vector its shortening and its
-    twist parts (mapping._shortening and mapping._twist_parts)."""
+    twist parts (mapping._shortening and mapping._twist)."""
 
     def __init__(self, tri):
         self.links = frozenset(tri.vertex_links())

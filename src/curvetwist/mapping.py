@@ -25,33 +25,27 @@ operations and equality tests on curves never accumulate error.
 Dehn twists are built by shortening the curve (greedy weight-decreasing
 flips, preferring the heaviest edge, with breadth-first search across weight
 plateaus unless the stall is a certified minimum) until it reaches one of
-two catalogued short positions:
+two catalogued short positions (Farb-Margalit, A Primer on Mapping Class
+Groups), each block a program written from the position itself:
 
-1. Total weight two.  The curve is then forced to be the core of an annulus
-   made of two triangles glued along both crossed edges.  One flip of a
-   crossed edge followed by the relabeling that swaps the two crossed edges
-   returns to the starting triangulation and effects exactly one primitive
-   twist along the core; the direction is fixed by always flipping the first
-   crossed edge in the counterclockwise reading of the annulus triangles.
-   Every curve with a vertex or puncture on both sides reaches this entry.
+1. Total weight two.  The curve is the core of an annulus of two triangles
+   glued along both crossed edges (see _annulus_frame).  Flipping the first
+   crossed edge in the counterclockwise reading of the annulus triangles,
+   then swapping the two crossed edges, returns to the starting
+   triangulation with each annulus triangle turned by one slot: one
+   primitive twist along the core (see _twist_block).  Every curve with a
+   vertex or puncture on both sides reaches this entry.
 
-2. A monotone-minimal position of weight above two.  This happens exactly
-   for isolating curves, whose complement has a piece with no vertex or
-   puncture: such a curve crosses every edge an even number of times, so
-   weight two is out of reach.  A stall of weight 3H + 2 = 12h - 4, with H
-   the triangles whose corner-arc counts are odd, is minimal over every
-   triangulation (see _at_isolating_minimum), so shortening stops there
-   without searching the plateau; any other stall stops only once its
-   plateau has no way down.  The twist is synthesized by the even chain
-   relation: inside the vertex-free piece (genus h, one boundary) a chain
-   c_1, ..., c_{2h} of non-isolating curves is found whose consecutive pairs
-   meet once and whose distant pairs are disjoint, by exact intersection
-   numbers, reading the piece's curves lazily and with no weight cap; then
-   (T_{c_1} ... T_{c_{2h}})^{4h+2} is the twist along the piece boundary,
-   which is the curve (see _isolating_block).
+2. A monotone-minimal position of weight above two, reached exactly by
+   isolating curves, whose complement has a piece with no vertex or
+   puncture; shortening stops on the certificate of _at_isolating_minimum
+   or once the plateau has no way down.  The twist is the even chain relation
+   (T_{c_1} ... T_{c_{2h}})^{4h+2} on a chain of non-isolating curves in
+   that piece, found by exact intersection numbers (see _isolating_block).
 
-Conjugating the catalogued block by the shortening path gives the twist
-about the original curve; every step stays integer-exact.
+The block, conjugated by the shortening path, whose program is read off
+the flips the shortening took, is the twist about the original curve;
+only the public `twist` checks that its curve is essential.
 """
 
 from __future__ import annotations
@@ -62,9 +56,8 @@ from operator import itemgetter
 import itertools
 import json
 
-from .surface import (TopologyError, Relabeling, flip, isomorphisms,
-                      triangulation_to_json, triangulation_from_json,
-                      _is_slot_pair)
+from .surface import (TopologyError, Relabeling, flip, triangulation_to_json,
+                      triangulation_from_json, _is_slot_pair)
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
                      is_essential, enumerate_single_curves, _flipped_weight,
                      _transported, _traces_to, _crossing, _context,
@@ -241,8 +234,7 @@ class Encoding:
 
     @classmethod
     def identity(cls, source):
-        return cls._closed(source, ((), (), tuple(range(source.num_edges)),
-                                    tuple(range(3 * source.num_triangles))))
+        return cls._closed(source, _path(source, ()))
 
     def _closing(self):
         """The closing slot map {slot after the flips: slot of the source},
@@ -370,35 +362,30 @@ def _greedy_step(coords):
     return None if best is None else best[1:], level
 
 
-def _canonical_state(coords):
-    return coords.host.canonical_form(coords.weights)
-
-
 def _plateau_escape(coords, max_states=20000):
     """Breadth-first search through weight-preserving flips until a state
-    with a strictly decreasing flip appears.  Returns the move list from
-    `coords` ending just after that decreasing flip, with the coordinates it
-    reaches, or None when the whole plateau has no way down (the weight is
-    monotone-minimal)."""
+    with a strictly decreasing flip appears.  Returns the flips, each its
+    (label, quad), from `coords` ending just after that decreasing flip,
+    with the coordinates it reaches, or None when the whole plateau has no
+    way down (the weight is monotone-minimal)."""
     from collections import deque
-    start_key = _canonical_state(coords)
-    seen = {start_key}
+    seen = {coords.host.canonical_form(coords.weights)}
     queue = deque([(coords, [])])
     while queue:
         cur, path = queue.popleft()
         step, level = _greedy_step(cur)
         if step is not None:
-            return path + [Flip(step[0])], _transported(cur, *step)
+            return path + [step], _transported(cur, *step)
         for lab, quad in level:
             nxt = _transported(cur, lab, quad)
-            key = _canonical_state(nxt)
+            key = nxt.host.canonical_form(nxt.weights)
             if key in seen:
                 continue
             seen.add(key)
             if len(seen) > max_states:
                 raise ShorteningError("plateau search exceeded %d states"
                                       % max_states)
-            queue.append((nxt, path + [Flip(lab)]))
+            queue.append((nxt, path + [(lab, quad)]))
     return None
 
 
@@ -437,10 +424,11 @@ def _at_isolating_minimum(coords):
     return coords.total_weight == 3 * odd + 2
 
 
-def shorten(coords):
+def _shorten(coords):
     """Flip until the weight cannot decrease any further.
 
-    Returns (moves, short_coords) at the monotone-minimal position: greedy
+    Returns (steps, short_coords), each step the (label, quad) of a flip on
+    the host it flips, at the monotone-minimal position: greedy
     strictly-decreasing flips are taken first and level plateaus are crossed
     by breadth-first search.  Curves with a vertex or puncture on both sides
     end at total weight two.  Isolating curves end heavier, at the entry
@@ -449,19 +437,25 @@ def shorten(coords):
     searches its plateau until it finds a way down or exhausts it.
     """
     cur = coords
-    moves = []
+    steps = []
     while cur.total_weight > 2:
         step = _greedy_step(cur)[0]
         if step is not None:
-            moves.append(Flip(step[0]))
+            steps.append(step)
             cur = _transported(cur, *step)
             continue
         hop = None if _at_isolating_minimum(cur) else _plateau_escape(cur)
         if hop is None:
             break
-        steps, cur = hop
-        moves.extend(steps)
-    return moves, cur
+        more, cur = hop
+        steps.extend(more)
+    return steps, cur
+
+
+def shorten(coords):
+    """(moves, short_coords): _shorten's flips as Flip moves, and its curve."""
+    steps, short = _shorten(coords)
+    return [Flip(lab) for lab, _ in steps], short
 
 
 # -- the twist block --------------------------------------------------------------
@@ -471,42 +465,55 @@ def _annulus_frame(coords):
     the crossed edges p and q in the counterclockwise order [r, p, q] that
     both annulus triangles share, and the third sides r1 and r2 of the two
     triangles, in triangle order.
+
+    For a realizable, essential curve of weight two this cannot fail.  It
+    crosses two edges p != q once each: a lone edge of weight two breaks
+    the triangle inequality, or in a folded triangle gives twice a vertex
+    link.  By parity every triangle it meets has weights (1, 1, 0) and
+    holds both p and q, so p's two slots lie in two distinct triangles (a
+    triangle holding p twice is folded, and its arc is a vertex link).  If
+    the second triangle read [r, q, p], the end of p (q) in one triangle
+    would be glued to the start of p (q) in the other: the p-q corners of
+    the two triangles would close up around one vertex, and the curve
+    would be that vertex's link.
     """
-    tri = coords.host
-    crossed = [lab for lab in tri.edge_labels if coords.weight_of(lab) == 1]
-    if coords.total_weight != 2 or len(crossed) != 2:
-        raise EncodingError("not a weight-two annulus position")
-    frames = []
-    for labs in tri.triangles:
-        hits = [i for i in range(3) if labs[i] in crossed]
-        if not hits:
-            continue
-        if len(hits) != 2:
-            raise EncodingError("degenerate annulus: crossings share a side")
-        (r,) = [i for i in range(3) if i not in hits]
-        frames.append((labs[r], labs[(r + 1) % 3], labs[(r + 2) % 3]))
-    if len(frames) != 2:
-        raise EncodingError("crossed edges do not span two triangles")
-    (r1, p, q), (r2, *pq) = frames
-    if pq != [p, q]:
-        raise EncodingError("annulus triangles disagree on edge order")
+    w = coords.weights
+    (r1, p, q), (r2, _, _) = [t[i:] + t[:i] for t in coords.host.triangles
+                              for i in range(3) if w[t[i]] < w[t[(i + 1) % 3]]]
     return r1, r2, p, q
 
 
 def _twist_block(tri, p, q):
-    """One primitive positive twist along the core of the annulus whose
-    crossed edges are p and q (see _annulus_frame): flip p, then relabel
-    swapping p and q back to the starting triangulation.  Returned as an
-    encoding on the short host `tri`."""
-    swap = {lab: lab for lab in tri.edge_labels}
-    swap[p], swap[q] = q, p
-    sols = [rl for rl in isomorphisms(flip(tri, p), tri)
-            if rl.edge_map == swap]
-    if not sols:
-        raise EncodingError("no closing relabel for the twist block")
-    # the least slot map, read slot by slot
-    sols.sort(key=lambda rl: rl._to)
-    return Encoding(tri, [Flip(p), Relabel(sols[0])])
+    """The program of one primitive positive twist about the core of the
+    annulus crossed by p and q (see _annulus_frame) on the short host: the
+    flip of p, a gather swapping p and q, and closing slots that turn each
+    annulus triangle by one slot and fix every other slot.
+
+    Proof.  Both annulus triangles read [r, p, q] counterclockwise, and no
+    other triangle holds p or q.  Flipping p leaves p at its slot and makes
+    each triangle [r, q, p]; swapping p and q turns each triangle back
+    into itself, turned by one slot.  Any other closing map with this edge
+    map moves a triangle (in place, three distinct labels fix a rotation,
+    and isomorphisms agreeing on one slot agree on all), so it sends slot 0
+    out of triangle 0: this map is also the least one by slot map.
+    """
+    s1, s2, *sides = tri.quad(p)
+    gather = list(range(tri.num_edges))
+    gather[p], gather[q] = q, p
+    slots = list(range(3 * tri.num_triangles))
+    for t in (s1 - s1 % 3, s2 - s2 % 3):
+        slots[t:t + 3] = t + 2, t, t + 1
+    return ((p, *sides),), ((s1, s2),), tuple(gather), tuple(slots)
+
+
+def _path(host, steps):
+    """The program of the flips `steps`, each its (label, quad), from
+    `host`: a shortening path holds no relabeling, so the anchors are the
+    quads' slots, and gather and slots are the identity."""
+    return (tuple([(lab, *quad[2:]) for lab, quad in steps]),
+            tuple([quad[:2] for _, quad in steps]),
+            tuple(range(host.num_edges)),
+            tuple(range(3 * host.num_triangles)))
 
 
 def _shortening(host, weights):
@@ -516,9 +523,9 @@ def _shortening(host, weights):
     weight two."""
     known = _context(host).shortenings
     if weights not in known:
-        path, short = shorten(MulticurveCoords(host, weights))
+        steps, short = _shorten(MulticurveCoords(host, weights))
         frame = _annulus_frame(short) if short.total_weight == 2 else None
-        known[weights] = (short, _compile(replay(host, path), path), frame)
+        known[weights] = (short, _path(host, steps), frame)
     return known[weights]
 
 
@@ -650,7 +657,7 @@ def _isolating_block(short_coords):
     h = (1 - cut.pieces[isolated[0]].euler_characteristic) // 2
     # c is already short here: record that, so the stream never re-shortens c
     _context(tri).shortenings.setdefault(short_coords.weights, (
-        short_coords, Encoding.identity(tri)._program, None))
+        short_coords, _path(tri, ()), None))
     stream = (v for v in _piece_curves(tri, cut, isolated[0])
               if _shortening(tri, v)[2] is not None)
     read = []   # the candidates read so far, in order
@@ -676,40 +683,40 @@ def _isolating_block(short_coords):
     found = next(filter(None, (chain(cap, [])
                                for cap in itertools.count(8, 4))))
     # T_{c_1} ... T_{c_2h} runs the twist about c_2h first
-    product = [twist(MulticurveCoords(tri, c))._program for c in found[::-1]]
+    product = [_twist(tri, c, 1)._program for c in found[::-1]]
     enc = Encoding._closed(tri, _chain(product * (4 * h + 2)))
     if enc.act(short_coords) != short_coords:
         raise EncodingError("the chain twist moves the curve")
     return enc
 
 
-def _twist_parts(coords):
-    """(block, back): the programs of the block and of the path undone."""
-    known = _context(coords.host).twists
-    if coords.weights not in known:
-        if not is_essential(coords):
-            raise InvalidCurveError("can only twist about an essential curve")
-        short, program, frame = _shortening(coords.host, coords.weights)
-        block = _isolating_block(short) if frame is None \
+def _twist(host, weights, k):
+    """twist(MulticurveCoords(host, weights), k), unchecked, for a curve
+    the caller enumerated or checked: its parts are built once."""
+    if k == 0:
+        return Encoding.identity(host)
+    known = _context(host).twists
+    if weights not in known:
+        short, path, frame = _shortening(host, weights)
+        block = _isolating_block(short)._program if frame is None \
             else _twist_block(short.host, *frame[2:])
-        known[coords.weights] = (block._program, _invert(program))
-    return known[coords.weights]
+        known[weights] = (path, block, _invert(path))
+    path, block, back = known[weights]
+    return Encoding._closed(host, _chain(
+        [path] + [block if k > 0 else _invert(block)] * abs(k) + [back]))
 
 
 def twist(coords, k=1):
     """The k-th power of the Dehn twist about an essential single curve,
     as a closed encoding on the curve's host: the shortening path, |k|
-    copies of the block (or of its inverse), and the path undone."""
+    copies of the block (or of its inverse), and the path undone.  The
+    curve is checked essential, k = 0 included, unless its host's context
+    already holds its twist."""
     k = int(k)
-    if k == 0:
-        # essentiality is still required for a twist to make sense
-        if not is_essential(coords):
-            raise InvalidCurveError("can only twist about an essential curve")
-        return Encoding.identity(coords.host)
-    block, back = _twist_parts(coords)
-    path = _shortening(coords.host, coords.weights)[1]
-    return Encoding._closed(coords.host, _chain(
-        [path] + [block if k > 0 else _invert(block)] * abs(k) + [back]))
+    if coords.weights not in _context(coords.host).twists \
+            and not is_essential(coords):
+        raise InvalidCurveError("can only twist about an essential curve")
+    return _twist(coords.host, coords.weights, k)
 
 
 # -- twist words -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .curves import (MulticurveCoords, InvalidCurveError, validate,
                      is_parallel, _traces_to, _has_annulus, cut_along,
-                     _context)
+                     _context, _quoted)
 
 
 class SystemError_(ValueError):
@@ -95,7 +95,7 @@ def check_independent(sys):
     surface, on either side of the vertex: exactly when their cut has an
     annulus piece, which then holds the vertex.  One cut of the system
     looks for such a piece, and only when it has one is each pair tested
-    with is_parallel."""
+    with is_parallel.  Components are named through _quoted."""
     problems = []
     singles = {}
     links = _context(sys.host).links
@@ -103,21 +103,20 @@ def check_independent(sys):
         try:
             comps = validate(c)
         except InvalidCurveError as err:
-            problems.append("%s: invalid coordinates (%s)" % (name, err))
-            continue
-        if len(comps) != 1 or comps[0][1] != 1:
-            problems.append("%s: not a single curve" % name)
-            continue
-        if comps[0][0] in links:
-            problems.append("%s: inessential (vertex or puncture link)" % name)
-            continue
-        singles[name] = c
-    names = list(singles)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if singles[names[i]].weights == singles[names[j]].weights:
-                problems.append("%s and %s are parallel"
-                                % (names[i], names[j]))
+            fault = "invalid coordinates (%s)" % err
+        else:
+            if len(comps) != 1 or comps[0][1] != 1:
+                fault = "not a single curve"
+            elif comps[0][0] in links:
+                fault = "inessential (vertex or puncture link)"
+            else:
+                singles[name] = c
+                continue
+        problems.append("%s: %s" % (_quoted(name), fault))
+    for a, b in itertools.combinations(singles, 2):
+        if singles[a].weights == singles[b].weights:
+            problems.append("%s and %s are parallel"
+                            % (_quoted(a), _quoted(b)))
     if not problems and len(singles) > 1:
         joint = sys.joint_coords()
         if _traces_to(sys.host, joint.weights,
@@ -125,8 +124,9 @@ def check_independent(sys):
             problems.append("components are not jointly disjoint")
         elif not sys.host.ideal and _has_annulus(joint):
             problems.extend(
-                "%s and %s are parallel across the vertex" % (a, b)
-                for a, b in itertools.combinations(names, 2)
+                "%s and %s are parallel across the vertex"
+                % (_quoted(a), _quoted(b))
+                for a, b in itertools.combinations(singles, 2)
                 if is_parallel(singles[a], singles[b]))
     bound = 3 * sys.host.genus + sys.host.num_punctures - 3
     if len(sys.components) > bound:
@@ -138,7 +138,8 @@ def check_independent(sys):
 def require_independent(sys):
     rep = check_independent(sys)
     if not rep.ok:
-        raise SystemError_("; ".join(rep.problems))
+        raise SystemError_("system is not independent: "
+                           + "; ".join(rep.problems))
     return rep
 
 
@@ -255,18 +256,13 @@ def chain_decomposition(graph):
     if find_orbit(graph) is not None:
         raise SystemError_("graph contains an orbit; no chain decomposition")
     sources = [v for v in graph.vertices if v not in graph.in_map]
+    # degrees <= 1 and no cycle: every component is a path from its source
     out = []
-    covered = set()
     for src in sources:
         chain = [src]
         v = graph.out_map.get(src)
         while v is not None:
             chain.append(v)
             v = graph.out_map.get(v)
-        covered.update(chain)
         out.append(ChainComponent(tuple(chain), src))
-    if covered != set(graph.vertices):
-        raise ValueError("vertices %r not reachable from any source"
-                         % sorted(set(graph.vertices) - covered))
-    out.sort(key=lambda ch: ch.representative)
-    return out
+    return sorted(out, key=lambda ch: ch.representative)

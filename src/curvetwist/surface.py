@@ -32,9 +32,9 @@ For ideal models the vertices are punctures and do not count toward the
 Euler characteristic, so chi = T - E; for closed models chi = T - E + V.
 Everything is immutable: flips and relabelings return new objects.
 
-`Triangulation.quad` is the one owner of the flip quadrilateral convention
-and `isomorphisms` the one isomorphism search; every other module reads
-flip geometry and finds relabelings through them.
+`Triangulation.quad` is the one owner of the flip quadrilateral convention,
+which every other module reads; `isomorphisms`, the one isomorphism
+search, serves `automorphisms` (the twist block writes its own closing map).
 """
 
 from __future__ import annotations

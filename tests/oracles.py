@@ -404,6 +404,20 @@ def reference_relabelings(src, dst, edge_map=None):
     return sols
 
 
+def reference_twist_block(tri, p, q):
+    """The weight-two twist block as the package once found it: flip p,
+    then search every isomorphism from the flipped complex back to `tri`
+    for those swapping p and q, and close with the least by slot map, as a
+    two-move Encoding."""
+    from curvetwist import Encoding, Flip, Relabel, flip, isomorphisms
+    swap = {lab: lab for lab in tri.edge_labels}
+    swap[p], swap[q] = q, p
+    sols = [rl for rl in isomorphisms(flip(tri, p), tri)
+            if rl.edge_map == swap]
+    least = min(sols, key=lambda rl: sorted(rl.slot_map.items()))
+    return Encoding(tri, [Flip(p), Relabel(least)])
+
+
 def _reference_bfs_form(tri, start, rot, slot_weight=None):
     """The BFS form grown from one rooted corner, built in full: triangles
     numbered in discovery order, a triangle discovered through a slot
@@ -793,22 +807,28 @@ def reference_check_independent(sys):
     """(ok, problems) of the independence check: validate each component,
     then test essentiality, parallelism, joint disjointness, on a closed
     model an annulus piece in the reference cut of each pair, and the size
-    bound one after another."""
+    bound one after another, each component named by its repr cut to 40
+    characters."""
     from curvetwist import (InvalidCurveError, MulticurveCoords, is_essential,
                             validate)
+
+    def q(name):
+        return repr(name)[:40]
+
     problems = []
     singles = {}
     for name, c in sys.components.items():
         try:
             comps = validate(c)
         except InvalidCurveError as err:
-            problems.append("%s: invalid coordinates (%s)" % (name, err))
+            problems.append("%s: invalid coordinates (%s)" % (q(name), err))
             continue
         if len(comps) != 1 or comps[0][1] != 1:
-            problems.append("%s: not a single curve" % name)
+            problems.append("%s: not a single curve" % q(name))
             continue
         if not is_essential(c):
-            problems.append("%s: inessential (vertex or puncture link)" % name)
+            problems.append("%s: inessential (vertex or puncture link)"
+                            % q(name))
             continue
         singles[name] = c
     names = list(singles)
@@ -816,7 +836,7 @@ def reference_check_independent(sys):
         for j in range(i + 1, len(names)):
             if singles[names[i]].weights == singles[names[j]].weights:
                 problems.append("%s and %s are parallel"
-                                % (names[i], names[j]))
+                                % (q(names[i]), q(names[j])))
     if not problems and len(singles) > 1:
         if not reference_disjoint(sys.host, list(singles.values())):
             problems.append("components are not jointly disjoint")
@@ -830,7 +850,7 @@ def reference_check_independent(sys):
                            and p.boundary_circles == 2
                            for p in reference_cut(pair)[0]):
                         problems.append("%s and %s are parallel across the "
-                                        "vertex" % (names[i], names[j]))
+                                        "vertex" % (q(names[i]), q(names[j])))
     bound = 3 * sys.host.genus + sys.host.num_punctures - 3
     if len(sys.components) > bound:
         problems.append("%d components exceed the bound %d"

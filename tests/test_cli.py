@@ -214,18 +214,21 @@ def test_emitted_encoding_round_trips(ws_path, tmp_path):
     assert direct["fixed"] is True
 
 
+# S(2,0) with system {c} and f = T(x)
+GENUS_TWO_WS = {
+    "surface": {"genus": 2, "punctures": 0},
+    "curves": {
+        "c": {"weights": ["0", "0", "1", "0", "0", "0", "0", "1", "0"]},
+        "x": {"weights": ["0", "1", "0", "1", "2", "1", "1", "1", "1"]},
+    },
+    "maps": {"f": {"word": "T(x)"}},
+    "system": {"components": ["c"], "map": "f"},
+}
+
+
 def test_maximalize_report(tmp_path):
-    doc = {
-        "surface": {"genus": 2, "punctures": 0},
-        "curves": {
-            "c": {"weights": ["0", "0", "1", "0", "0", "0", "0", "1", "0"]},
-            "x": {"weights": ["0", "1", "0", "1", "2", "1", "1", "1", "1"]},
-        },
-        "maps": {"f": {"word": "T(x)"}},
-        "system": {"components": ["c"], "map": "f"},
-    }
     path = tmp_path / "genus2.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(GENUS_TWO_WS))
     out = run_json("construct", "maximalize", str(path))
     assert out["status"] == "completed"
     assert out["is_maximal"] is True
@@ -233,6 +236,26 @@ def test_maximalize_report(tmp_path):
     assert out["added"] == ["d1", "d2"]
     # the report embeds the adjusted map; its image table matches
     assert set(out["images"]) == {"c", "d1", "d2"}
+
+
+def test_maximalize_checks_independence_once(tmp_path, capsys, monkeypatch):
+    """The input system is checked once; the completed one, which the
+    completion built disjoint, is not checked again (2 calls, on 1 and then
+    3 curves, when `is_maximal` re-checked it)."""
+    from curvetwist import orbits
+    sizes = []
+    check = orbits.check_independent
+
+    def counted(sys_):
+        sizes.append(len(sys_))
+        return check(sys_)
+
+    monkeypatch.setattr(orbits, "check_independent", counted)
+    path = tmp_path / "genus2.json"
+    path.write_text(json.dumps(GENUS_TWO_WS))
+    assert main(["construct", "maximalize", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["is_maximal"] is True
+    assert sizes == [1]
 
 
 def test_flag_overrides_workspace_params(tmp_path):
@@ -435,6 +458,31 @@ def test_a_long_name_is_quoted_short(tmp_path, argv, changes, field):
     path = _workspace(tmp_path, **changes)
     proc = run_cli(*[path if a == "{ws}" else a for a in argv])
     assert_one_line_error(proc, field)
+
+
+SYSTEM_COMMANDS = [("gamma", "build"), ("gamma", "orbit"), ("gamma", "chains"),
+                   ("construct", "maximalize"), ("construct", "search")]
+
+
+@pytest.mark.parametrize("components,weights,field", [
+    ([LONG_NAME], ["2", "2", "2"],
+     "system is not independent: %s: inessential (vertex or puncture link)"
+     % QUOTED),
+    (["a", LONG_NAME], ["0", "1", "1"],
+     "system is not independent: 'a' and %s are parallel" % QUOTED),
+], ids=["puncture-link", "parallel-pair"])
+@pytest.mark.parametrize("command", SYSTEM_COMMANDS,
+                         ids=["-".join(c) for c in SYSTEM_COMMANDS])
+def test_a_long_system_component_name_is_quoted_short(tmp_path, command,
+                                                      components, weights,
+                                                      field):
+    """Every system command refuses a dependent system with one line of one
+    form, naming a 5000-character component by its first 40 characters."""
+    curves = dict(PUNCTURED_TORUS_WS["curves"],
+                  **{LONG_NAME: {"weights": weights}})
+    path = _workspace(tmp_path, curves=curves,
+                      system={"components": components, "map": "f"})
+    assert_one_line_error(run_cli(*command, path), field)
 
 
 def test_integer_params_may_be_decimal_strings(tmp_path):
@@ -709,4 +757,5 @@ def test_curves_parallel_across_the_vertex_are_refused(tmp_path, command):
         maps={"f": {"word": "T(sep)"}},
         system={"components": ["sep", "sep2"], "map": "f"}, params={})
     assert_one_line_error(run_cli(*command, path),
-                          "sep and sep2 are parallel across the vertex")
+                          "system is not independent: 'sep' and 'sep2' are "
+                          "parallel across the vertex")

@@ -206,7 +206,7 @@ def test_check_independent_reference_covers_each_problem(s11, s20):
         assert (rep.ok, rep.problems) == reference_check_independent(system)
     assert check_independent(CurveSystem(s20, {"sep": sep, "sep2": sep2})
                              ).problems == (
-        "sep and sep2 are parallel across the vertex",)
+        "'sep' and 'sep2' are parallel across the vertex",)
 
 
 @st.composite

@@ -9,10 +9,15 @@ replay a move list triangulation by triangulation: `.moves` must equal the
 reference normal form of the replayed list, the images of the spanning
 probes, and of their images under another random word, must agree, and the
 moves must rebuild the same encoding through the constructor and through
-JSON.  A last group checks that the unchecked triangulations built by
-`flip` equal fully checked ones rebuilt from the same data.
+JSON.  Another group checks that the unchecked triangulations built by
+`flip` equal fully checked ones rebuilt from the same data.  A last group
+checks the twist path's two programs that are read off directly, the
+shortening path's and the weight-two block's, against the replayed path
+and the isomorphism search they replace, and pins the twist JSON of a
+fixed corpus.
 """
 
+import hashlib
 import json
 import os
 
@@ -22,10 +27,11 @@ from curvetwist import (Triangulation, MulticurveCoords, Encoding, Flip,
                         Relabel, build_surface, flip, twist, parse_twist_word,
                         spanning_probes, automorphisms,
                         enumerate_single_curves, encoding_to_jsonable,
-                        encoding_from_jsonable)
+                        encoding_from_jsonable, replay, shorten)
+from curvetwist.mapping import _compile, _shortening, _twist_block
 from oracles import (reference_encoding, reference_act,
                      reference_inverse_moves, reference_normal_form,
-                     reference_to_jsonable)
+                     reference_to_jsonable, reference_twist_block)
 
 
 S11 = build_surface(1, 1)
@@ -347,3 +353,78 @@ def test_random_flip_sequences_stay_valid(gh, picks):
         # every label keeps its place, so weights stay aligned
         assert tri.edge_labels == build_surface(*gh).edge_labels
 
+
+
+# -- the twist path's direct programs ---------------------------------------------
+
+MODELS = [build_surface(*gh) for gh in LADDER + [(0, 4)]]
+
+
+@st.composite
+def twisted_curves(draw):
+    """A curve of weight <= 6 on one of the seven models, or its image
+    under T_t^2 or T_t^-2 for another such curve t."""
+    tri = draw(st.sampled_from(MODELS))
+    vecs = enumerate_single_curves(tri, 6)
+    c = MulticurveCoords(tri, draw(st.sampled_from(vecs)))
+    if draw(st.booleans()):
+        t = MulticurveCoords(tri, draw(st.sampled_from(vecs)))
+        c = twist(t, draw(st.sampled_from([2, -2]))).act(c)
+    return c
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(twisted_curves())
+def test_twist_block_program_equals_the_searched_block(c):
+    """At the short host of the curve, the block read off the annulus is
+    the program of the flip and the least swap relabeling found by search."""
+    short, _, frame = _shortening(c.host, c.weights)
+    if frame is not None:
+        p, q = frame[2:]
+        assert _twist_block(short.host, p, q) == \
+            reference_twist_block(short.host, p, q)._program
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(twisted_curves())
+def test_shortening_program_equals_the_replayed_path(c):
+    """The shortening path's program, built from the flips as they were
+    taken, is the program of shorten's moves replayed and compiled."""
+    moves, short = shorten(c)
+    got_short, program, _ = _shortening(c.host, c.weights)
+    assert got_short == short
+    assert program == _compile(replay(c.host, moves), moves)
+
+
+# the sha256 of twist_json_corpus(), computed while the block was still
+# found by an isomorphism search and the path replayed
+TWIST_JSON_DIGEST = \
+    "1ee624e14c09f4bf27a0c036d380709181f7b6784d1da71b08ad7d3d355bf528"
+
+
+def twist_json_corpus():
+    """The twist JSON, by 1 and by -2, of every essential curve up to a
+    weight cap on each of the seven models, and of the images of the
+    first eight under T_t^2 for the three lightest t: 566 encodings."""
+    caps = {(1, 1): 10, (2, 0): 8, (1, 2): 8, (0, 5): 8, (2, 1): 6,
+            (3, 0): 6, (0, 4): 10}
+    for gh, cap in caps.items():
+        tri = build_surface(*gh)
+        curves = [MulticurveCoords(tri, v)
+                  for v in enumerate_single_curves(tri, cap)]
+        moved = [twist(t, 2).act(c) for t in curves[:3] for c in curves[:8]]
+        for c in curves + moved:
+            for k in (1, -2):
+                yield json.dumps(encoding_to_jsonable(twist(c, k)),
+                                 sort_keys=True)
+
+
+def test_twist_json_over_a_fixed_corpus_is_unchanged():
+    digest = hashlib.sha256()
+    count = 0
+    for doc in twist_json_corpus():
+        digest.update(doc.encode())
+        count += 1
+    assert (count, digest.hexdigest()) == (566, TWIST_JSON_DIGEST)

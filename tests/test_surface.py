@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curvetwist import (TopologyError, Triangulation, MulticurveCoords,
                         build_surface, flip, isomorphisms,
-                        automorphisms, twist, enumerate_single_curves,
+                        automorphisms, twist, shorten,
+                        enumerate_single_curves,
                         triangulation_to_json, triangulation_from_json)
 from oracles import (flip_square_relabeling, inverse_relabeling,
                      compose_relabelings, reference_quad,
@@ -336,14 +337,20 @@ def test_isomorphisms_match_propagation_for_every_edge_map(tri, data):
 def test_twist_block_closes_with_the_least_swap_relabeling(tri):
     """At a weight-two curve the twist is one flip of the first crossed
     edge p and the least relabeling (by sorted slot map) that swaps p with
-    the other crossed edge q."""
-    for vec in enumerate_single_curves(tri, 2):
-        (mv_flip, mv_rel) = twist(MulticurveCoords(tri, vec)).moves
+    the other crossed edge q: at the model's own weight-two curves and at
+    the short positions its curves of weight <= 8 reach."""
+    for vec in enumerate_single_curves(tri, 8):
+        short = shorten(MulticurveCoords(tri, vec))[1]
+        if short.total_weight != 2:
+            continue
+        host = short.host
+        (mv_flip, mv_rel) = twist(short).moves
         p = mv_flip.label
-        (q,) = [lab for lab, w in zip(tri.edge_labels, vec) if w and lab != p]
-        swap = {lab: lab for lab in tri.edge_labels}
+        (q,) = [lab for lab, w in zip(host.edge_labels, short.weights)
+                if w and lab != p]
+        swap = {lab: lab for lab in host.edge_labels}
         swap[p], swap[q] = q, p
-        refs = reference_relabelings(flip(tri, p), tri, swap)
+        refs = reference_relabelings(flip(host, p), host, swap)
         least = min(refs, key=lambda rel: sorted(rel.slot_map.items()))
         assert mv_rel.relabeling.slot_map == least.slot_map
 

@@ -8,7 +8,8 @@ The counts come from a fresh interpreter, so the package's surface contexts
 start empty and the numbers repeat exactly.  The child wraps
 curves._Strands.trace, the one place a weight vector is traced,
 curves._one_curve, the enumeration's trace-free connectivity count,
-mapping.shorten and Triangulation.canonical_form, the plateau search's
+mapping._shorten, the one shortening loop, surface.isomorphisms, the
+isomorphism search, and Triangulation.canonical_form, the plateau search's
 state key (or, for the group operations, every flip, replay and checked
 triangulation), and prints their counts as JSON.  Counters carry no
 timing noise, so these pins guard the trace-once property without timing
@@ -29,8 +30,9 @@ from test_cli import CHILD_ENV
 
 CHILD = r"""
 import json
+import sys
 import curvetwist as ct
-from curvetwist import curves, mapping
+from curvetwist import curves, mapping, surface
 from curvetwist.curves import (_CONTEXTS, _Strands, _enumerate_vectors,
                                CutResult)
 from curvetwist.surface import Triangulation
@@ -40,9 +42,11 @@ counted = []
 shortened = []
 placed = []
 forms = [0]
+searches = [0]
 trace = _Strands.trace
 one_curve = curves._one_curve
-shorten = mapping.shorten
+shorten = mapping._shorten
+isomorphisms = surface.isomorphisms
 place = CutResult.place
 canonical_form = Triangulation.canonical_form
 
@@ -62,6 +66,11 @@ def counted_shorten(coords):
     return shorten(coords)
 
 
+def counted_isomorphisms(src, dst):
+    searches[0] += 1
+    return isomorphisms(src, dst)
+
+
 def counted_place(self, vec):
     # each vector a placement traces, with the system it was placed against
     before = len(traced)
@@ -78,9 +87,14 @@ def counted_canonical_form(self, weights=None):
 
 _Strands.trace = counted_trace
 curves._one_curve = counted_one_curve
-mapping.shorten = counted_shorten
+mapping._shorten = counted_shorten
 CutResult.place = counted_place
 Triangulation.canonical_form = counted_canonical_form
+# every module of the package that binds the search by name
+for module in list(sys.modules.values()):
+    if module.__name__.startswith("curvetwist") \
+            and getattr(module, "isomorphisms", None) is isomorphisms:
+        module.isomorphisms = counted_isomorphisms
 out = {"enumerate": {}, "caps": {}}
 for gh in ((1, 1), (2, 0), (1, 2), (0, 5), (2, 1), (3, 0), (0, 4)):
     tri = ct.build_surface(*gh)
@@ -125,7 +139,7 @@ def rung(genus=2, punctures=0):
     f = ct.twist(ct.MulticurveCoords(tri, d))
     del traced[:]
     del placed[:]
-    forms[0] = 0
+    forms[0] = searches[0] = 0
     res = ct.search_twist_family(ct.CurveSystem(tri, {"c": c}), f,
                                  ct.SearchSchedule(k_max=4))
     # per context holding spanning probes, whether it is the model's
@@ -133,7 +147,8 @@ def rung(genus=2, punctures=0):
               if ctx.probes is not None]
     return {"traces": len(traced), "distinct": len(set(traced)),
             "status": res.status, "shortened": list(map(list, shortened)),
-            "placed": list(placed), "forms": forms[0], "probed": probed}
+            "placed": list(placed), "forms": forms[0], "probed": probed,
+            "isomorphisms": searches[0]}
 
 
 out["search"] = rung()
@@ -192,8 +207,9 @@ def test_ladder_rung_search_trace_budget(counts):
     # before it skipped, untraced, the candidates with a positive
     # intersection number with a non-isolating system curve; 585 before
     # the enumeration counted components without a trace; 240 before the
-    # isolating twist read its candidates lazily
-    assert traces <= 218
+    # isolating twist read its candidates lazily; 217 before the pipeline's
+    # own twists skipped the essentiality check of curves it enumerated
+    assert traces <= 211
 
 
 def test_placement_traces_only_candidates_meeting_no_short_system_curve(
@@ -231,12 +247,21 @@ def test_rungs_stop_shortening_at_certified_isolating_minima(counts):
     strand traces; before it read its candidates lazily, 404, 446 and 813,
     and S(3,1) built 192 forms; before the completion read the search's
     independence check of its input instead of making its own, 376, 392
-    and 715."""
+    and 715; before the pipeline's own twists skipped the essentiality
+    check of curves it enumerated, 375, 391 and 714."""
     got = {rung: [counts[rung][key] for key in ("status", "forms", "traces")]
            for rung in ("s30", "s31", "s40")}
-    assert got == {"s30": ["accepted", 60, 375],
-                   "s31": ["accepted", 60, 391],
-                   "s40": ["accepted", 710, 714]}
+    assert got == {"s30": ["accepted", 60, 363],
+                   "s31": ["accepted", 60, 377],
+                   "s40": ["accepted", 710, 694]}
+
+
+def test_rung_searches_make_no_isomorphism_search(counts):
+    """The twist block closes with a slot map read off its annulus, not
+    found by a search: 5, 11, 12 and 17 searches on the S(2,0), S(3,0),
+    S(3,1) and S(4,0) rungs before."""
+    for rung in ("search", "s30", "s31", "s40"):
+        assert counts[rung]["isomorphisms"] == 0, rung
 
 
 def test_only_the_model_holds_spanning_probes(counts):
@@ -370,8 +395,9 @@ def test_warm_group_operations_build_no_triangulation():
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    # the cold pass shortens the curves and builds the twist blocks
-    assert out["cold"]["flip"] > 0 and out["cold"]["replay"] > 0
+    # the cold pass shortens the curves and builds the twist blocks, from
+    # the flips the shortening took, without replaying them
+    assert out["cold"]["flip"] > 0 and out["cold"]["replay"] == 0
     assert out["warm"] == {"flip": 0, "replay": 0, "Triangulation": 0}
 
 
